@@ -7,6 +7,7 @@ treated as a miss, so corrupted files are silently recomputed.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -65,11 +66,18 @@ def store_rows(key: str, rows: list) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError:
+        return  # caching is best-effort
+    try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, separators=(",", ":"))
         os.replace(tmp, path)
-    except OSError:
-        pass  # caching is best-effort
+    except BaseException as exc:
+        # never leave the partial temp file behind; only OSError is absorbed
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if not isinstance(exc, OSError):
+            raise
 
 
 def clear() -> int:

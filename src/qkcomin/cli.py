@@ -3,7 +3,8 @@
 Commands: product, dist, neighborhood, table, verify, cache.  All JSON
 output is canonical (fixed key order, compact separators) so identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1
-verification violations, 2 usage or parse errors, 3 I/O errors.
+verification violations, 2 usage or parse errors, 3 I/O errors, 4 internal
+errors (a broken invariant of the calculator, not bad input).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import re
 import sys
 
 from qkcomin import cache as diskcache
+from qkcomin.gkm import NotInSpanError, ShapeMismatchError
+from qkcomin.laurent import NotDivisibleError
 from qkcomin.quantum import (
     Space,
     curve_neighborhood_index,
@@ -33,6 +36,12 @@ _SPACE_RE = re.compile(r"^gr:(\d+),(\d+)$")
 
 class UsageError(ValueError):
     pass
+
+
+# Raised only when a convention or invariant of the calculator is broken;
+# NotInSpanError and ShapeMismatchError are ValueErrors, so these are
+# caught before the usage-error branch.
+INTERNAL_ERRORS = (NotInSpanError, ShapeMismatchError, NotDivisibleError, AssertionError)
 
 
 def _parse_space(text: str, equivariant: bool, use_cache: bool) -> Space:
@@ -246,6 +255,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except INTERNAL_ERRORS as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 4
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

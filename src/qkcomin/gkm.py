@@ -272,9 +272,6 @@ class KModel:
     def add_values(self, a: tuple, b: tuple) -> tuple:
         return tuple(x + y for x, y in zip(a, b))
 
-    def scale_values(self, c: LaurentElement, a: tuple) -> tuple:
-        return tuple(c * x for x in a)
-
     def is_zero_values(self, a) -> bool:
         return all(x.is_zero() for x in a)
 

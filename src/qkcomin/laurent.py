@@ -76,9 +76,6 @@ class LaurentElement:
     def is_one(self) -> bool:
         return self.terms == {(0,) * self.nvars: 1}
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -146,6 +143,18 @@ class LaurentElement:
                 }
             r = LaurentElement(self.nvars)
             r.terms = out
+            return r
+        if self.nvars == 1:
+            # one variable (z mode): add plain int exponents and key only
+            # the nonzero results, instead of a tuple per term pair
+            acc: dict = {}
+            bb = [(eb, cb) for (eb,), cb in b.items()]
+            for (ea,), ca in a.items():
+                for eb, cb in bb:
+                    e = ea + eb
+                    acc[e] = acc.get(e, 0) + ca * cb
+            r = LaurentElement(1)
+            r.terms = {(e,): c for e, c in acc.items() if c}
             return r
         out: dict = {}
         for ea, ca in a.items():
@@ -250,6 +259,8 @@ class LaurentElement:
         mexp = tuple(mexp)
         if all(x == 0 for x in mexp):
             raise ValueError("binomial divisor must be 1 minus a nontrivial monomial")
+        if self.nvars == 1:
+            return self._divide_one_minus_z(mexp[0])
         pivot = next(k for k, x in enumerate(mexp) if x)
         mp = mexp[pivot]
         # residue key: invariant along the ladder e, e+M, e+2M, ...
@@ -284,6 +295,34 @@ class LaurentElement:
                 raise NotDivisibleError("not divisible")
         r = LaurentElement(self.nvars)
         r.terms = out
+        return r
+
+    def _divide_one_minus_z(self, k: int) -> "LaurentElement":
+        """One-variable case of :meth:`divide_exact_one_minus`, by 1 - z^k.
+
+        Runs the ladder h[e] = f[e] + h[e - k] in place on the dense
+        coefficient list of f, upward for k > 0 and downward for k < 0.
+        The quotient is exact iff the |k| rungs where the ladder ends, past
+        the support of h, are left at zero.
+        """
+        lo = min(self.terms)[0]
+        f = [0] * (max(self.terms)[0] - lo + 1)
+        for (e,), c in self.terms.items():
+            f[e - lo] = c
+        n = len(f)
+        if k > 0:
+            for i in range(k, n):
+                f[i] += f[i - k]
+            head, tail = range(n - k), f[max(n - k, 0):]
+        else:
+            k = -k
+            for i in range(n - k - 1, -1, -1):
+                f[i] += f[i + k]
+            head, tail = range(k, n), f[:k]
+        if any(tail):
+            raise NotDivisibleError("not divisible")
+        r = LaurentElement(1)
+        r.terms = {(lo + i,): f[i] for i in head if f[i]}
         return r
 
     def divisible_by_one_minus(self, mexp: tuple) -> bool:
@@ -380,13 +419,6 @@ def exact_div_binomial(f: LaurentElement, g: LaurentElement) -> LaurentElement:
     if mc != -1:
         raise ValueError("divisor must be 1 minus a monomial")
     return f.divide_exact_one_minus(mexp)
-
-
-def laurent_sum(items: Iterable[LaurentElement], nvars: int) -> LaurentElement:
-    total = LaurentElement.zero(nvars)
-    for x in items:
-        total = total + x
-    return total
 
 
 class TailedScalarSeries:

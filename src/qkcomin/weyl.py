@@ -184,13 +184,6 @@ class FlagShape:
         return f"Fl({','.join(map(str, self.dims))};{self.n})"
 
 
-def block_of(blocks: tuple, pos: int) -> int:
-    for k, b in enumerate(blocks):
-        if b[0] <= pos <= b[-1]:
-            return k
-    raise ValueError("position out of range")
-
-
 def min_coset_rep(w: tuple, blocks: tuple) -> tuple:
     """Unique shortest element of w W_P: sort values within position blocks."""
     out = []
@@ -289,12 +282,6 @@ def partition_to_minrep(lam: tuple, m: int, n: int) -> tuple:
 def minrep_to_partition(w: tuple, m: int, n: int) -> tuple:
     first = sorted(w[:m])
     lam = tuple(first[m - 1 - i] - (m - i) for i in range(m))
-    return tuple(x for x in lam if x)
-
-
-def subset_to_partition(subset: tuple, m: int) -> tuple:
-    s = sorted(subset)
-    lam = tuple(s[m - 1 - i] - (m - i) for i in range(m))
     return tuple(x for x in lam if x)
 
 

@@ -7,6 +7,8 @@ import pytest
 
 import qkcomin
 from qkcomin.cli import main
+from qkcomin.gkm import KModel, NotInSpanError, ShapeMismatchError
+from qkcomin.laurent import NotDivisibleError
 
 
 def run_cli(capsys, *argv):
@@ -116,6 +118,26 @@ class TestVerify:
         lines = out.strip().split("\n")
         assert lines[0] == "sum u=1 v=1 got=0"
         assert lines[-1] == "FAIL pairs=4 violations=1"
+
+    @pytest.mark.parametrize(
+        "exc_type",
+        [NotInSpanError, ShapeMismatchError, NotDivisibleError, AssertionError],
+        ids=lambda t: t.__name__,
+    )
+    def test_internal_error_exits_4(self, capsys, monkeypatch, exc_type):
+        from qkcomin import cli
+        from qkcomin.quantum import get_space
+
+        def broken(self, values, orientation):
+            raise exc_type("forced\nfailure")
+
+        # a fresh Space, so no memoized product hides the expansion
+        monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+        monkeypatch.setattr(KModel, "expand_values", broken)
+        rc, out, err = run_cli(capsys, "verify", "--space", "gr:1,2")
+        assert rc == 4
+        assert out == ""
+        assert err == f"internal error: {exc_type.__name__}: forced failure\n"
 
     def test_over_budget_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "--space", "gr:9,20")

@@ -338,6 +338,18 @@ class TestDiskCache:
         assert diskcache.stats()["files"] == 1
         assert diskcache.clear() == 1
 
+    def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        from qkcomin import cache as diskcache
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(diskcache.os, "replace", refuse)
+        diskcache.store_rows("probe", [["1"]])
+        assert list(tmp_path.iterdir()) == []
+        assert diskcache.load_rows("probe") is None
+
     def test_model_roundtrips_through_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
         shape = FlagShape((1,), 3)

@@ -162,6 +162,60 @@ class TestProperties:
         assert len(coeffs) <= s.stabilization + 1
 
 
+z_elements = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=7).map(
+    lambda d: LaurentElement(1, {(e,): c for e, c in d.items()})
+)
+z_steps = st.integers(-4, 4).filter(bool)
+
+
+def embed(x):
+    """The same polynomial in two variables, second exponent 0: the generic path.
+
+    Terms are copied as stored, so a zero coefficient left by a fast path shows.
+    """
+    r = LaurentElement(2)
+    r.terms = {(e, 0): c for (e,), c in x.terms.items()}
+    return r
+
+
+def quotient_or_error(f, mexp):
+    try:
+        return f.divide_exact_one_minus(mexp)
+    except NotDivisibleError:
+        return NotDivisibleError
+
+
+class TestOneVariableFastPath:
+    """The nvars == 1 paths agree with the generic tuple-keyed paths."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(z_elements, z_elements)
+    def test_multiply_matches_generic(self, a, b):
+        assert embed(a * b) == embed(a) * embed(b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(z_elements, z_elements, z_steps, st.booleans())
+    def test_division_matches_generic(self, h, noise, k, exact):
+        g = LaurentElement.one(1) - LaurentElement.monomial(1, (k,))
+        f = h * g if exact else h * g + noise
+        fast = quotient_or_error(f, (k,))
+        generic = quotient_or_error(embed(f), (k, 0))
+        if generic is NotDivisibleError:
+            assert fast is NotDivisibleError
+        else:
+            assert embed(fast) == generic
+        if exact:
+            assert fast == h
+
+    @pytest.mark.parametrize("k", [1, 2, 3, -1, -2, -3])
+    def test_not_divisible_on_both_paths(self, k):
+        f = L("t1^-1 + 2", 1)
+        with pytest.raises(NotDivisibleError):
+            f.divide_exact_one_minus((k,))
+        with pytest.raises(NotDivisibleError):
+            embed(f).divide_exact_one_minus((k, 0))
+
+
 class TestTailedSeries:
     def test_constant_one_series(self):
         one = LaurentElement.one(2)

@@ -268,6 +268,26 @@ class TestQuantumProduct:
         chi = euler_char_q(p1, quantum_product(p1, (1,), ()))
         assert chi == {1: p1.model.one()}
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_projective_space_closed_form(self, n):
+        # P^N = Gr(1, N+1), both classes opposite: O^a * O^b = O^(a+b) when
+        # a + b <= N, and q * O^(a+b-N-1) otherwise.  Independent of the
+        # push-pull construction; covers degree 1 on every P^N up to N = 6.
+        space = Space(1, n, equivariant=False)
+        dim = n - 1
+        one = LaurentElement.one(0)
+
+        def opp(a):
+            return (a,) if a else ()
+
+        for a in range(n):
+            for b in range(n):
+                if a + b <= dim:
+                    want = (opp(a + b), 0, one)
+                else:
+                    want = (opp(a + b - dim - 1), 1, one)
+                assert structure_table(space, opp(a), opp(b), OPPOSITE).terms == (want,)
+
     def test_coefficients_below_dist_vanish(self, gr24):
         for u, v in all_pairs(gr24):
             star = quantum_product(gr24, u, v)
