@@ -7,7 +7,7 @@ varieties.  All arithmetic is exact: scalars are integer-coefficient
 Laurent polynomials in the torus characters.
 """
 
-from qkcomin.laurent import LaurentElement, NotDivisibleError, TailedScalarSeries
+from qkcomin.laurent import LaurentElement, NotDivisibleError
 from qkcomin.weyl import FlagShape
 from qkcomin.quantum import (
     Space,
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LaurentElement",
     "NotDivisibleError",
-    "TailedScalarSeries",
     "FlagShape",
     "Space",
     "StructureTable",

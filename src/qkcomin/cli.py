@@ -19,6 +19,7 @@ from qkcomin import cache as diskcache
 from qkcomin.gkm import NotInSpanError, ShapeMismatchError
 from qkcomin.laurent import NotDivisibleError
 from qkcomin.quantum import (
+    CHECKS,
     Space,
     curve_neighborhood_index,
     dist,
@@ -177,8 +178,8 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     space = _parse_space(args.space, args.equivariant, not args.no_cache)
-    checks = tuple(args.checks.split(",")) if args.checks else ("sum", "hom", "mindeg")
-    unknown = set(checks) - {"sum", "hom", "mindeg"}
+    checks = tuple(args.checks.split(",")) if args.checks else tuple(CHECKS)
+    unknown = set(checks) - set(CHECKS)
     if unknown:
         raise UsageError(f"unknown checks: {','.join(sorted(unknown))}")
     report = verify_space(space, checks=checks, oracle=args.oracle)
@@ -206,7 +207,6 @@ def _add_common(p, partitions=()):
     p.add_argument("--equivariant", action="store_true")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=None)
     for name in partitions:
         p.add_argument(f"--{name}", required=True, help="partition, e.g. '2,1' ('' for empty)")
 
@@ -235,11 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="tables for all pairs")
     _add_common(p)
     p.add_argument("--v-basis", choices=("plain", "opposite"), default="plain")
+    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run the identity checks")
     _add_common(p)
-    p.add_argument("--checks", default=None, help="comma list of sum,hom,mindeg")
+    p.add_argument("--checks", default=None, help="comma list of " + ",".join(CHECKS))
     p.add_argument("--oracle", action="store_true", help="enable moment-graph cross-checks")
     p.set_defaults(func=cmd_verify)
 

@@ -18,15 +18,10 @@ order, e.g. ``1 - t1*t2^-1``.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable
 
 
 class NotDivisibleError(ArithmeticError):
     """No exact quotient exists.  Indicates a convention bug, not bad data."""
-
-
-class TailNotFixedError(ValueError):
-    """The shift operator does not fix the tail of an eventually-constant series."""
 
 
 class LaurentElement:
@@ -90,16 +85,20 @@ class LaurentElement:
             return LaurentElement.integer(self.nvars, other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _merge(self, other, sign: int):
+        """self + sign * other, as one dict: the larger side's terms, copied."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         big, small = self.terms, other.terms
         if len(big) < len(small):
             big, small = small, big
-        out = dict(big)
+            out = dict(big) if sign > 0 else {e: -c for e, c in big.items()}
+            sign = 1
+        else:
+            out = dict(big)
         for e, c in small.items():
-            s = out.get(e, 0) + c
+            s = out.get(e, 0) + sign * c
             if s:
                 out[e] = s
             else:
@@ -107,6 +106,9 @@ class LaurentElement:
         r = LaurentElement(self.nvars)
         r.terms = out
         return r
+
+    def __add__(self, other):
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
@@ -116,10 +118,7 @@ class LaurentElement:
         return r
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -419,67 +418,3 @@ def exact_div_binomial(f: LaurentElement, g: LaurentElement) -> LaurentElement:
     if mc != -1:
         raise ValueError("divisor must be 1 minus a monomial")
     return f.divide_exact_one_minus(mexp)
-
-
-class TailedScalarSeries:
-    """A q-power series with scalar coefficients that is eventually constant.
-
-    Stored as a finite head ``heads[0..D-1]`` plus one tail value taken by
-    every coefficient from q^D on.  Construction normalizes by merging head
-    entries equal to the tail from the top down, so D is minimal.
-    """
-
-    __slots__ = ("heads", "tail")
-
-    def __init__(self, heads: Iterable[LaurentElement], tail: LaurentElement):
-        hs = list(heads)
-        while hs and hs[-1] == tail:
-            hs.pop()
-        self.heads = tuple(hs)
-        self.tail = tail
-
-    @property
-    def stabilization(self) -> int:
-        return len(self.heads)
-
-    def coefficient(self, d: int) -> LaurentElement:
-        return self.heads[d] if d < len(self.heads) else self.tail
-
-    def __eq__(self, other):
-        if not isinstance(other, TailedScalarSeries):
-            return NotImplemented
-        return self.heads == other.heads and self.tail == other.tail
-
-    def __repr__(self):
-        return f"TailedScalarSeries(heads={list(map(str, self.heads))}, tail={self.tail})"
-
-    def __add__(self, other: "TailedScalarSeries") -> "TailedScalarSeries":
-        d = max(len(self.heads), len(other.heads))
-        return TailedScalarSeries(
-            [self.coefficient(i) + other.coefficient(i) for i in range(d)],
-            self.tail + other.tail,
-        )
-
-    def scale(self, c: LaurentElement) -> "TailedScalarSeries":
-        return TailedScalarSeries([c * h for h in self.heads], c * self.tail)
-
-    def apply_one_minus_q_shift(
-        self, shift: Callable[[LaurentElement], LaurentElement] | None = None
-    ) -> tuple:
-        """Apply (1 - q * shift); returns the coefficients of a finite q-polynomial.
-
-        The shift must fix the tail value, which makes all coefficients beyond
-        the stabilization degree cancel; the result has degree <= D.
-        """
-        if shift is None:
-            shift = lambda x: x
-        if shift(self.tail) != self.tail:
-            raise TailNotFixedError("shift does not fix the tail value")
-        d = len(self.heads)
-        coeffs = [
-            self.coefficient(i) - (shift(self.coefficient(i - 1)) if i else 0)
-            for i in range(d + 1)
-        ]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        return tuple(coeffs)

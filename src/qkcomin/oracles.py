@@ -121,10 +121,6 @@ def _neighbors(m: int, n: int) -> dict:
     return out
 
 
-def moment_graph_gamma(m: int, n: int, start, d: int) -> frozenset:
-    return MomentGraph(m, n).gamma(frozenset(start), d)
-
-
 # -- set-valued tableau rule for the classical K-ring ---------------------------
 
 

@@ -20,7 +20,7 @@ assembled from that product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from qkcomin.gkm import (
     OPPOSITE,
@@ -36,30 +36,41 @@ from qkcomin.laurent import LaurentElement
 from qkcomin.weyl import (
     FlagShape,
     bruhat_leq,
+    image_index,
     length,
-    max_coset_rep,
-    min_coset_rep,
     minrep_to_partition,
     partition_contains,
     partition_to_minrep,
     partitions_in_box,
+    preimage_index_plain,
     format_partition,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class Space:
-    """A Grassmannian Gr(m,n) together with the scalar mode of computation."""
+    """A Grassmannian Gr(m,n) together with the scalar mode of computation.
+
+    A space owns the memo tables of its products, so they live as long as
+    the space does (see :func:`get_space`).
+    """
 
     m: int
     n: int
     equivariant: bool = False
     use_cache: bool = True
+    # (u, v, d) -> plain-basis coefficients on X of the degree-d projected class
+    projected: dict = field(default_factory=dict, init=False, repr=False)
+    # (Y_d shape, u index, v index on Y_d) -> the same, shared across (u, v, d)
+    richardson: dict = field(default_factory=dict, init=False, repr=False)
+    # (u, v) -> the product with v in the plain basis
+    products: dict = field(default_factory=dict, init=False, repr=False)
+    # (u, v) -> the product with v in the opposite basis
+    products_opposite: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.m < self.n:
             raise ValueError("need 0 < m < n")
-        object.__setattr__(self, "_memo", {})
 
     @property
     def shape(self) -> FlagShape:
@@ -85,6 +96,14 @@ class Space:
 
     def submodel(self, shape: FlagShape) -> KModel:
         return get_model(shape, self.chars, self.use_cache)
+
+    @cached_property
+    def shift_map(self) -> list:
+        """Index substitution of the degree-one shift on the opposite basis."""
+        return [
+            self.index_of(curve_neighborhood_index(self, self.partition_of(i), 1))
+            for i in range(self.model.npoints)
+        ]
 
     def public_scalar(self, c: LaurentElement) -> LaurentElement:
         """Output form of a scalar: specialized to integers non-equivariantly."""
@@ -121,26 +140,33 @@ def kernel_span_shapes(space: Space, d: int) -> tuple:
 # -- index transport around the diagram ----------------------------------------
 
 
+def _transport(w: tuple, orientation: str, src: FlagShape, t: FlagShape, dst: FlagShape) -> tuple:
+    """Index of the push-pull src <- t -> dst of a Schubert class on src.
+
+    Pulling back takes the full preimage: an opposite class keeps its
+    index, since pullback preserves codimension, and a plain class moves
+    to its preimage index.  Pushing forward takes the image index.
+    """
+    if orientation == PLAIN:
+        w = preimage_index_plain(w, src, t)
+    return image_index(w, t, dst)
+
+
 def _indices_on_y(space: Space, d: int, u: tuple, v: tuple) -> tuple:
-    """Transport (opposite u, plain v) to Schubert indices on Y_d."""
-    y, _t = kernel_span_shapes(space, d)
+    """Transport (opposite u, plain v) from X to Schubert indices on Y_d."""
+    y, t = kernel_span_shapes(space, d)
+    x = space.shape
     uw = partition_to_minrep(u, space.m, space.n)
     vw = partition_to_minrep(v, space.m, space.n)
-    u_d = min_coset_rep(uw, y.blocks)
-    v_d = min_coset_rep(max_coset_rep(vw, space.shape.blocks), y.blocks)
-    return y, u_d, v_d
-
-
-def _y_to_x_index(space: Space, y: FlagShape, w: tuple) -> tuple:
-    """Composite transport of a plain index: pull back from Y_d, push to X."""
-    return min_coset_rep(max_coset_rep(w, y.blocks), space.shape.blocks)
+    return y, _transport(uw, OPPOSITE, x, t, y), _transport(vw, PLAIN, x, t, y)
 
 
 def _neighborhood_by_diagram(space: Space, lam: tuple, d: int) -> tuple:
-    y, _t = kernel_span_shapes(space, d)
+    """Index of the neighborhood: the opposite class of lam taken to Y_d and back."""
+    y, t = kernel_span_shapes(space, d)
+    x = space.shape
     w = partition_to_minrep(lam, space.m, space.n)
-    w_y = min_coset_rep(w, y.blocks)
-    w_x = min_coset_rep(w_y, space.shape.blocks)
+    w_x = _transport(_transport(w, OPPOSITE, x, t, y), OPPOSITE, y, t, x)
     return minrep_to_partition(w_x, space.m, space.n)
 
 
@@ -204,7 +230,7 @@ def _gw_plain_coeffs(space: Space, u: tuple, v: tuple, d: int) -> dict:
     the full preimage index, and pushing forward along T_d -> X sends a
     basis class to the basis class of the image index.
     """
-    memo = space._memo.setdefault("gw", {})
+    memo = space.projected
     key = (u, v, d)
     if key in memo:
         return memo[key]
@@ -214,8 +240,7 @@ def _gw_plain_coeffs(space: Space, u: tuple, v: tuple, d: int) -> dict:
         return {}
     my = space.submodel(y)
     rkey = (y, my.idx[u_d], my.idx[v_d])
-    rmemo = space._memo.setdefault("richardson", {})
-    out = rmemo.get(rkey)
+    out = space.richardson.get(rkey)
     if out is None:
         rich = my.multiply_values(
             my.table(OPPOSITE)[my.idx[u_d]], my.table(PLAIN)[my.idx[v_d]]
@@ -223,12 +248,13 @@ def _gw_plain_coeffs(space: Space, u: tuple, v: tuple, d: int) -> dict:
         coeffs = my.expand_values(rich, PLAIN)
         out = {}
         xm = space.model
+        t = kernel_span_shapes(space, d)[1]
         for widx, c in coeffs.items():
-            tgt = xm.idx[_y_to_x_index(space, y, my.points[widx])]
+            tgt = xm.idx[_transport(my.points[widx], PLAIN, y, t, space.shape)]
             acc = out.get(tgt)
             out[tgt] = c if acc is None else acc + c
         out = {k: c for k, c in out.items() if not c.is_zero()}
-        rmemo[rkey] = out
+        space.richardson[rkey] = out
     memo[key] = out
     return out
 
@@ -245,30 +271,12 @@ def _unit_plain_coeffs(space: Space) -> dict:
     return {top: xm.one()}
 
 
-@dataclass(frozen=True, eq=False)
-class TailedQSeries:
-    """Eventually-constant series of projected classes; tail is the unit class."""
+def gw_series(space: Space, u: tuple, v: tuple) -> tuple:
+    """Degree series of projected classes, as its heads.
 
-    space: Space
-    heads: tuple  # plain-basis coefficient dicts for degrees < stabilization
-
-    @property
-    def stabilization(self) -> int:
-        return len(self.heads)
-
-    def head_class(self, d: int) -> LocalizedClass:
-        xm = self.space.model
-        coeffs = self.heads[d] if d < len(self.heads) else _unit_plain_coeffs(self.space)
-        return LocalizedClass(xm, xm.recombine(coeffs, PLAIN))
-
-    @property
-    def tail_class(self) -> LocalizedClass:
-        xm = self.space.model
-        return LocalizedClass(xm, xm.unit_values())
-
-
-def gw_series(space: Space, u: tuple, v: tuple) -> TailedQSeries:
-    """Degree series of projected classes; normalized so D is minimal."""
+    The degree-d class has plain-basis coefficients heads[d] below
+    D = len(heads), and is the unit class from D on; D is minimal.
+    """
     heads = []
     unit = _unit_plain_coeffs(space)
     d = 0
@@ -279,28 +287,15 @@ def gw_series(space: Space, u: tuple, v: tuple) -> TailedQSeries:
             raise AssertionError("series did not stabilize")
     while heads and heads[-1] == unit:
         heads.pop()
-    return TailedQSeries(space, tuple(heads))
+    return tuple(heads)
 
 
 # -- the shift endomorphism and the product ----------------------------------------
 
 
-def _neighbor_index_map(space: Space) -> list:
-    """Index substitution of the degree-one shift on the opposite basis."""
-    memo = space._memo
-    out = memo.get("shift_map")
-    if out is None:
-        out = [
-            space.index_of(curve_neighborhood_index(space, space.partition_of(i), 1))
-            for i in range(space.model.npoints)
-        ]
-        memo["shift_map"] = out
-    return out
-
-
 def shift_expansion(space: Space, exp: dict) -> dict:
     """Scalar-linear substitution O^w -> O^{w(-1)} on an opposite expansion."""
-    nmap = _neighbor_index_map(space)
+    nmap = space.shift_map
     out: dict = {}
     for widx, c in exp.items():
         tgt = nmap[widx]
@@ -349,17 +344,22 @@ class QKElement:
 
 
 def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
-    """The product of the opposite class of u and the B-stable class of v."""
-    memo = space._memo.setdefault("star", {})
+    """The product of the opposite class of u and the B-stable class of v.
+
+    Applies (1 - q * shift) to the degree series: the degree-d coefficient
+    is the class of degree d minus the shifted class of degree d - 1.  The
+    shift fixes the unit class, so every degree beyond D = len(heads)
+    cancels and the product is a polynomial in q of degree at most D.
+    """
     key = (u, v)
-    hit = memo.get(key)
+    hit = space.products.get(key)
     if hit is not None:
         return hit
-    series = gw_series(space, u, v)
-    bigd = series.stabilization
+    heads = gw_series(space, u, v)
+    bigd = len(heads)
     unit_opp = {0: space.model.one()}
     opp = [
-        _plain_to_opposite(space, series.heads[d]) if d < bigd else unit_opp
+        _plain_to_opposite(space, heads[d]) if d < bigd else unit_opp
         for d in range(bigd + 1)
     ]
     coeffs: dict = {}
@@ -373,7 +373,7 @@ def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
         if cur:
             coeffs[d] = cur
     result = QKElement(space, coeffs)
-    memo[key] = result
+    space.products[key] = result
     return result
 
 
@@ -384,7 +384,7 @@ def _opposite_in_plain(space: Space, v: tuple) -> dict:
 
 def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> QKElement:
     """The product of two opposite classes, via the exact change of basis."""
-    memo = space._memo.setdefault("star_opp", {})
+    memo = space.products_opposite
     hit = memo.get((u, v))
     if hit is not None:
         return hit
@@ -571,21 +571,13 @@ def verify_euler_homomorphism(space: Space) -> Report:
     return report
 
 
-def verify_min_degree(space: Space, oracle: bool = False) -> Report:
+def verify_min_degree(space: Space) -> Report:
     """chi_q of every product is exactly q to the curve distance."""
-    from qkcomin.oracles import MomentGraph
-
     report = Report(str(space), space.equivariant)
-    graph = MomentGraph(space.m, space.n) if oracle else None
     one = space.model.one()
     for u, v in all_pairs(space):
         report.pairs += 1
         d0 = dist(space, u, v)
-        if graph is not None and graph.dist(u, v) != d0:
-            report.violations.append(
-                f"dist-oracle u={format_partition(u)} v={format_partition(v)}"
-            )
-            continue
         elt = quantum_product(space, u, v)
         chi = euler_char_q(space, elt)
         if chi != {d0: one}:
@@ -608,13 +600,11 @@ CHECKS = {
 }
 
 
-def verify_space(space: Space, checks=("sum", "hom", "mindeg"), oracle: bool = False) -> Report:
+def verify_space(space: Space, checks=tuple(CHECKS), oracle: bool = False) -> Report:
+    """Run the named checks; ``oracle`` adds the moment-graph cross-checks."""
     merged = Report(str(space), space.equivariant)
     for name in checks:
-        if name == "mindeg":
-            rep = verify_min_degree(space, oracle=oracle)
-        else:
-            rep = CHECKS[name](space)
+        rep = CHECKS[name](space)
         merged.pairs = max(merged.pairs, rep.pairs)
         merged.violations.extend(f"{name}: {v}" for v in rep.violations)
     if oracle:
@@ -624,7 +614,7 @@ def verify_space(space: Space, checks=("sum", "hom", "mindeg"), oracle: bool = F
 
 
 def verify_neighborhoods_against_graph(space: Space) -> Report:
-    """Cross-check every curve neighborhood index against the moment graph."""
+    """Cross-check every curve neighborhood index and distance against the moment graph."""
     from qkcomin.oracles import MomentGraph
 
     report = Report(str(space), space.equivariant)
@@ -636,6 +626,12 @@ def verify_neighborhoods_against_graph(space: Space) -> Report:
                 report.violations.append(
                     f"neighborhood lam={format_partition(lam)} d={d}"
                 )
+    for u, v in all_pairs(space):
+        report.pairs += 1
+        if dist(space, u, v) != graph.dist(u, v):
+            report.violations.append(
+                f"dist-oracle u={format_partition(u)} v={format_partition(v)}"
+            )
     return report
 
 

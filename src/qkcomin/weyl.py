@@ -24,10 +24,6 @@ from functools import lru_cache
 # -- plain permutation calculus ----------------------------------------------
 
 
-def is_permutation(w: tuple) -> bool:
-    return sorted(w) == list(range(1, len(w) + 1))
-
-
 def identity(n: int) -> tuple:
     return tuple(range(1, n + 1))
 
@@ -315,20 +311,6 @@ def parse_partition(text: str) -> tuple:
     return parts
 
 
-def format_perm(w: tuple) -> str:
-    return "[" + ",".join(map(str, w)) + "]"
-
-
-def parse_perm(text: str) -> tuple:
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"bad permutation {text!r}")
-    w = tuple(int(p) for p in s[1:-1].split(","))
-    if not is_permutation(w):
-        raise ValueError(f"bad permutation {text!r}")
-    return w
-
-
 # -- Schubert index transport along projections --------------------------------
 
 
@@ -354,16 +336,3 @@ def preimage_index_plain(w: tuple, dst: FlagShape, src: FlagShape) -> tuple:
     if not src.projects_to(dst):
         raise ValueError(f"{src} does not project to {dst}")
     return min_coset_rep(max_coset_rep(w, dst.blocks), src.blocks)
-
-
-def preimage_index_opposite(w: tuple, dst: FlagShape, src: FlagShape) -> tuple:
-    """Index on the source of the full preimage of X^w (opposite side).
-
-    Opposite Schubert varieties are indexed by codimension, which a fiber
-    bundle pullback preserves, so the minimal representative is unchanged.
-    """
-    if not src.projects_to(dst):
-        raise ValueError(f"{src} does not project to {dst}")
-    if not is_minrep(w, src.blocks):
-        raise ValueError("index is not minimal for the source shape")
-    return w

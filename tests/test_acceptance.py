@@ -38,6 +38,7 @@ from qkcomin.quantum import (
     verify_coefficient_sum,
     verify_euler_homomorphism,
     verify_min_degree,
+    verify_neighborhoods_against_graph,
 )
 
 EQUIVARIANT_SPACES = [(1, 2), (1, 3), (2, 4)]
@@ -72,8 +73,9 @@ def test_criterion_1_coefficient_sums_are_one():
 def test_criterion_2_min_degree_identity_with_oracle():
     violations = []
     for space in configured_spaces():
-        rep = verify_min_degree(space, oracle=True)
-        violations.extend(f"{space} {v}" for v in rep.violations)
+        # the oracle half checks dist, and every neighborhood, against the moment graph
+        for rep in (verify_min_degree(space), verify_neighborhoods_against_graph(space)):
+            violations.extend(f"{space} {v}" for v in rep.violations)
     report(2, "Euler characteristic is q^dist (oracle-checked)", violations)
 
 
@@ -101,12 +103,6 @@ def test_criterion_4_projective_line_ground_truth():
         violations.append(f"product is {got}")
     if got != givental_p1_product():
         violations.append("disagrees with the first-principles pairing solve")
-    # the scalar telescoping route: (1-q) * sum_{d>=1} q^d = q exactly
-    from qkcomin.laurent import TailedScalarSeries
-
-    shadow = TailedScalarSeries([LaurentElement.zero(0)], LaurentElement.one(0))
-    if shadow.apply_one_minus_q_shift() != (LaurentElement.zero(0), LaurentElement.one(0)):
-        violations.append("scalar telescoping mismatch")
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
         violations.append(f"runtime {elapsed:.2f}s exceeds 1s")
@@ -160,12 +156,12 @@ def test_criterion_6_localization_calibration():
     checked = 0
     for space in configured_spaces():
         xm = space.model
-        for coeffs in space._memo.get("gw", {}).values():
+        for coeffs in space.projected.values():
             cls = xm.recombine(coeffs, PLAIN)
             if not xm.gkm_check(cls):
                 violations.append(f"{space} projected class fails edge condition")
             checked += 1
-        for (yshape, uidx, vidx) in space._memo.get("richardson", {}):
+        for (yshape, uidx, vidx) in space.richardson:
             my = space.submodel(yshape)
             rich = my.multiply_values(my.table(OPPOSITE)[uidx], my.table(PLAIN)[vidx])
             if not my.gkm_check(rich):

@@ -9,6 +9,7 @@ import qkcomin
 from qkcomin.cli import main
 from qkcomin.gkm import KModel, NotInSpanError, ShapeMismatchError
 from qkcomin.laurent import NotDivisibleError
+from qkcomin.quantum import CHECKS
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +98,26 @@ class TestVerify:
     def test_unknown_check_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "--space", "gr:1,3", "--checks", "bogus")
         assert rc == 2 and "unknown checks" in err
+
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_every_registered_check_is_accepted(self, capsys, name):
+        rc, out, _ = run_cli(capsys, "verify", "--space", "gr:1,3", "--checks", name)
+        assert rc == 0 and out.strip() == "PASS pairs=9"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--space", "gr:1,3"],
+            ["product", "--space", "gr:1,3", "--u", "", "--v", ""],
+            ["dist", "--space", "gr:1,3", "--u", "", "--v", ""],
+            ["neighborhood", "--space", "gr:1,3", "--w", "", "--d", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_jobs_is_a_table_option_only(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_gr36_nonequivariant_pass(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--space", "gr:3,6")

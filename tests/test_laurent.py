@@ -4,8 +4,6 @@ from hypothesis import given, settings, strategies as st
 from qkcomin.laurent import (
     LaurentElement,
     NotDivisibleError,
-    TailNotFixedError,
-    TailedScalarSeries,
     exact_div_binomial,
 )
 
@@ -154,13 +152,6 @@ class TestProperties:
         assert (a * b).specialize_ones() == a.specialize_ones() * b.specialize_ones()
         assert (a + b).specialize_ones() == a.specialize_ones() + b.specialize_ones()
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(elements, max_size=3), elements)
-    def test_shift_result_degree_bounded(self, heads, tail):
-        s = TailedScalarSeries(heads, tail)
-        coeffs = s.apply_one_minus_q_shift()
-        assert len(coeffs) <= s.stabilization + 1
-
 
 z_elements = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=7).map(
     lambda d: LaurentElement(1, {(e,): c for e, c in d.items()})
@@ -214,49 +205,6 @@ class TestOneVariableFastPath:
             f.divide_exact_one_minus((k,))
         with pytest.raises(NotDivisibleError):
             embed(f).divide_exact_one_minus((k, 0))
-
-
-class TestTailedSeries:
-    def test_constant_one_series(self):
-        one = LaurentElement.one(2)
-        s = TailedScalarSeries([], one)
-        assert s.apply_one_minus_q_shift() == (one,)
-
-    def test_pure_tail_from_degree_one(self):
-        # sum_{d>=1} q^d collapses to the single monomial q
-        zero = LaurentElement.zero(2)
-        one = LaurentElement.one(2)
-        s = TailedScalarSeries([zero], one)
-        coeffs = s.apply_one_minus_q_shift()
-        assert coeffs == (zero, one)
-
-    def test_head_then_constant(self):
-        # series 0 + c q + c q^2 + ...; expanding (1-q)*series by hand:
-        # c q + c q^2 + ... - (c q^2 + ...) = c q exactly
-        c = L("1 - t1*t2^-1") + L("3*t1")
-        zero = LaurentElement.zero(2)
-        s = TailedScalarSeries([zero, c], c)
-        assert s.apply_one_minus_q_shift() == (zero, c)
-
-    def test_normalization_merges_tail(self):
-        one = LaurentElement.one(2)
-        s = TailedScalarSeries([one, one], one)
-        assert s.stabilization == 0
-
-    def test_shift_must_fix_tail(self):
-        one = LaurentElement.one(2)
-        s = TailedScalarSeries([], one)
-        with pytest.raises(TailNotFixedError):
-            s.apply_one_minus_q_shift(lambda x: x + 1)
-
-    def test_add_and_scale(self):
-        one = LaurentElement.one(2)
-        zero = LaurentElement.zero(2)
-        a = TailedScalarSeries([zero], one)
-        b = TailedScalarSeries([one], one)
-        assert (a + b).coefficient(0) == one
-        assert (a + b).coefficient(5) == 2 * one
-        assert a.scale(3 * one).coefficient(7) == 3 * one
 
 
 def test_doctest_module():
