@@ -17,7 +17,7 @@ import sys
 
 from qkcomin import cache as diskcache
 from qkcomin.gkm import NotInSpanError, ShapeMismatchError
-from qkcomin.laurent import NotDivisibleError
+from qkcomin.laurent import ExponentRangeError, NotDivisibleError
 from qkcomin.quantum import (
     CHECKS,
     Space,
@@ -39,10 +39,13 @@ class UsageError(ValueError):
     pass
 
 
-# Raised only when a convention or invariant of the calculator is broken;
-# NotInSpanError and ShapeMismatchError are ValueErrors, so these are
-# caught before the usage-error branch.
-INTERNAL_ERRORS = (NotInSpanError, ShapeMismatchError, NotDivisibleError, AssertionError)
+# Raised only when a convention or invariant of the calculator is broken, or
+# an exponent outgrows the packed monomial keys; NotInSpanError and
+# ShapeMismatchError are ValueErrors, so these are caught before the
+# usage-error branch.
+INTERNAL_ERRORS = (
+    NotInSpanError, ShapeMismatchError, NotDivisibleError, ExponentRangeError, AssertionError,
+)
 
 
 def _parse_space(text: str, equivariant: bool, use_cache: bool) -> Space:
@@ -253,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(argv)
         return args.func(args)
     except INTERNAL_ERRORS as exc:
         detail = " ".join(str(exc).split())

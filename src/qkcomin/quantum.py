@@ -72,7 +72,7 @@ class Space:
         if not 0 < self.m < self.n:
             raise ValueError("need 0 < m < n")
 
-    @property
+    @cached_property
     def shape(self) -> FlagShape:
         return FlagShape((self.m,), self.n)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 # -- plain permutation calculus ----------------------------------------------
@@ -153,11 +153,11 @@ class FlagShape:
         kept = sorted({d for d in dims if 0 < d < n})
         return FlagShape(tuple(kept), n)
 
-    @property
+    @cached_property
     def parabolic(self) -> frozenset:
         return frozenset(range(1, self.n)) - set(self.dims)
 
-    @property
+    @cached_property
     def blocks(self) -> tuple:
         return parabolic_blocks(self.parabolic, self.n)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -115,9 +116,11 @@ class TestVerify:
         ids=lambda argv: argv[0],
     )
     def test_jobs_is_a_table_option_only(self, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--jobs", "2"])
-        assert exc.value.code == 2
+        assert main(argv + ["--jobs", "2"]) == 2
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: qk")
 
     def test_gr36_nonequivariant_pass(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--space", "gr:3,6")
@@ -159,6 +162,28 @@ class TestVerify:
         assert rc == 4
         assert out == ""
         assert err == f"internal error: {exc_type.__name__}: forced failure\n"
+
+    def test_exponent_range_guard_exits_4(self, capsys, monkeypatch):
+        from qkcomin import cli, gkm
+        from qkcomin.laurent import EXPONENT_LIMIT
+        from qkcomin.quantum import get_space
+
+        root_exp = gkm.CharacterMap.root_exp
+
+        def stretched(self, a, b):
+            # each root character fits the packing; a product of two does not
+            return tuple((EXPONENT_LIMIT // 2 + 1) * x for x in root_exp(self, a, b))
+
+        monkeypatch.setattr(gkm.CharacterMap, "root_exp", stretched)
+        monkeypatch.setattr(gkm, "_MODELS", {})
+        monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+        rc, out, err = run_cli(
+            capsys, "verify", "--space", "gr:1,3", "--equivariant", "--no-cache"
+        )
+        assert rc == 4
+        assert out == ""
+        assert err.startswith("internal error: ExponentRangeError: ")
+        assert err.count("\n") == 1
 
     def test_over_budget_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "--space", "gr:9,20")
@@ -234,6 +259,62 @@ class TestTable:
         assert rc == 0
         for line in out.strip().split("\n"):
             load_table_json(json.loads(line))
+
+
+# sha256 of the stdout of `qk table ... --jobs 1`, and of each restriction-cache
+# file that equivariant Gr(2,4) writes, as produced when the scalars were still
+# stored with exponent-tuple keys.  Any change of representation must keep them.
+GOLDEN_TABLES = {
+    ("gr:2,4", True, "plain"):
+        "c63d4a08ce3f44be1401cc455a41f8b153e61c6a98d92b2462788da9bec69a1d",
+    ("gr:2,4", True, "opposite"):
+        "396134b764907f2fb279415a7c15c1d5b233b18d0e856a87a550b9e65c411e26",
+    ("gr:2,5", False, "plain"):
+        "e6d3c222c328ca283219ac72586bd863c1863a2224a54f4af291cf530549677f",
+}
+GOLDEN_GR24_EQUIVARIANT_CACHE = {
+    "restrict_008f28f749b65e68b195e364.json":
+        "f91047d292eee37a68d9dd8226128440da7ba5f8aa2c972a2cfbe21c5b659bc2",
+    "restrict_1e6cbe37c01df29e1fe7ca74.json":
+        "339b022c558de8f64a1fd8ded8a0fb867122d3971e6a6b5f1e83a4dc6de5fd61",
+    "restrict_9ed44eb15456dbcd21b7ffae.json":
+        "aa5dba97e3385aa24a9a72a7cbfd1c854e10caf9178a7c18d2d5582139b39387",
+    "restrict_da3e1a3618ab3f854c46fcd5.json":
+        "237659089b4bf0544ba9876dfc9af673974635b9995c8f89e26bfaf10a37b1ff",
+}
+
+
+class TestOutputIdentity:
+    """Pinned bytes of tables and cache files, computed from an empty cache."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch, tmp_path):
+        from qkcomin import cli, gkm
+        from qkcomin.quantum import get_space
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(gkm, "_MODELS", {})
+        monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "space,equivariant,v_basis", list(GOLDEN_TABLES), ids=lambda x: str(x)
+    )
+    def test_table_digest(self, capsys, fresh, space, equivariant, v_basis):
+        argv = ["table", "--space", space, "--v-basis", v_basis, "--jobs", "1"]
+        rc, out, _ = run_cli(capsys, *argv, *(["--equivariant"] if equivariant else []))
+        assert rc == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == GOLDEN_TABLES[(space, equivariant, v_basis)]
+
+    def test_equivariant_cache_files(self, capsys, fresh):
+        rc, _, _ = run_cli(capsys, "table", "--space", "gr:2,4", "--equivariant", "--jobs", "1")
+        assert rc == 0
+        files = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(fresh.glob("restrict_*.json"))
+        }
+        assert files == GOLDEN_GR24_EQUIVARIANT_CACHE
 
 
 def parse(text):
