@@ -263,9 +263,6 @@ def main(argv=None) -> int:
         detail = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 4
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -118,9 +118,6 @@ class KModel:
     def one(self) -> LaurentElement:
         return LaurentElement.one(self.chars.nvars)
 
-    def root_monomial(self, a: int, b: int) -> LaurentElement:
-        return LaurentElement.monomial(self.chars.nvars, self.chars.root_exp(a, b))
-
     # -- Bruhat order on indices ---------------------------------------------
 
     def leq(self, p: int, q: int) -> bool:
@@ -452,15 +449,3 @@ def pushforward(cls: LocalizedClass, dst: KModel, orientation: str = PLAIN) -> L
         tid = dst.idx[img]
         out[tid] = out.get(tid, dst.zero()) + c
     return LocalizedClass(dst, dst.recombine(out, orientation))
-
-
-_MODELS: dict = {}
-
-
-def get_model(shape: FlagShape, chars: CharacterMap, use_cache: bool = True) -> KModel:
-    key = (shape, chars.key, use_cache)
-    model = _MODELS.get(key)
-    if model is None:
-        model = KModel(shape, chars, use_cache=use_cache)
-        _MODELS[key] = model
-    return model

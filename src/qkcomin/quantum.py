@@ -3,11 +3,15 @@
 For X = Gr(m,n) and a degree d, curves of degree d through X are encoded by
 an incidence diagram of auxiliary flag varieties: Y_d records the kernel
 and span dimensions a = max(m-d, 0), b = min(m+d, n), and T_d = Fl(a,m,b;n)
-sits over both X and Y_d.  The class of the variety swept out by degree-d
-curves meeting an opposite Schubert variety and a B-stable one is computed
-by a push-pull along this diagram: form the Richardson class on Y_d, pull
-back to T_d, push forward to X.  Both transports act basis-wise, so the
-only heavy step is one triangular expansion on Y_d.
+sits over both X and Y_d.  Pulling back to T_d and pushing forward takes a
+Schubert class to a Schubert class, so each space keeps the diagram of one
+degree as maps of Schubert indices (:class:`Diagram`): X to Y_d for the
+opposite and the plain classes, Y_d to X for the plain classes, and the
+curve neighborhood index lambda(-d) of every opposite class, which is its
+round trip X -> Y_d -> X.  The class of the variety swept out by degree-d
+curves meeting an opposite Schubert variety and a B-stable one is the
+Richardson class on Y_d of the two moved indices, expanded there and moved
+back to X through these maps; that expansion is the only heavy step.
 
 The generating series of these classes over all degrees is eventually the
 unit class; applying (1 - q * shift), where the shift substitutes each
@@ -29,15 +33,12 @@ from qkcomin.gkm import (
     KModel,
     LocalizedClass,
     equivariant_chars,
-    get_model,
     zspec_chars,
 )
 from qkcomin.laurent import LaurentElement
 from qkcomin.weyl import (
     FlagShape,
-    bruhat_leq,
     image_index,
-    length,
     minrep_to_partition,
     partition_contains,
     partition_to_minrep,
@@ -51,17 +52,22 @@ from qkcomin.weyl import (
 class Space:
     """A Grassmannian Gr(m,n) together with the scalar mode of computation.
 
-    A space owns the memo tables of its products, so they live as long as
-    the space does (see :func:`get_space`).
+    A space owns every piece of engine state: the localization models of X
+    and of the auxiliary flag varieties, the index diagram of each degree
+    and the memo tables of its products.  They live as long as the space
+    does (see :func:`get_space`).
     """
 
     m: int
     n: int
     equivariant: bool = False
     use_cache: bool = True
-    # (u, v, d) -> plain-basis coefficients on X of the degree-d projected class
-    projected: dict = field(default_factory=dict, init=False, repr=False)
-    # (Y_d shape, u index, v index on Y_d) -> the same, shared across (u, v, d)
+    # FlagShape -> KModel of X or of an auxiliary flag variety
+    models: dict = field(default_factory=dict, init=False, repr=False)
+    # degree d -> Diagram of Y_d <- T_d -> X
+    diagrams: dict = field(default_factory=dict, init=False, repr=False)
+    # (Y_d shape, u index, v index on Y_d) -> plain-basis coefficients on X
+    # of the projected class, shared across every (u, v, d) that lands there
     richardson: dict = field(default_factory=dict, init=False, repr=False)
     # (u, v) -> the product with v in the plain basis
     products: dict = field(default_factory=dict, init=False, repr=False)
@@ -80,9 +86,9 @@ class Space:
     def chars(self) -> CharacterMap:
         return equivariant_chars(self.n) if self.equivariant else zspec_chars(self.n)
 
-    @property
+    @cached_property
     def model(self) -> KModel:
-        return get_model(self.shape, self.chars, self.use_cache)
+        return self.submodel(self.shape)
 
     @property
     def partitions(self) -> tuple:
@@ -95,15 +101,17 @@ class Space:
         return minrep_to_partition(self.model.points[idx], self.m, self.n)
 
     def submodel(self, shape: FlagShape) -> KModel:
-        return get_model(shape, self.chars, self.use_cache)
+        model = self.models.get(shape)
+        if model is None:
+            model = self.models[shape] = KModel(shape, self.chars, self.use_cache)
+        return model
 
-    @cached_property
-    def shift_map(self) -> list:
-        """Index substitution of the degree-one shift on the opposite basis."""
-        return [
-            self.index_of(curve_neighborhood_index(self, self.partition_of(i), 1))
-            for i in range(self.model.npoints)
-        ]
+    def diagram(self, d: int) -> Diagram:
+        """The index maps of the degree-d diagram, built once."""
+        hit = self.diagrams.get(d)
+        if hit is None:
+            hit = self.diagrams[d] = _build_diagram(self, d)
+        return hit
 
     def public_scalar(self, c: LaurentElement) -> LaurentElement:
         """Output form of a scalar: specialized to integers non-equivariantly."""
@@ -117,7 +125,7 @@ class Space:
 
 @lru_cache(maxsize=None)
 def get_space(m: int, n: int, equivariant: bool = False, use_cache: bool = True) -> Space:
-    """Shared Space instances, so product memos persist across callers."""
+    """Shared Space instances, so models and memos persist across callers."""
     return Space(m, n, equivariant, use_cache)
 
 
@@ -137,7 +145,7 @@ def kernel_span_shapes(space: Space, d: int) -> tuple:
     return y, t
 
 
-# -- index transport around the diagram ----------------------------------------
+# -- the diagram Y_d <- T_d -> X as index maps -----------------------------------
 
 
 def _transport(w: tuple, orientation: str, src: FlagShape, t: FlagShape, dst: FlagShape) -> tuple:
@@ -152,53 +160,58 @@ def _transport(w: tuple, orientation: str, src: FlagShape, t: FlagShape, dst: Fl
     return image_index(w, t, dst)
 
 
-def _indices_on_y(space: Space, d: int, u: tuple, v: tuple) -> tuple:
-    """Transport (opposite u, plain v) from X to Schubert indices on Y_d."""
+@dataclass(frozen=True, eq=False)
+class Diagram:
+    """The diagram Y_d <- T_d -> X of one degree, on model indices.
+
+    ``to_y_opposite[i]`` and ``to_y_plain[i]`` index on Y_d the opposite and
+    the plain class of X index i moved along the diagram; ``from_y_plain[j]``
+    indexes on X the plain class of Y_d index j moved the other way;
+    ``neighborhood[i]`` indexes on X the degree-d curve neighborhood of the
+    opposite class i; ``top`` indexes on Y_d the unit class.
+    """
+
+    y: KModel
+    to_y_opposite: tuple
+    to_y_plain: tuple
+    from_y_plain: tuple
+    neighborhood: tuple
+    top: int
+
+
+def _build_diagram(space: Space, d: int) -> Diagram:
     y, t = kernel_span_shapes(space, d)
-    x = space.shape
-    uw = partition_to_minrep(u, space.m, space.n)
-    vw = partition_to_minrep(v, space.m, space.n)
-    return y, _transport(uw, OPPOSITE, x, t, y), _transport(vw, PLAIN, x, t, y)
+    x, xm, my = space.shape, space.model, space.submodel(y)
+
+    def move(ws, orientation, src, dst, target):
+        return tuple(target.idx[_transport(w, orientation, src, t, dst)] for w in ws)
+
+    to_y_opposite = move(xm.points, OPPOSITE, x, y, my)
+    return Diagram(
+        y=my,
+        to_y_opposite=to_y_opposite,
+        to_y_plain=move(xm.points, PLAIN, x, y, my),
+        from_y_plain=move(my.points, PLAIN, y, x, xm),
+        neighborhood=move((my.points[j] for j in to_y_opposite), OPPOSITE, y, x, xm),
+        top=max(range(my.npoints), key=my.lengths.__getitem__),
+    )
 
 
-def _neighborhood_by_diagram(space: Space, lam: tuple, d: int) -> tuple:
-    """Index of the neighborhood: the opposite class of lam taken to Y_d and back."""
-    y, t = kernel_span_shapes(space, d)
-    x = space.shape
-    w = partition_to_minrep(lam, space.m, space.n)
-    w_x = _transport(_transport(w, OPPOSITE, x, t, y), OPPOSITE, y, t, x)
-    return minrep_to_partition(w_x, space.m, space.n)
-
-
-def _shift_rule(lam: tuple, d: int, m: int) -> tuple:
-    padded = tuple(lam) + (0,) * (m - len(lam))
-    out = []
-    for i in range(m):
-        x = padded[i + d] - d if i + d < m else -d
-        out.append(max(x, 0))
-    return tuple(x for x in out if x)
-
-
-@lru_cache(maxsize=None)
-def _shift_rule_valid(m: int, n: int) -> bool:
-    """Check the partition shift fast path against the diagram; once per shape."""
-    space = Space(m, n, equivariant=False)
-    for lam in partitions_in_box(m, n - m):
-        for d in range(0, max(m, n - m) + 2):
-            if _shift_rule(lam, d, m) != _neighborhood_by_diagram(space, lam, d):
-                return False
-    return True
+def _move(exp: dict, index_map: tuple) -> dict:
+    """Scalar-linear substitution of basis indices through an index map."""
+    out: dict = {}
+    for widx, c in exp.items():
+        tgt = index_map[widx]
+        acc = out.get(tgt)
+        out[tgt] = c if acc is None else acc + c
+    return {k: c for k, c in out.items() if not c.is_zero()}
 
 
 def curve_neighborhood_index(space: Space, lam: tuple, d: int) -> tuple:
     """The index lam(-d) of the degree-d neighborhood of an opposite variety."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
     if not partition_contains(lam, ((space.n - space.m),) * space.m):
         raise ValueError("partition leaves the box")
-    if _shift_rule_valid(space.m, space.n):
-        return _shift_rule(lam, d, space.m)
-    return _neighborhood_by_diagram(space, lam, d)
+    return space.partition_of(space.diagram(d).neighborhood[space.index_of(lam)])
 
 
 def dist(space: Space, u: tuple, v: tuple) -> int:
@@ -214,74 +227,49 @@ def dist(space: Space, u: tuple, v: tuple) -> int:
 # -- projected classes and the degree series -------------------------------------
 
 
-def _stabilized_indices(space: Space, d: int, u: tuple, v: tuple) -> bool:
-    """Index pre-check guaranteeing the degree-d class is the unit."""
-    y, u_d, v_d = _indices_on_y(space, d, u, v)
-    my = space.submodel(y)
-    top = my.points[max(range(my.npoints), key=lambda p: my.lengths[p])]
-    return length(u_d) == 0 and v_d == top
-
-
-def _gw_plain_coeffs(space: Space, u: tuple, v: tuple, d: int) -> dict:
+def _gw_plain_coeffs(space: Space, d: int, ui: int, vi: int) -> dict:
     """Plain-basis coefficients on X of the degree-d projected class.
 
-    Richardson class on Y_d, expanded there, then transported index-wise:
-    pulling back along T_d -> Y_d sends a basis class to the basis class of
-    the full preimage index, and pushing forward along T_d -> X sends a
-    basis class to the basis class of the image index.
+    The Richardson class of the opposite class of X index ui and the plain
+    class of X index vi, both moved to Y_d, is expanded on Y_d; each basis
+    class of the expansion is moved back to X.
     """
-    memo = space.projected
-    key = (u, v, d)
-    if key in memo:
-        return memo[key]
-    y, u_d, v_d = _indices_on_y(space, d, u, v)
-    if not bruhat_leq(u_d, v_d):
-        memo[key] = {}
+    dg = space.diagram(d)
+    my = dg.y
+    u_d, v_d = dg.to_y_opposite[ui], dg.to_y_plain[vi]
+    if not my.leq(u_d, v_d):
         return {}
-    my = space.submodel(y)
-    rkey = (y, my.idx[u_d], my.idx[v_d])
-    out = space.richardson.get(rkey)
+    key = (my.shape, u_d, v_d)
+    out = space.richardson.get(key)
     if out is None:
-        rich = my.multiply_values(
-            my.table(OPPOSITE)[my.idx[u_d]], my.table(PLAIN)[my.idx[v_d]]
-        )
-        coeffs = my.expand_values(rich, PLAIN)
-        out = {}
-        xm = space.model
-        t = kernel_span_shapes(space, d)[1]
-        for widx, c in coeffs.items():
-            tgt = xm.idx[_transport(my.points[widx], PLAIN, y, t, space.shape)]
-            acc = out.get(tgt)
-            out[tgt] = c if acc is None else acc + c
-        out = {k: c for k, c in out.items() if not c.is_zero()}
-        space.richardson[rkey] = out
-    memo[key] = out
+        rich = my.multiply_values(my.table(OPPOSITE)[u_d], my.table(PLAIN)[v_d])
+        out = space.richardson[key] = _move(my.expand_values(rich, PLAIN), dg.from_y_plain)
     return out
 
 
 def projected_gw_class(space: Space, u: tuple, v: tuple, d: int) -> LocalizedClass:
     """The K-class of the union of degree-d curves meeting both varieties."""
-    coeffs = _gw_plain_coeffs(space, u, v, d)
+    coeffs = _gw_plain_coeffs(space, d, space.index_of(u), space.index_of(v))
     return LocalizedClass(space.model, space.model.recombine(coeffs, PLAIN))
-
-
-def _unit_plain_coeffs(space: Space) -> dict:
-    xm = space.model
-    top = max(range(xm.npoints), key=lambda p: xm.lengths[p])
-    return {top: xm.one()}
 
 
 def gw_series(space: Space, u: tuple, v: tuple) -> tuple:
     """Degree series of projected classes, as its heads.
 
     The degree-d class has plain-basis coefficients heads[d] below
-    D = len(heads), and is the unit class from D on; D is minimal.
+    D = len(heads), and is the unit class from D on; D is minimal.  The
+    class is the unit once u moves to the unit and v to the top index on
+    Y_d, which the index maps show before any expansion.
     """
+    ui, vi = space.index_of(u), space.index_of(v)
+    unit = {space.diagram(0).top: space.model.one()}
     heads = []
-    unit = _unit_plain_coeffs(space)
     d = 0
-    while not _stabilized_indices(space, d, u, v):
-        heads.append(_gw_plain_coeffs(space, u, v, d))
+    while True:
+        dg = space.diagram(d)
+        if dg.y.lengths[dg.to_y_opposite[ui]] == 0 and dg.to_y_plain[vi] == dg.top:
+            break
+        heads.append(_gw_plain_coeffs(space, d, ui, vi))
         d += 1
         if d > max(space.m, space.n - space.m) + 1:
             raise AssertionError("series did not stabilize")
@@ -295,13 +283,7 @@ def gw_series(space: Space, u: tuple, v: tuple) -> tuple:
 
 def shift_expansion(space: Space, exp: dict) -> dict:
     """Scalar-linear substitution O^w -> O^{w(-1)} on an opposite expansion."""
-    nmap = space.shift_map
-    out: dict = {}
-    for widx, c in exp.items():
-        tgt = nmap[widx]
-        acc = out.get(tgt)
-        out[tgt] = c if acc is None else acc + c
-    return {k: c for k, c in out.items() if not c.is_zero()}
+    return _move(exp, space.diagram(1).neighborhood)
 
 
 def _plain_to_opposite(space: Space, coeffs: dict) -> dict:

@@ -196,14 +196,6 @@ def max_coset_rep(w: tuple, blocks: tuple) -> tuple:
     return tuple(out)
 
 
-def min_coset_rep_parabolic(w: tuple, indices: frozenset) -> tuple:
-    return min_coset_rep(w, parabolic_blocks(frozenset(indices), len(w)))
-
-
-def max_coset_rep_parabolic(w: tuple, indices: frozenset) -> tuple:
-    return max_coset_rep(w, parabolic_blocks(frozenset(indices), len(w)))
-
-
 def is_minrep(w: tuple, blocks: tuple) -> bool:
     return all(
         w[b[i] - 1] < w[b[i + 1] - 1] for b in blocks for i in range(len(b) - 1)

@@ -12,16 +12,13 @@ import time
 
 import pytest
 
-from qkcomin.gkm import OPPOSITE, PLAIN, _MODELS, equivariant_chars, get_model
+from qkcomin.gkm import OPPOSITE, PLAIN, KModel, equivariant_chars
 from qkcomin.laurent import LaurentElement
 from qkcomin.oracles import MomentGraph, givental_p1_product, lr_constants_setvalued
 from qkcomin.weyl import FlagShape
 from qkcomin.quantum import (
     QKElement,
     Space,
-    _shift_rule,
-    _shift_rule_valid,
-    _neighborhood_by_diagram,
     _plain_to_opposite,
     all_pairs,
     basis_element,
@@ -134,7 +131,7 @@ def all_shapes_up_to(nmax):
 def test_criterion_6_localization_calibration():
     violations = []
     for shape in all_shapes_up_to(5):
-        model = get_model(shape, equivariant_chars(shape.n))
+        model = KModel(shape, equivariant_chars(shape.n))
         one = model.one()
         for orientation in (PLAIN, OPPOSITE):
             table = model.table(orientation)
@@ -152,21 +149,19 @@ def test_criterion_6_localization_calibration():
                     violations.append(f"{shape} {orientation} w={w} diagonal")
                 if not model.gkm_check(table[w]):
                     violations.append(f"{shape} {orientation} w={w} edge condition")
-    # edge condition on every projected class produced during criteria 1-5
+    # edge condition on every Richardson class on Y_d produced during
+    # criteria 1-5, and on its projected class recombined on X
     checked = 0
     for space in configured_spaces():
         xm = space.model
-        for coeffs in space.projected.values():
-            cls = xm.recombine(coeffs, PLAIN)
-            if not xm.gkm_check(cls):
-                violations.append(f"{space} projected class fails edge condition")
-            checked += 1
-        for (yshape, uidx, vidx) in space.richardson:
+        for (yshape, uidx, vidx), coeffs in space.richardson.items():
             my = space.submodel(yshape)
             rich = my.multiply_values(my.table(OPPOSITE)[uidx], my.table(PLAIN)[vidx])
             if not my.gkm_check(rich):
                 violations.append(f"{space} {yshape} richardson fails edge condition")
-            checked += 1
+            if not xm.gkm_check(xm.recombine(coeffs, PLAIN)):
+                violations.append(f"{space} {yshape} projected class fails edge condition")
+            checked += 2
     report(6, "localization calibration (n<=5) and edge conditions", violations,
            f" [{checked} produced classes rechecked]")
 
@@ -213,30 +208,25 @@ def test_criterion_7_ring_axioms():
            f" [{elapsed:.1f}s]")
 
 
+def neighborhood_closed_form(lam, d):
+    """lam(-d): lam with its first d rows and its first d columns removed."""
+    return tuple(part - d for part in lam[d:] if part > d)
+
+
 def test_criterion_8_index_calculus_cross_checks():
     violations = []
     for n in range(2, 7):
         for m in range(1, n):
             space = get_space(m, n, equivariant=False)
             graph = MomentGraph(m, n)
-            rule_ok = _shift_rule_valid(m, n)
             for lam in space.partitions:
                 for d in range(diameter(space) + 2):
-                    by_graph = graph.neighborhood_partition(lam, d)
-                    if curve_neighborhood_index(space, lam, d) != by_graph:
+                    got = curve_neighborhood_index(space, lam, d)
+                    if got != graph.neighborhood_partition(lam, d):
                         violations.append(f"gr:{m},{n} lam={lam} d={d} graph mismatch")
-                    if rule_ok and _shift_rule(lam, d, m) != _neighborhood_by_diagram(
-                        space, lam, d
-                    ):
-                        violations.append(f"gr:{m},{n} lam={lam} d={d} fast path")
-            if not rule_ok:
-                # fast path must then be disabled: diagram route used
-                for lam in space.partitions:
-                    if curve_neighborhood_index(space, lam, 1) != _neighborhood_by_diagram(
-                        space, lam, 1
-                    ):
-                        violations.append(f"gr:{m},{n} fast path not disabled")
-    report(8, "index calculus vs moment graph (n<=6)", violations)
+                    if got != neighborhood_closed_form(lam, d):
+                        violations.append(f"gr:{m},{n} lam={lam} d={d} closed form mismatch")
+    report(8, "index calculus vs moment graph and closed form (n<=6)", violations)
 
 
 def test_criterion_9_table_determinism(tmp_path, monkeypatch):
@@ -255,14 +245,10 @@ def test_criterion_9_table_determinism(tmp_path, monkeypatch):
         assert rc == 0
         return buf.getvalue().encode()
 
-    def reset_memory():
-        _MODELS.clear()
-        gs.cache_clear()
-
-    reset_memory()
+    gs.cache_clear()
     cold = run_table()
     warm = run_table()
-    reset_memory()
+    gs.cache_clear()
     warm_disk = run_table()
     violations = []
     if cold != warm:

@@ -175,7 +175,6 @@ class TestVerify:
             return tuple((EXPONENT_LIMIT // 2 + 1) * x for x in root_exp(self, a, b))
 
         monkeypatch.setattr(gkm.CharacterMap, "root_exp", stretched)
-        monkeypatch.setattr(gkm, "_MODELS", {})
         monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
         rc, out, err = run_cli(
             capsys, "verify", "--space", "gr:1,3", "--equivariant", "--no-cache"
@@ -209,7 +208,6 @@ class TestTable:
 
     def test_deterministic_across_runs_and_cache_state(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path / "fresh"))
-        from qkcomin.gkm import _MODELS
         from qkcomin.quantum import get_space
 
         def table_bytes():
@@ -217,12 +215,10 @@ class TestTable:
             assert rc == 0
             return out.encode()
 
-        _MODELS.clear()
         get_space.cache_clear()
         cold = table_bytes()
         warm = table_bytes()
         assert cold == warm
-        _MODELS.clear()
         get_space.cache_clear()
         assert table_bytes() == cold
 
@@ -271,6 +267,11 @@ GOLDEN_TABLES = {
         "396134b764907f2fb279415a7c15c1d5b233b18d0e856a87a550b9e65c411e26",
     ("gr:2,5", False, "plain"):
         "e6d3c222c328ca283219ac72586bd863c1863a2224a54f4af291cf530549677f",
+    ("gr:2,5", False, "opposite"):
+        "6bf0c22ea60c060a525d4732408d6028cbf984e1c2e780b1c88a217b248cb3d9",
+    # m > n - m: kernel and span clamp on the other side of the box
+    ("gr:3,5", False, "plain"):
+        "33c3c51b33b40f00b3e7da7f15b084d1be90cfac4300738dffb9e0cf24536064",
 }
 GOLDEN_GR24_EQUIVARIANT_CACHE = {
     "restrict_008f28f749b65e68b195e364.json":
@@ -289,11 +290,10 @@ class TestOutputIdentity:
 
     @pytest.fixture
     def fresh(self, monkeypatch, tmp_path):
-        from qkcomin import cli, gkm
+        from qkcomin import cli
         from qkcomin.quantum import get_space
 
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(gkm, "_MODELS", {})
         monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
         return tmp_path
 

@@ -16,11 +16,11 @@ from qkcomin.weyl import (
 from qkcomin.gkm import (
     OPPOSITE,
     PLAIN,
+    KModel,
     LocalizedClass,
     NotInSpanError,
     ShapeMismatchError,
     equivariant_chars,
-    get_model,
     pullback,
     pushforward,
     schubert_class,
@@ -36,7 +36,7 @@ def all_shapes(n):
 
 
 def model(dims, n, chars=None):
-    return get_model(FlagShape(dims, n), chars or equivariant_chars(n))
+    return KModel(FlagShape(dims, n), chars or equivariant_chars(n))
 
 
 class TestCalibration:
@@ -47,7 +47,7 @@ class TestCalibration:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_triangular_support(self, n):
         for shape in all_shapes(n):
-            m = get_model(shape, equivariant_chars(n))
+            m = KModel(shape, equivariant_chars(n))
             for o in (PLAIN, OPPOSITE):
                 tab = m.table(o)
                 for w in range(m.npoints):
@@ -58,7 +58,7 @@ class TestCalibration:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_diagonal_values_factor(self, n):
         for shape in all_shapes(n):
-            m = get_model(shape, equivariant_chars(n))
+            m = KModel(shape, equivariant_chars(n))
             for o in (PLAIN, OPPOSITE):
                 for w in range(m.npoints):
                     diag = m.one()
@@ -71,7 +71,7 @@ class TestCalibration:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_euler_char_is_one_on_every_class(self, n):
         for shape in all_shapes(n):
-            m = get_model(shape, equivariant_chars(n))
+            m = KModel(shape, equivariant_chars(n))
             for o in (PLAIN, OPPOSITE):
                 for w in range(m.npoints):
                     assert m.euler_char_values(m.table(o)[w]) == m.one()
@@ -79,7 +79,7 @@ class TestCalibration:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_gkm_condition_on_schubert_classes(self, n):
         for shape in all_shapes(n):
-            m = get_model(shape, equivariant_chars(n))
+            m = KModel(shape, equivariant_chars(n))
             for o in (PLAIN, OPPOSITE):
                 for w in range(m.npoints):
                     assert m.gkm_check(m.table(o)[w])
@@ -96,7 +96,7 @@ class TestCalibration:
     def test_orientations_exchanged_by_longest_element_twist(self, n):
         w0 = tuple(longest_element(n))
         for shape in all_shapes(n):
-            m = get_model(shape, equivariant_chars(n))
+            m = KModel(shape, equivariant_chars(n))
             for w in range(m.npoints):
                 dual = m.idx[dual_index(m.points[w], shape)]
                 for p in range(m.npoints):
@@ -108,8 +108,8 @@ class TestCalibration:
     @pytest.mark.parametrize("n", [3, 4])
     def test_zmode_tables_are_specializations(self, n):
         for shape in all_shapes(n):
-            m = get_model(shape, equivariant_chars(n))
-            mz = get_model(shape, zspec_chars(n))
+            m = KModel(shape, equivariant_chars(n))
+            mz = KModel(shape, zspec_chars(n))
             for o in (PLAIN, OPPOSITE):
                 for w in range(m.npoints):
                     for p in range(m.npoints):
@@ -353,7 +353,7 @@ class TestDiskCache:
     def test_model_roundtrips_through_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
         shape = FlagShape((1,), 3)
-        fresh = get_model(shape, equivariant_chars(3), use_cache=True)
+        fresh = KModel(shape, equivariant_chars(3), use_cache=True)
         # force a private rebuild through the disk layer
         built = fresh._load_or_build(PLAIN)
         again = fresh._load_or_build(PLAIN)

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from qkcomin.gkm import OPPOSITE, PLAIN, get_model, equivariant_chars
+from qkcomin.gkm import OPPOSITE, PLAIN, KModel, equivariant_chars
 from qkcomin.laurent import LaurentElement
 from qkcomin.weyl import FlagShape
 from qkcomin.quantum import (
@@ -20,7 +20,7 @@ from qkcomin.quantum import (
 
 @pytest.fixture(scope="module")
 def gr24eq():
-    return get_model(FlagShape((2,), 4), equivariant_chars(4))
+    return KModel(FlagShape((2,), 4), equivariant_chars(4))
 
 
 class TestMultiplyAlgebra:

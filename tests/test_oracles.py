@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qkcomin.gkm import OPPOSITE, equivariant_chars, get_model
+from qkcomin.gkm import OPPOSITE, KModel, equivariant_chars
 from qkcomin.laurent import LaurentElement
 from qkcomin.oracles import (
     MomentGraph,
@@ -130,14 +130,14 @@ class TestSubwordFormula:
     def test_identity_class_restricts_to_one(self):
         shape = FlagShape((1,), 3)
         chars = equivariant_chars(3)
-        m = get_model(shape, chars)
+        m = KModel(shape, chars)
         for v in m.points:
             assert subword_restriction(shape, m.points[0], v, chars) == m.one()
 
     def test_diagonal_matches_normal_weight_product(self):
         shape = FlagShape((2,), 4)
         chars = equivariant_chars(4)
-        m = get_model(shape, chars)
+        m = KModel(shape, chars)
         for w in range(m.npoints):
             diag = m.one()
             for e in m.diag_factor_exps(w, OPPOSITE):
@@ -150,7 +150,7 @@ class TestSubwordFormula:
     def test_matches_sweep_recursion(self, dims, n):
         shape = FlagShape(dims, n)
         chars = equivariant_chars(n)
-        m = get_model(shape, chars)
+        m = KModel(shape, chars)
         for w in range(m.npoints):
             for v in range(m.npoints):
                 assert (

@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from qkcomin.gkm import OPPOSITE, PLAIN, get_model, pullback, pushforward, LocalizedClass
+from qkcomin.gkm import (
+    OPPOSITE,
+    PLAIN,
+    LocalizedClass,
+    pullback,
+    pushforward,
+    schubert_class,
+)
 from qkcomin.laurent import LaurentElement
 from qkcomin.oracles import MomentGraph, givental_p1_product
 from qkcomin.weyl import FlagShape, partition_to_subset
@@ -19,6 +26,7 @@ from qkcomin.quantum import (
     dist,
     euler_char_q,
     euler_char_total,
+    get_space,
     gw_series,
     kernel_span_shapes,
     load_table_json,
@@ -70,6 +78,20 @@ class TestDiameter:
         assert diameter(Space(1, n)) == 1
 
 
+class TestSpaceState:
+    def test_each_space_owns_its_models(self):
+        assert Space(2, 4).model is not Space(2, 4).model
+        assert get_space(2, 4).model is get_space(2, 4).model
+
+    def test_models_and_diagrams_are_built_once(self, gr24):
+        y = kernel_span_shapes(gr24, 1)[0]
+        assert gr24.submodel(y) is gr24.submodel(y)
+        assert gr24.diagram(1) is gr24.diagram(1)
+        assert gr24.diagram(1).y is gr24.submodel(y)
+        # Y_0 = X
+        assert gr24.diagram(0).y is gr24.model
+
+
 class TestKernelSpan:
     def test_degree_zero_is_identity_diagram(self, gr24):
         y, t = kernel_span_shapes(gr24, 0)
@@ -93,6 +115,12 @@ class TestCurveNeighborhood:
     def test_identity_fixed(self, gr24):
         for d in range(4):
             assert curve_neighborhood_index(gr24, (), d) == ()
+
+    def test_bad_input_raises(self, gr24):
+        with pytest.raises(ValueError):
+            curve_neighborhood_index(gr24, (1,), -1)
+        with pytest.raises(ValueError):
+            curve_neighborhood_index(gr24, (3,), 1)
 
     def test_p1_point_sweeps_out_line(self, p1):
         assert curve_neighborhood_index(p1, (1,), 1) == ()
@@ -373,26 +401,46 @@ class TestRingStructure:
         assert prod.coeffs == {d + 3: exp for d, exp in base.coeffs.items()}
 
 
-class TestPipelineAgainstLiteralPushPull:
-    @pytest.mark.parametrize("d", [0, 1, 2])
-    def test_composite_transport_equals_chained_maps(self, gr24eq, d):
-        # the basis-wise composite must equal literally pulling the
-        # Richardson class back to T_d and pushing forward to X
-        from qkcomin.quantum import _indices_on_y
+def literal_projected_classes(space, d):
+    """Every degree-d projected class on X, by literal pullback and pushforward.
 
-        for u, v in [((1,), (1,)), ((2, 1), (2, 2)), ((2, 2), (2, 2)), ((1, 1), (2,))]:
-            y, u_d, v_d = _indices_on_y(gr24eq, d, u, v)
-            _, t = kernel_span_shapes(gr24eq, d)
-            my = gr24eq.submodel(y)
-            mt = gr24eq.submodel(t)
-            rich = LocalizedClass(
-                my,
-                my.multiply_values(
-                    my.table(OPPOSITE)[my.idx[u_d]], my.table(PLAIN)[my.idx[v_d]]
-                ),
-            )
-            chained = pushforward(pullback(rich, mt), gr24eq.model)
-            assert projected_gw_class(gr24eq, u, v, d).values == chained.values
+    Each Schubert class of X is pulled back to T_d and pushed forward to Y_d,
+    the Richardson class of the two is pulled back to T_d and pushed forward
+    to X; no index map of the diagram is used.  Returns {(u, v): values}.
+    """
+    y, t = kernel_span_shapes(space, d)
+    xm, my, mt = space.model, space.submodel(y), space.submodel(t)
+
+    def on_y(orientation):
+        return [
+            pushforward(pullback(schubert_class(xm, i, orientation), mt), my, orientation).values
+            for i in range(xm.npoints)
+        ]
+
+    opposite, plain = on_y(OPPOSITE), on_y(PLAIN)
+    chained = {}
+    out = {}
+    for u, v in all_pairs(space):
+        key = (opposite[space.index_of(u)], plain[space.index_of(v)])
+        if key not in chained:
+            rich = LocalizedClass(my, my.multiply_values(*key))
+            chained[key] = pushforward(pullback(rich, mt), xm).values
+        out[u, v] = chained[key]
+    return out
+
+
+class TestPipelineAgainstLiteralPushPull:
+    @pytest.mark.parametrize(
+        "m,n,equivariant",
+        [(2, 4, False), (2, 4, True), (2, 5, False), (3, 5, False), (1, 4, True), (2, 5, True)],
+    )
+    def test_composite_transport_equals_chained_maps(self, m, n, equivariant):
+        # the index maps must agree with literally pulling the Richardson
+        # class back to T_d and pushing it forward to X
+        space = Space(m, n, equivariant)
+        for d in range(max(m, n - m) + 2):
+            for (u, v), values in literal_projected_classes(space, d).items():
+                assert projected_gw_class(space, u, v, d).values == values, (u, v, d)
 
 
 class TestVerifiers:
@@ -408,8 +456,6 @@ class TestVerifiers:
     @pytest.mark.parametrize("m,n", [(3, 4), (3, 5)])
     def test_dual_grassmannians_pass(self, m, n):
         # the kernel-span dimensions clamp on the other side when m > n-m
-        from qkcomin.quantum import get_space
-
         rep = verify_space(get_space(m, n, equivariant=False), oracle=True)
         assert rep.passed
 

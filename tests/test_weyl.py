@@ -16,9 +16,7 @@ from qkcomin.weyl import (
     length,
     longest_element,
     max_coset_rep,
-    max_coset_rep_parabolic,
     min_coset_rep,
-    min_coset_rep_parabolic,
     minrep_to_partition,
     parabolic_blocks,
     partition_contains,
@@ -105,35 +103,38 @@ class TestBruhat:
                 assert bruhat_leq(u, v) == brute_bruhat_leq(u, v)
 
 
+def blocks_of(indices, n=4):
+    return parabolic_blocks(frozenset(indices), n)
+
+
 class TestCosetReps:
     def test_identity_fixed(self):
-        assert min_coset_rep_parabolic(identity(4), frozenset({1, 3})) == identity(4)
+        assert min_coset_rep(identity(4), blocks_of({1, 3})) == identity(4)
 
     def test_already_minimal(self):
         w = (2, 1, 3, 4)
-        assert min_coset_rep_parabolic(w, frozenset({2, 3})) == w
+        assert min_coset_rep(w, blocks_of({2, 3})) == w
 
     def test_block_sort(self):
         # blocks {1,2},{3,4}: sort values within each
         w = (3, 1, 4, 2)
-        m = min_coset_rep_parabolic(w, frozenset({1, 3}))
+        m = min_coset_rep(w, blocks_of({1, 3}))
         assert m == (1, 3, 2, 4)
         assert length(w) - length(m) == length((2, 1)) + length((2, 1))
 
     def test_max_rep_full_parabolic(self):
-        p = frozenset({1, 2, 3})
-        assert max_coset_rep_parabolic(identity(4), p) == longest_element(4)
+        assert max_coset_rep(identity(4), blocks_of({1, 2, 3})) == longest_element(4)
 
     def test_max_rep_empty_parabolic(self):
-        assert max_coset_rep_parabolic(identity(4), frozenset()) == identity(4)
+        assert max_coset_rep(identity(4), blocks_of(())) == identity(4)
 
     def test_max_rep_length(self):
         w = partition_to_minrep((1,), 2, 4)
-        p = frozenset({1, 3})
-        mx = max_coset_rep_parabolic(w, p)
+        blocks = blocks_of({1, 3})
+        mx = max_coset_rep(w, blocks)
         # length = |lambda| + length of the longest parabolic element
         assert length(mx) == 1 + 2
-        assert min_coset_rep_parabolic(mx, p) == w
+        assert min_coset_rep(mx, blocks) == w
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_length_additivity(self, n):
