@@ -4,7 +4,8 @@ Commands: product, dist, neighborhood, table, verify, cache.  All JSON
 output is canonical (fixed key order, compact separators) so identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1
 verification violations, 2 usage or parse errors, 3 I/O errors, 4 internal
-errors (a broken invariant of the calculator, not bad input).
+errors (a broken invariant of the calculator, not bad input, or a ``table``
+worker process that died).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import os
 import re
 import sys
+from itertools import repeat
 
 from qkcomin import cache as diskcache
 from qkcomin.gkm import NotInSpanError, ShapeMismatchError
@@ -93,13 +95,12 @@ def _write_text(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _sorted_pairs(space: Space) -> list:
-    parts = sorted(space.partitions, key=lambda lam: (sum(lam), lam))
-    return [(u, v) for u in parts for v in parts]
-
-
 def _pair_doc(space: Space, u: tuple, v: tuple, v_basis: str) -> dict:
     return structure_table(space, u, v, v_basis).to_json_dict()
+
+
+def _pair_line(space: Space, u: tuple, v: tuple, v_basis: str) -> str:
+    return json.dumps(_pair_doc(space, u, v, v_basis), separators=(",", ":"))
 
 
 _WORKER_ARGS = None
@@ -112,11 +113,17 @@ def _worker_init(m, n, equivariant, use_cache, cache_dir):
     _WORKER_ARGS = (m, n, equivariant, use_cache)
 
 
-def _worker_pair(args):
-    u, v, v_basis = args
-    m, n, equivariant, use_cache = _WORKER_ARGS
-    space = get_space(m, n, equivariant, use_cache)
-    return u, v, _pair_doc(space, u, v, v_basis)
+def _worker_row(u, vs, v_basis):
+    """The JSON lines of row ``u``.  One row is one pool task, so every
+    product and memo the row shares lives in one worker."""
+    space = get_space(*_WORKER_ARGS)
+    return [_pair_line(space, u, v, v_basis) for v in vs]
+
+
+def _internal_error(exc) -> int:
+    detail = " ".join(str(exc).split())
+    print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+    return 4
 
 
 def cmd_product(args) -> int:
@@ -146,35 +153,35 @@ def cmd_neighborhood(args) -> int:
 
 
 def cmd_table(args) -> int:
-    space = _parse_space(args.space, args.equivariant, not args.no_cache)
-    pairs = _sorted_pairs(space)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs > 1 and len(pairs) > 8:
+    if jobs < 1:
+        raise UsageError("--jobs must be at least 1")
+    space = _parse_space(args.space, args.equivariant, not args.no_cache)
+    parts = sorted(space.partitions, key=lambda lam: (sum(lam), lam))
+    if jobs > 1 and len(parts) ** 2 > 8:
         space.model.table("plain")  # warm the shared disk cache first
         space.model.table("opposite")
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        work = [(u, v, args.v_basis) for u, v in pairs]
-        docs = {}
-        with ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_worker_init,
-            initargs=(
-                space.m,
-                space.n,
-                space.equivariant,
-                space.use_cache,
-                os.environ.get("QK_CACHE_DIR"),
-            ),
-        ) as pool:
-            for u, v, doc in pool.map(_worker_pair, work, chunksize=8):
-                docs[(u, v)] = doc
-        lines = [json.dumps(docs[p], separators=(",", ":")) for p in pairs]
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(parts)),
+                initializer=_worker_init,
+                initargs=(
+                    space.m,
+                    space.n,
+                    space.equivariant,
+                    space.use_cache,
+                    os.environ.get("QK_CACHE_DIR"),
+                ),
+            ) as pool:
+                rows = list(pool.map(_worker_row, parts, repeat(parts), repeat(args.v_basis)))
+        except BrokenProcessPool as exc:  # a worker died before returning its row
+            return _internal_error(exc)
+        lines = [line for row in rows for line in row]
     else:
-        lines = [
-            json.dumps(_pair_doc(space, u, v, args.v_basis), separators=(",", ":"))
-            for u, v in pairs
-        ]
+        lines = [_pair_line(space, u, v, args.v_basis) for u in parts for v in parts]
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -260,9 +267,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
         return args.func(args)
     except INTERNAL_ERRORS as exc:
-        detail = " ".join(str(exc).split())
-        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
-        return 4
+        return _internal_error(exc)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from qkcomin import cache as diskcache
-from qkcomin.laurent import LaurentElement, NotDivisibleError
+from qkcomin.laurent import LaurentElement, NotDivisibleError, subtract_product_into
 from qkcomin.weyl import (
     FlagShape,
     coset_minreps,
@@ -308,7 +308,7 @@ class KModel:
         dividing by (factored) diagonal restrictions; every division is exact
         for classes in the span.
         """
-        residual = list(values)
+        residual = [v.copy() for v in values]  # updated in place
         reverse = orientation == PLAIN
         order = sorted(
             range(self.npoints), key=lambda p: self.lengths[p], reverse=reverse
@@ -323,12 +323,11 @@ class KModel:
                 c = self._divide_diag(val, widx, orientation)
             except NotDivisibleError as exc:
                 raise NotInSpanError("not in the scalar span of Schubert classes") from exc
+            if c is val:  # no diagonal factor; val is about to be updated
+                c = val.copy()
             coeffs[widx] = c
-            row = table[widx]
-            for p in range(self.npoints):
-                rv = row[p]
-                if not rv.is_zero():
-                    residual[p] = residual[p] - c * rv
+            for acc, rv in zip(residual, table[widx]):
+                subtract_product_into(acc, c, rv)
         if any(not v.is_zero() for v in residual):
             raise NotInSpanError("not in the scalar span of Schubert classes")
         return coeffs

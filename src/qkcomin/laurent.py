@@ -233,6 +233,10 @@ class LaurentElement:
 
     __rmul__ = __mul__
 
+    def copy(self) -> "LaurentElement":
+        """A copy with its own term dict, for :func:`subtract_product_into`."""
+        return _element(self.nvars, dict(self.terms), self._bound)
+
     def __eq__(self, other):
         if isinstance(other, int):
             return self.terms == ({0: other} if other else {})
@@ -483,6 +487,40 @@ class LaurentElement:
             acc[key] = acc.get(key, 0) + sign * coeff
         _check_range(nvars, bound)
         return _element(nvars, {e: c for e, c in acc.items() if c}, bound)
+
+
+def subtract_product_into(acc: LaurentElement, a: LaurentElement, b: LaurentElement) -> None:
+    """``acc -= a * b`` in place, without building the product or a new sum.
+
+    Elements are otherwise immutable values that may be shared or hashed, so
+    ``acc`` must be private to the caller, e.g. from :meth:`LaurentElement.copy`,
+    and must not be a factor.  The product's bound is checked as in ``a * b``
+    before ``acc`` changes.
+    """
+    x, y = a.terms, b.terms
+    if not x or not y:
+        return
+    if not acc.nvars == a.nvars == b.nvars:
+        raise ValueError("variable counts differ")
+    if acc is a or acc is b:
+        raise ValueError("the accumulator must not be a factor")
+    bound = a._bound + b._bound
+    if bound > EXPONENT_LIMIT:
+        _check_range(acc.nvars, bound)
+    if len(x) > len(y):
+        x, y = y, x
+    out = acc.terms
+    get = out.get
+    for ex, cx in x.items():
+        for ey, cy in y.items():
+            e = ex + ey
+            s = get(e, 0) - cx * cy
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    if bound > acc._bound:
+        acc._bound = bound
 
 
 def exact_div_binomial(f: LaurentElement, g: LaurentElement) -> LaurentElement:

@@ -149,10 +149,14 @@ def test_criterion_6_localization_calibration():
                     violations.append(f"{shape} {orientation} w={w} diagonal")
                 if not model.gkm_check(table[w]):
                     violations.append(f"{shape} {orientation} w={w} edge condition")
-    # edge condition on every Richardson class on Y_d produced during
-    # criteria 1-5, and on its projected class recombined on X
+    # edge condition on every Richardson class on Y_d that the products of
+    # each configured space produce, and on its projected class recombined
+    # on X; the products are computed here (memoized, if earlier criteria
+    # ran), so the recheck does not depend on test order
     checked = 0
     for space in configured_spaces():
+        for u, v in all_pairs(space):
+            quantum_product(space, u, v)
         xm = space.model
         for (yshape, uidx, vidx), coeffs in space.richardson.items():
             my = space.submodel(yshape)
@@ -162,6 +166,7 @@ def test_criterion_6_localization_calibration():
             if not xm.gkm_check(xm.recombine(coeffs, PLAIN)):
                 violations.append(f"{space} {yshape} projected class fails edge condition")
             checked += 2
+    assert checked > 0
     report(6, "localization calibration (n<=5) and edge conditions", violations,
            f" [{checked} produced classes rechecked]")
 

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -248,6 +250,58 @@ class TestTable:
         )
         assert rc == 3 and "error" in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        rc, out, err = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", jobs)
+        assert rc == 2 and out == ""
+        assert err == "error: --jobs must be at least 1\n"
+
+    def test_pool_size_is_bounded_by_rows(self, capsys, monkeypatch):
+        """--jobs 1000 on the 3 rows of Gr(1,3) asks for 3 workers; the stub
+        executor runs the rows in this process, so no process starts."""
+        import concurrent.futures
+
+        from qkcomin import cli
+
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(cli, "_WORKER_ARGS", None)
+        rc, pooled, _ = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", "1000")
+        assert rc == 0 and sizes == [3]
+        rc, serial, _ = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", "1")
+        assert rc == 0 and pooled == serial
+
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="the workers must inherit the patched module",
+    )
+    def test_worker_crash_exits_4(self, capsys, monkeypatch):
+        """A row worker that dies is an internal error: two forked workers
+        for the three rows of Gr(1,3), each exiting on its first pair."""
+        from qkcomin import cli
+
+        monkeypatch.setattr(cli, "_pair_line", lambda *args: os._exit(1))
+        rc, out, err = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", "2")
+        assert rc == 4
+        assert out == ""
+        assert err.startswith("internal error: BrokenProcessPool: ")
+        assert err.count("\n") == 1
+
     def test_ingestion_recomputes_sum_check(self, capsys):
         from qkcomin.quantum import load_table_json
 
@@ -257,7 +311,7 @@ class TestTable:
             load_table_json(json.loads(line))
 
 
-# sha256 of the stdout of `qk table ... --jobs 1`, and of each restriction-cache
+# sha256 of the stdout of `qk table ... --jobs 1` (and `--jobs 2`), and of each restriction-cache
 # file that equivariant Gr(2,4) writes, as produced when the scalars were still
 # stored with exponent-tuple keys.  Any change of representation must keep them.
 GOLDEN_TABLES = {
@@ -298,10 +352,16 @@ class TestOutputIdentity:
         return tmp_path
 
     @pytest.mark.parametrize(
-        "space,equivariant,v_basis", list(GOLDEN_TABLES), ids=lambda x: str(x)
+        "space,equivariant,v_basis,jobs",
+        [
+            pytest.param(*key, jobs, id="-".join(map(str, key)) + {"1": "", "2": "-jobs2"}[jobs])
+            for jobs in ("1", "2")
+            for key in GOLDEN_TABLES
+        ],
     )
-    def test_table_digest(self, capsys, fresh, space, equivariant, v_basis):
-        argv = ["table", "--space", space, "--v-basis", v_basis, "--jobs", "1"]
+    def test_table_digest(self, capsys, fresh, space, equivariant, v_basis, jobs):
+        """Both the serial path and the process pool give the pinned bytes."""
+        argv = ["table", "--space", space, "--v-basis", v_basis, "--jobs", jobs]
         rc, out, _ = run_cli(capsys, *argv, *(["--equivariant"] if equivariant else []))
         assert rc == 0
         digest = hashlib.sha256(out.encode()).hexdigest()

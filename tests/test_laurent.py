@@ -7,6 +7,7 @@ from qkcomin.laurent import (
     LaurentElement,
     NotDivisibleError,
     exact_div_binomial,
+    subtract_product_into,
 )
 
 
@@ -363,6 +364,38 @@ class TestAgainstTupleReference:
         assert agrees(x.substitute_letters(images, new_nvars), want)
 
 
+five_elements = st.dictionaries(
+    st.tuples(*[st.integers(-6, 6)] * 5), st.integers(-9, 9), max_size=6
+).map(lambda d: LaurentElement(5, d))
+
+
+class TestSubtractProductInto:
+    """The in-place update acc -= b * c agrees with a - b * c."""
+
+    @pytest.mark.parametrize("elements", [z_elements, five_elements], ids=["z", "nvars5"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_operators(self, elements, data):
+        a, b, c = (data.draw(elements) for _ in range(3))
+        if data.draw(st.booleans()):
+            a = a + b * c  # the update cancels terms of a, or all of them
+        want = a - b * c
+        frozen = (str(a), str(b), str(c))
+        acc = a.copy()
+        subtract_product_into(acc, b, c)
+        assert acc == want and str(acc) == str(want)
+        assert all(acc.terms.values())
+        assert acc._bound == want._bound
+        assert (str(a), str(b), str(c)) == frozen
+
+    def test_accumulator_must_not_be_a_factor(self):
+        acc = L("1 + t1")
+        with pytest.raises(ValueError):
+            subtract_product_into(acc, acc, L("t2"))
+        with pytest.raises(ValueError):
+            subtract_product_into(acc, L("t1", 1), L("t1", 1))
+
+
 class TestExponentRange:
     """Exponents past the packing limit raise instead of aliasing."""
 
@@ -400,6 +433,19 @@ class TestExponentRange:
         assert str(top.swap_letters(1)) == f"t1^{lim}"
         assert str(top.permute_letters((2, 1))) == f"t1^{lim}"
         assert top.substitute_letters(((0,), (2,)), 1) == LaurentElement.monomial(1, (2 * lim,))
+
+    def test_in_place_update(self):
+        lim = EXPONENT_LIMIT
+        top = LaurentElement.parse(f"t2^{lim}", 2)
+        acc = LaurentElement.parse("1 + t1", 2).copy()
+        with pytest.raises(ExponentRangeError):
+            subtract_product_into(acc, top, LaurentElement.parse("1 + t2", 2))
+        assert acc == LaurentElement.parse("1 + t1", 2)
+        subtract_product_into(acc, top, LaurentElement.integer(2, 3))
+        assert str(acc) == f"1 - 3*t2^{lim} + t1"
+        z = LaurentElement.one(1).copy()
+        subtract_product_into(z, LaurentElement.monomial(1, (8 * lim,)), z.copy())
+        assert str(z) == f"1 - t1^{8 * lim}"
 
 
 def test_doctest_module():
