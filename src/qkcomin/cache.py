@@ -47,6 +47,8 @@ def load_rows(key: str) -> list | None:
             doc = json.load(fh)
     except (OSError, ValueError):
         return None
+    if not isinstance(doc, dict):  # valid JSON, but not a cache document
+        return None
     if doc.get("format") != FORMAT or doc.get("key") != key:
         return None
     rows = doc.get("rows")

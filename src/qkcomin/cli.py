@@ -18,7 +18,7 @@ import sys
 from itertools import repeat
 
 from qkcomin import cache as diskcache
-from qkcomin.gkm import NotInSpanError, ShapeMismatchError
+from qkcomin.gkm import OPPOSITE, PLAIN, NotInSpanError, ShapeMismatchError
 from qkcomin.laurent import ExponentRangeError, NotDivisibleError
 from qkcomin.quantum import (
     CHECKS,
@@ -159,8 +159,13 @@ def cmd_table(args) -> int:
     space = _parse_space(args.space, args.equivariant, not args.no_cache)
     parts = sorted(space.partitions, key=lambda lam: (sum(lam), lam))
     if jobs > 1 and len(parts) ** 2 > 8:
-        space.model.table("plain")  # warm the shared disk cache first
-        space.model.table("opposite")
+        # load every table the rows read in the parent, so the forked
+        # workers share them: those of X = Y_0 and of each Y_d that is not
+        # a point, the degrees on which gw_series expands
+        for d in range(max(space.m, space.n - space.m)):
+            y = space.diagram(d).y
+            y.table(PLAIN)
+            y.table(OPPOSITE)
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 

@@ -2,25 +2,28 @@
 
 A class is represented by its restrictions to the torus-fixed points, one
 exact Laurent polynomial per point, constrained by divisibility along the
-one-dimensional torus orbits (the moment-graph edges).  Schubert classes
-are generated by a one-simple-reflection sweep recursion starting from the
-point class: sweeping a Borel orbit closure by the minimal parabolic P_i
-corresponds on fixed-point functions to the operator
+one-dimensional torus orbits (the moment-graph edges).  The B-stable
+Schubert classes are generated by one sweep recursion, upward from the
+point class of the identity coset: sweeping a Borel orbit closure by the
+minimal parabolic P_i corresponds on fixed-point functions to the operator
 
     (A_i f)(v) = (f(v) - e * s_i(f(v'))) / (1 - e),
 
 where v' is the coset of s_i v, s_i acts on the scalars by exchanging the
-characters t_i and t_{i+1}, and e is the character of the simple root,
-taken positively for the B-stable family and negatively for the opposite
-family.  The division is always exact; a failed division signals a
-convention bug and aborts loudly.
+characters t_i and t_{i+1}, and e is the character of the simple root.
+The division is always exact; a failed division signals a convention bug
+and aborts loudly.  The opposite family is the translate by the longest
+element, X^w = w0 X_{w0 w}: its table is read off the plain one through
+the index map w -> w0 w and the action of w0 on the scalars.
 
 Restriction tables are memoized per (shape, scalar mode, orientation) and
 mirrored on disk.  Two scalar modes exist: the full torus (n characters),
 and a one-parameter specialization t_i -> z^(i-1) used for computations
 whose reported output is non-equivariant.  The recursion itself always
 runs with the full torus, since the sweep operator permutes characters;
-one-parameter tables are produced by specializing each finished row.
+one-parameter plain tables are produced by specializing each finished
+row.  There w0 acts as z -> z^-1, which is exact because every
+restriction lies in the degree-zero sublattice (see :func:`zspec_chars`).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from qkcomin.laurent import LaurentElement, NotDivisibleError, subtract_product_
 from qkcomin.weyl import (
     FlagShape,
     coset_minreps,
+    dual_index,
     left_action_on_minrep,
     length,
     min_coset_rep,
@@ -58,7 +62,8 @@ class CharacterMap:
     n: int
     nvars: int
     images: tuple
-    permutable: bool
+    # images of the letters under the longest element w0 (see KModel._build)
+    w0_images: tuple
     key: str
 
     def root_exp(self, a: int, b: int) -> tuple:
@@ -72,14 +77,20 @@ def equivariant_chars(n: int) -> CharacterMap:
     images = tuple(
         tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
     )
-    return CharacterMap(n, n, images, True, f"t{n}")
+    return CharacterMap(n, n, images, images[::-1], f"t{n}")
 
 
 @lru_cache(maxsize=None)
 def zspec_chars(n: int) -> CharacterMap:
-    """One-parameter specialization t_i -> z^(i-1); exact and nondegenerate."""
+    """One-parameter specialization t_i -> z^(i-1); exact and nondegenerate.
+
+    The longest element acts as z -> z^-1.  This is exact on restrictions,
+    which all lie in the degree-zero sublattice: w0 sends t^e to the
+    monomial with exponent e_i at position n+1-i, which specializes to
+    z^(sum_i e_i (n-i)) = z^((n-1) sum e - sum_i e_i (i-1)), and sum e = 0.
+    """
     images = tuple((i,) for i in range(n))
-    return CharacterMap(n, 1, images, False, f"z{n}")
+    return CharacterMap(n, 1, images, ((-1,),), f"z{n}")
 
 
 class KModel:
@@ -160,95 +171,70 @@ class KModel:
         return rows
 
     def _build(self, orientation: str) -> list:
+        if orientation == OPPOSITE:
+            plain = self.table(PLAIN)
+            dual = [self.idx[dual_index(w, self.shape)] for w in self.points]
+            images, nv = self.chars.w0_images, self.chars.nvars
+            return [
+                tuple(plain[dual[w]][q].substitute_letters(images, nv) for q in dual)
+                for w in range(self.npoints)
+            ]
+        if orientation != PLAIN:
+            raise ValueError(f"unknown orientation {orientation!r}")
         eq = equivariant_chars(self.shape.n)
-        if self.chars.permutable:
-            collect = [None] * self.npoints
+        if self.chars == eq:
+            return list(self._plain_rows(eq))
+        images, nv = self.chars.images, self.chars.nvars
+        return [
+            tuple(v.substitute_letters(images, nv) for v in row)
+            for row in self._plain_rows(eq)
+        ]
 
-            def emit(widx, row):
-                collect[widx] = tuple(row)
-
-        else:
-            collect = [None] * self.npoints
-            images, nv = self.chars.images, self.chars.nvars
-
-            def emit(widx, row):
-                collect[widx] = tuple(v.substitute_letters(images, nv) for v in row)
-
-        self._recurse_rows(eq, orientation, emit)
-        return collect
-
-    def _point_class_row(self, eq: CharacterMap, at: int) -> list:
-        """Localization of the structure sheaf of one fixed point."""
-        w = self.points[at]
+    def _identity_point_row(self, eq: CharacterMap) -> tuple:
+        """Localization of the structure sheaf of the identity coset, index 0."""
         val = LaurentElement.one(eq.nvars)
         for bi in range(len(self.blocks)):
             for bj in range(bi + 1, len(self.blocks)):
                 for i in self.blocks[bi]:
                     for j in self.blocks[bj]:
                         binom = LaurentElement.one(eq.nvars) - LaurentElement.monomial(
-                            eq.nvars, eq.root_exp(w[i - 1], w[j - 1])
+                            eq.nvars, eq.root_exp(i, j)
                         )
                         val = val * binom
-        row = [LaurentElement.zero(eq.nvars)] * self.npoints
-        row[at] = val
-        return row
+        return (val,) + (LaurentElement.zero(eq.nvars),) * (self.npoints - 1)
 
-    def _recurse_rows(self, eq: CharacterMap, orientation: str, emit) -> None:
-        """Sweep recursion, processed by codimension layers.
+    def _plain_rows(self, eq: CharacterMap):
+        """Full-torus rows of the plain table, in index order.
 
-        Only the previous layer of full-torus rows is retained, so the
-        transient memory stays small even when the consumer only keeps a
-        specialized form of each row.
+        The sweep starts from the point class of the identity coset, index
+        0, and goes up one length at a time: points are sorted by length,
+        and the parent of each row, one simple reflection lower, lies in the
+        previous layer.  Only that layer is retained, so the transient
+        memory stays small even when the consumer only keeps a specialized
+        form of each row.
         """
-        by_len: dict = {}
-        for p in range(self.npoints):
-            by_len.setdefault(self.lengths[p], []).append(p)
-        maxlen = max(by_len)
-        if orientation == PLAIN:
-            layers = range(0, maxlen + 1)
-            start = self.idx[min_coset_rep(tuple(range(1, self.shape.n + 1)), self.blocks)]
-            want_case, sign = -1, +1
-        elif orientation == OPPOSITE:
-            layers = range(maxlen, -1, -1)
-            start = by_len[maxlen][0]
-            assert len(by_len[maxlen]) == 1
-            want_case, sign = +1, -1
-        else:
-            raise ValueError(f"unknown orientation {orientation!r}")
         prev: dict = {}
-        first = True
-        for ell in layers:
-            cur: dict = {}
-            for p in by_len.get(ell, []):
-                if first:
-                    assert p == start
-                    row = self._point_class_row(eq, p)
-                else:
-                    row = None
-                    for i in range(1, self.shape.n):
-                        p2, case = self._left[i - 1][p]
-                        if case == want_case and p2 in prev:
-                            row = self._sweep_row(eq, prev[p2], i, sign)
-                            break
-                    if row is None:
-                        raise AssertionError("no recursion parent found")
-                cur[p] = row
-                emit(p, row)
-            prev = cur
-            first = False
+        cur: dict = {}
+        for p in range(self.npoints):
+            if p == 0:
+                row = self._identity_point_row(eq)
+            else:
+                if self.lengths[p] != self.lengths[p - 1]:
+                    prev, cur = cur, {}
+                i = next(i for i in range(1, self.shape.n) if self._left[i - 1][p][1] == -1)
+                row = self._sweep_row(eq, prev[self._left[i - 1][p][0]], i)
+            cur[p] = row
+            yield row
 
-    def _sweep_row(self, eq: CharacterMap, row: list, i: int, sign: int) -> list:
-        if sign > 0:
-            mexp = eq.root_exp(i, i + 1)
-        else:
-            mexp = eq.root_exp(i + 1, i)
+    def _sweep_row(self, eq: CharacterMap, row: tuple, i: int) -> tuple:
+        mexp = eq.root_exp(i, i + 1)
         mono = LaurentElement.monomial(eq.nvars, mexp)
         out = [None] * self.npoints
         for p in range(self.npoints):
             p2, _ = self._left[i - 1][p]
             g = row[p] - mono * row[p2].swap_letters(i)
             out[p] = g.divide_exact_one_minus(mexp)
-        return out
+        return tuple(out)
 
     # -- class construction and ring operations --------------------------------
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -19,6 +20,38 @@ def run_cli(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replaces the process pool of ``qk table`` by one that runs every row
+    in this process, so no process starts.  Each hook in the returned list
+    is called with ``max_workers`` when the pool is made."""
+    import concurrent.futures
+
+    from qkcomin import cli
+
+    on_start = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            for hook in on_start:
+                hook(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    # ``cmd_table`` imports the name at call time
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(cli, "_WORKER_ARGS", None)
+    return on_start
 
 
 class TestProduct:
@@ -256,35 +289,34 @@ class TestTable:
         assert rc == 2 and out == ""
         assert err == "error: --jobs must be at least 1\n"
 
-    def test_pool_size_is_bounded_by_rows(self, capsys, monkeypatch):
-        """--jobs 1000 on the 3 rows of Gr(1,3) asks for 3 workers; the stub
-        executor runs the rows in this process, so no process starts."""
-        import concurrent.futures
-
-        from qkcomin import cli
-
+    def test_pool_size_is_bounded_by_rows(self, capsys, inline_pool):
+        """--jobs 1000 on the 3 rows of Gr(1,3) asks for 3 workers."""
         sizes = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(cli, "_WORKER_ARGS", None)
+        inline_pool.append(sizes.append)
         rc, pooled, _ = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", "1000")
         assert rc == 0 and sizes == [3]
         rc, serial, _ = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", "1")
         assert rc == 0 and pooled == serial
+
+    def test_pool_starts_with_every_table_loaded(self, capsys, monkeypatch, inline_pool):
+        """Before the pool starts, the parent holds both tables of every
+        model the rows read, X and each Y_d, so the forked workers share
+        them instead of each parsing the cache files again."""
+        from qkcomin import cli
+        from qkcomin.gkm import OPPOSITE, PLAIN
+        from qkcomin.quantum import Space
+
+        space = Space(2, 5)
+        monkeypatch.setattr(cli, "get_space", lambda *args: space)
+        loaded = []
+        inline_pool.append(lambda _: loaded.append(
+            {shape: set(model._tables) for shape, model in space.models.items()}
+        ))
+        rc, _, _ = run_cli(capsys, "table", "--space", "gr:2,5", "--jobs", "2")
+        assert rc == 0 and len(loaded) == 1
+        read = [shape for shape, model in space.models.items() if model._tables]
+        assert len(read) == 3  # X = Y_0, Y_1 and Y_2
+        assert all(loaded[0].get(shape) == {PLAIN, OPPOSITE} for shape in read)
 
     @pytest.mark.skipif(
         multiprocessing.get_all_start_methods()[0] != "fork",
@@ -390,6 +422,25 @@ class TestCache:
         assert rc == 0 and json.loads(out)["files"] == 0
         rc, out, _ = run_cli(capsys, "cache", "clear")
         assert rc == 0 and json.loads(out) == {"removed": 0}
+
+    def test_non_object_files_are_recomputed(self, capsys, tmp_path, monkeypatch):
+        """A cache file of valid JSON that is not a cache document is a miss:
+        the product is recomputed, and the files rewritten, byte for byte."""
+        from qkcomin import cli
+        from qkcomin.quantum import get_space
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+        argv = ("product", "--space", "gr:2,4", "--u", "1", "--v", "1")
+        rc, fresh, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        files = sorted(tmp_path.glob("restrict_*.json"))
+        assert len(files) == 4  # X and Y_1, both orientations
+        written = [p.read_bytes() for p in files]
+        for p, text in zip(files, itertools.cycle(["null", "[]", '"x"', "7"])):
+            p.write_text(text)
+        assert run_cli(capsys, *argv) == (0, fresh, "")
+        assert [p.read_bytes() for p in files] == written
 
 
 def child_env(cache_dir):

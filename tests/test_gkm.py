@@ -105,6 +105,23 @@ class TestCalibration:
                     rhs = m.table(PLAIN)[dual][tw].permute_letters(w0)
                     assert lhs == rhs
 
+    @pytest.mark.parametrize("chars", [equivariant_chars(4), zspec_chars(4)], ids=["t", "z"])
+    def test_one_sweep_builds_both_tables(self, monkeypatch, chars):
+        """Only the plain sweep exchanges letters, once per point of each
+        row after the first; the opposite table is derived from it."""
+        calls = []
+        swap = LaurentElement.swap_letters
+
+        def counted(self, i):
+            calls.append(i)
+            return swap(self, i)
+
+        monkeypatch.setattr(LaurentElement, "swap_letters", counted)
+        m = KModel(FlagShape((1, 3), 4), chars, use_cache=False)
+        m.table(OPPOSITE)
+        m.table(PLAIN)
+        assert len(calls) == (m.npoints - 1) * m.npoints
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_zmode_tables_are_specializations(self, n):
         for shape in all_shapes(n):
@@ -337,6 +354,16 @@ class TestDiskCache:
         assert diskcache.load_rows(key) is None
         assert diskcache.stats()["files"] == 1
         assert diskcache.clear() == 1
+
+    @pytest.mark.parametrize("text", ["null", "[]", '"x"', "7"])
+    def test_non_object_document_is_a_miss(self, tmp_path, monkeypatch, text):
+        from qkcomin import cache as diskcache
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        diskcache.store_rows("probe", [["1"]])
+        (path,) = tmp_path.glob("restrict_*.json")
+        path.write_text(text)
+        assert diskcache.load_rows("probe") is None
 
     def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch):
         from qkcomin import cache as diskcache

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qkcomin.gkm import OPPOSITE, KModel, equivariant_chars
+from qkcomin.gkm import OPPOSITE, KModel, equivariant_chars, zspec_chars
 from qkcomin.laurent import LaurentElement
 from qkcomin.oracles import (
     MomentGraph,
@@ -145,18 +145,25 @@ class TestSubwordFormula:
             assert subword_restriction(shape, m.points[w], m.points[w], chars) == diag
 
     @pytest.mark.parametrize(
-        "dims,n", [((1,), 3), ((2,), 3), ((1, 2), 3), ((2,), 4), ((1, 3), 4)]
+        "dims,n",
+        [
+            ((1,), 3), ((2,), 3), ((1, 2), 3), ((2,), 4), ((1, 3), 4),
+            ((1,), 2), ((1,), 4), ((3,), 4), ((1, 2), 4), ((2, 3), 4), ((1, 2, 3), 4),
+        ],
     )
     def test_matches_sweep_recursion(self, dims, n):
+        """Every shape with n <= 4, in both scalar modes: the opposite table,
+        derived from the plain sweep by the longest element, against the
+        subword formula, which knows nothing of either."""
         shape = FlagShape(dims, n)
-        chars = equivariant_chars(n)
-        m = KModel(shape, chars)
-        for w in range(m.npoints):
-            for v in range(m.npoints):
-                assert (
-                    subword_restriction(shape, m.points[w], m.points[v], chars)
-                    == m.table(OPPOSITE)[w][v]
-                )
+        for chars in (equivariant_chars(n), zspec_chars(n)):
+            m = KModel(shape, chars)
+            for w in range(m.npoints):
+                for v in range(m.npoints):
+                    assert (
+                        subword_restriction(shape, m.points[w], m.points[v], chars)
+                        == m.table(OPPOSITE)[w][v]
+                    )
 
     def test_large_rank_rejected(self):
         shape = FlagShape((2,), 6)
