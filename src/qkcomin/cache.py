@@ -1,8 +1,11 @@
 """Disk cache for restriction tables.
 
 One file per (shape, scalar mode, orientation).  Files carry a versioned
-header and a checksum of the canonical payload; a checksum mismatch is
-treated as a miss, so corrupted files are silently recomputed.
+header and a checksum of the canonical payload; a checksum mismatch, or
+rows that are not lists of strings, is treated as a miss, so corrupted
+files are silently recomputed.  Whether the strings make a table of the
+model is checked by the caller (``gkm.KModel``), which treats a misfit as
+a miss too.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ def load_rows(key: str) -> list | None:
         return None
     rows = doc.get("rows")
     if not isinstance(rows, list) or doc.get("sha256") != _payload_hash(rows):
+        return None
+    if not all(type(row) is list and all(type(s) is str for s in row) for row in rows):
         return None
     return rows
 

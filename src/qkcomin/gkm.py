@@ -32,9 +32,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from qkcomin import cache as diskcache
-from qkcomin.laurent import LaurentElement, NotDivisibleError, subtract_product_into
+from qkcomin.laurent import (
+    ExponentRangeError,
+    LaurentElement,
+    NotDivisibleError,
+    subtract_product_into,
+)
 from qkcomin.weyl import (
     FlagShape,
+    bruhat_leq,
     coset_minreps,
     dual_index,
     left_action_on_minrep,
@@ -135,8 +141,6 @@ class KModel:
         key = (p, q)
         hit = self._bruhat.get(key)
         if hit is None:
-            from qkcomin.weyl import bruhat_leq
-
             hit = bruhat_leq(self.points[p], self.points[q])
             self._bruhat[key] = hit
         return hit
@@ -157,17 +161,43 @@ class KModel:
     def _load_or_build(self, orientation: str) -> list:
         if self.use_cache:
             raw = diskcache.load_rows(self._cache_key(orientation))
-            if raw is not None and len(raw) == self.npoints:
-                nv = self.chars.nvars
-                return [
-                    tuple(LaurentElement.parse(s, nv) for s in row) for row in raw
-                ]
+            rows = None if raw is None else self._parse_rows(raw)
+            if rows is not None:
+                return rows
         rows = self._build(orientation)
         if self.use_cache:
             diskcache.store_rows(
                 self._cache_key(orientation),
                 [[str(v) for v in row] for row in rows],
             )
+        return rows
+
+    def _parse_rows(self, raw: list) -> list | None:
+        """The table held by cached rows of strings, or None if they do not
+        make a table of this model.
+
+        Equal strings become one shared element.  That is safe because table
+        entries are never mutated: :meth:`expand_values` copies what it
+        updates in place.
+        """
+        n, nv = self.npoints, self.chars.nvars
+        if len(raw) != n:
+            return None
+        parsed: dict = {}
+        rows = []
+        for row in raw:
+            if len(row) != n:
+                return None
+            out = []
+            for s in row:
+                v = parsed.get(s)
+                if v is None:
+                    try:
+                        v = parsed[s] = LaurentElement.parse(s, nv)
+                    except (ValueError, ExponentRangeError):
+                        return None
+                out.append(v)
+            rows.append(tuple(out))
         return rows
 
     def _build(self, orientation: str) -> list:

@@ -437,56 +437,75 @@ class LaurentElement:
     def __repr__(self) -> str:
         return f"LaurentElement({self.nvars}, {self})"
 
-    _TERM = re.compile(
-        r"^(?P<coeff>\d+)?(?P<star>\*)?(?P<vars>t\d+(?:\^-?\d+)?(?:\*t\d+(?:\^-?\d+)?)*)?$"
-    )
-
     @classmethod
     def parse(cls, text: str, nvars: int) -> "LaurentElement":
-        """Parse the canonical grammar (inverse of :meth:`__str__`)."""
+        """Parse the canonical grammar (inverse of :meth:`__str__`).
+
+        Each term goes through :func:`_parse_term`, which is memoized, so a
+        term that recurs across a table is read once.
+        """
         s = text.strip()
         if s == "0":
-            return cls(nvars)
+            return _element(nvars, {}, 0)
         s = s.replace(" - ", " + -").replace(" + ", "|")
-        weights = _layout(nvars)[0]
         acc: dict = {}
         bound = 0
         for raw in s.split("|"):
-            raw = raw.strip()
-            sign = 1
-            while raw.startswith("-"):
-                sign = -sign
-                raw = raw[1:]
-            m = cls._TERM.match(raw)
-            if not m:
-                raise ValueError(f"bad term {raw!r}")
-            if bool(m.group("star")) != bool(m.group("coeff") and m.group("vars")):
-                raise ValueError(f"bad term {raw!r}")
-            coeff = int(m.group("coeff")) if m.group("coeff") else 1
-            key = 0
-            if m.group("vars"):
-                seen = []
-                for piece in m.group("vars").split("*"):
-                    if "^" in piece:
-                        var, _, power = piece.partition("^")
-                        e = int(power)
-                        if e == 1:
-                            raise ValueError(f"non-canonical exponent in {piece!r}")
-                    else:
-                        var, e = piece, 1
-                    idx = int(var[1:])
-                    if not 1 <= idx <= nvars:
-                        raise ValueError(f"variable {var} out of range")
-                    if e == 0 or idx in seen:
-                        raise ValueError(f"non-canonical term {raw!r}")
-                    seen.append(idx)
-                    key += e * weights[idx - 1]
-                    bound = max(bound, abs(e))
-            elif not m.group("coeff"):
-                raise ValueError(f"bad term {raw!r}")
-            acc[key] = acc.get(key, 0) + sign * coeff
+            key, coeff, b = _parse_term(raw, nvars)
+            acc[key] = acc.get(key, 0) + coeff
+            bound = max(bound, b)
         _check_range(nvars, bound)
         return _element(nvars, {e: c for e, c in acc.items() if c}, bound)
+
+
+_TERM = re.compile(
+    r"^(?P<coeff>\d+)?(?P<star>\*)?(?P<vars>t\d+(?:\^-?\d+)?(?:\*t\d+(?:\^-?\d+)?)*)?$"
+)
+
+
+@lru_cache(maxsize=None)
+def _parse_term(raw: str, nvars: int) -> tuple:
+    """(packed key, signed coefficient, largest |exponent|) of one term.
+
+    ``raw`` is the term as split from a sum, sign included.  The range of
+    the exponents is left to the caller, which checks the whole element.
+    A malformed term raises ``ValueError``, and failures are not memoized.
+    """
+    raw = raw.strip()
+    sign = 1
+    while raw.startswith("-"):
+        sign = -sign
+        raw = raw[1:]
+    m = _TERM.match(raw)
+    if not m:
+        raise ValueError(f"bad term {raw!r}")
+    if bool(m.group("star")) != bool(m.group("coeff") and m.group("vars")):
+        raise ValueError(f"bad term {raw!r}")
+    coeff = int(m.group("coeff")) if m.group("coeff") else 1
+    weights = _layout(nvars)[0]
+    key = 0
+    bound = 0
+    if m.group("vars"):
+        seen = []
+        for piece in m.group("vars").split("*"):
+            if "^" in piece:
+                var, _, power = piece.partition("^")
+                e = int(power)
+                if e == 1:
+                    raise ValueError(f"non-canonical exponent in {piece!r}")
+            else:
+                var, e = piece, 1
+            idx = int(var[1:])
+            if not 1 <= idx <= nvars:
+                raise ValueError(f"variable {var} out of range")
+            if e == 0 or idx in seen:
+                raise ValueError(f"non-canonical term {raw!r}")
+            seen.append(idx)
+            key += e * weights[idx - 1]
+            bound = max(bound, abs(e))
+    elif not m.group("coeff"):
+        raise ValueError(f"bad term {raw!r}")
+    return key, sign * coeff, bound
 
 
 def subtract_product_into(acc: LaurentElement, a: LaurentElement, b: LaurentElement) -> None:

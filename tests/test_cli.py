@@ -442,6 +442,33 @@ class TestCache:
         assert run_cli(capsys, *argv) == (0, fresh, "")
         assert [p.read_bytes() for p in files] == written
 
+    @pytest.mark.parametrize("damage", ["bad-entry", "short-rows"])
+    def test_misfit_rows_are_recomputed(self, capsys, tmp_path, monkeypatch, damage):
+        """A cache document with a valid checksum whose rows do not make a
+        table of the model is a miss: an entry that does not parse, or rows
+        one entry short.  The product is recomputed and the files rewritten."""
+        from qkcomin import cache as diskcache
+        from qkcomin import cli
+        from qkcomin.quantum import get_space
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+        argv = ("product", "--space", "gr:2,4", "--u", "1", "--v", "1")
+        rc, fresh, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        files = sorted(tmp_path.glob("restrict_*.json"))
+        written = [p.read_bytes() for p in files]
+        for p in files:
+            doc = json.loads(p.read_text())
+            if damage == "bad-entry":
+                doc["rows"][0][0] = "t1^1"
+            else:
+                doc["rows"] = [row[:-1] for row in doc["rows"]]
+            doc["sha256"] = diskcache._payload_hash(doc["rows"])
+            p.write_text(json.dumps(doc))
+        assert run_cli(capsys, *argv) == (0, fresh, "")
+        assert [p.read_bytes() for p in files] == written
+
 
 def child_env(cache_dir):
     """Minimal environment for a ``python -m qkcomin`` child process.

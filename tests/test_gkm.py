@@ -365,6 +365,14 @@ class TestDiskCache:
         path.write_text(text)
         assert diskcache.load_rows("probe") is None
 
+    @pytest.mark.parametrize("rows", [[[7]], [["1", None]], ["1"], [[["1"]]]])
+    def test_rows_not_of_strings_are_a_miss(self, tmp_path, monkeypatch, rows):
+        from qkcomin import cache as diskcache
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        diskcache.store_rows("probe", rows)  # a valid checksum over the wrong shape
+        assert diskcache.load_rows("probe") is None
+
     def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch):
         from qkcomin import cache as diskcache
 
@@ -376,6 +384,35 @@ class TestDiskCache:
         diskcache.store_rows("probe", [["1"]])
         assert list(tmp_path.iterdir()) == []
         assert diskcache.load_rows("probe") is None
+
+    @pytest.mark.parametrize("m,n,equivariant", [(2, 4, True), (2, 5, False)], ids=["t", "z"])
+    def test_warm_tables_share_equal_entries(self, tmp_path, monkeypatch, m, n, equivariant):
+        """A warm load parses each distinct string of a file once, so equal
+        entries are one object.  Sharing is safe: after basis changes both
+        ways and a full verify, every entry still equals a fresh build."""
+        from qkcomin.quantum import Space, verify_space
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        cold = Space(m, n, equivariant)
+        assert verify_space(cold).passed
+        for model in cold.models.values():
+            model.table(PLAIN), model.table(OPPOSITE)
+        warm = Space(m, n, equivariant)
+        with monkeypatch.context() as mp:
+            mp.setattr(KModel, "_build", None)  # every table must come from disk
+            for shape in cold.models:
+                for orientation in (PLAIN, OPPOSITE):
+                    by_text: dict = {}
+                    for row in warm.submodel(shape).table(orientation):
+                        for v in row:
+                            assert by_text.setdefault(str(v), v) is v
+        for model in warm.models.values():
+            model.basis_change(PLAIN), model.basis_change(OPPOSITE)
+        assert verify_space(warm).passed
+        for shape, model in warm.models.items():
+            fresh = KModel(shape, model.chars, use_cache=False)
+            for orientation in (PLAIN, OPPOSITE):
+                assert model.table(orientation) == fresh.table(orientation)
 
     def test_model_roundtrips_through_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
