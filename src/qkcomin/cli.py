@@ -106,10 +106,8 @@ def _pair_line(space: Space, u: tuple, v: tuple, v_basis: str) -> str:
 _WORKER_ARGS = None
 
 
-def _worker_init(m, n, equivariant, use_cache, cache_dir):
+def _worker_init(m, n, equivariant, use_cache):
     global _WORKER_ARGS
-    if cache_dir:
-        os.environ["QK_CACHE_DIR"] = cache_dir
     _WORKER_ARGS = (m, n, equivariant, use_cache)
 
 
@@ -173,13 +171,7 @@ def cmd_table(args) -> int:
             with ProcessPoolExecutor(
                 max_workers=min(jobs, len(parts)),
                 initializer=_worker_init,
-                initargs=(
-                    space.m,
-                    space.n,
-                    space.equivariant,
-                    space.use_cache,
-                    os.environ.get("QK_CACHE_DIR"),
-                ),
+                initargs=(space.m, space.n, space.equivariant, space.use_cache),
             ) as pool:
                 rows = list(pool.map(_worker_row, parts, repeat(parts), repeat(args.v_basis)))
         except BrokenProcessPool as exc:  # a worker died before returning its row

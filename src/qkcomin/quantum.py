@@ -6,12 +6,14 @@ and span dimensions a = max(m-d, 0), b = min(m+d, n), and T_d = Fl(a,m,b;n)
 sits over both X and Y_d.  Pulling back to T_d and pushing forward takes a
 Schubert class to a Schubert class, so each space keeps the diagram of one
 degree as maps of Schubert indices (:class:`Diagram`): X to Y_d for the
-opposite and the plain classes, Y_d to X for the plain classes, and the
+opposite and the plain classes, Y_d to X for the opposite classes, and the
 curve neighborhood index lambda(-d) of every opposite class, which is its
 round trip X -> Y_d -> X.  The class of the variety swept out by degree-d
 curves meeting an opposite Schubert variety and a B-stable one is the
-Richardson class on Y_d of the two moved indices, expanded there and moved
-back to X through these maps; that expansion is the only heavy step.
+Richardson class on Y_d of the two moved indices, expanded there in the
+opposite basis and moved back to X through these maps; that expansion is
+the only heavy step.  The whole series thus lives in the opposite basis,
+the basis the structure constants are read in.
 
 The generating series of these classes over all degrees is eventually the
 unit class; applying (1 - q * shift), where the shift substitutes each
@@ -66,7 +68,7 @@ class Space:
     models: dict = field(default_factory=dict, init=False, repr=False)
     # degree d -> Diagram of Y_d <- T_d -> X
     diagrams: dict = field(default_factory=dict, init=False, repr=False)
-    # (Y_d shape, u index, v index on Y_d) -> plain-basis coefficients on X
+    # (Y_d shape, u index, v index on Y_d) -> opposite-basis coefficients on X
     # of the projected class, shared across every (u, v, d) that lands there
     richardson: dict = field(default_factory=dict, init=False, repr=False)
     # (u, v) -> the product with v in the plain basis
@@ -165,16 +167,17 @@ class Diagram:
     """The diagram Y_d <- T_d -> X of one degree, on model indices.
 
     ``to_y_opposite[i]`` and ``to_y_plain[i]`` index on Y_d the opposite and
-    the plain class of X index i moved along the diagram; ``from_y_plain[j]``
-    indexes on X the plain class of Y_d index j moved the other way;
+    the plain class of X index i moved along the diagram; ``from_y[j]``
+    indexes on X the opposite class of Y_d index j moved the other way;
     ``neighborhood[i]`` indexes on X the degree-d curve neighborhood of the
-    opposite class i; ``top`` indexes on Y_d the unit class.
+    opposite class i, its round trip; ``top`` indexes on Y_d the plain
+    unit class.
     """
 
     y: KModel
     to_y_opposite: tuple
     to_y_plain: tuple
-    from_y_plain: tuple
+    from_y: tuple
     neighborhood: tuple
     top: int
 
@@ -187,12 +190,13 @@ def _build_diagram(space: Space, d: int) -> Diagram:
         return tuple(target.idx[_transport(w, orientation, src, t, dst)] for w in ws)
 
     to_y_opposite = move(xm.points, OPPOSITE, x, y, my)
+    from_y = move(my.points, OPPOSITE, y, x, xm)
     return Diagram(
         y=my,
         to_y_opposite=to_y_opposite,
         to_y_plain=move(xm.points, PLAIN, x, y, my),
-        from_y_plain=move(my.points, PLAIN, y, x, xm),
-        neighborhood=move((my.points[j] for j in to_y_opposite), OPPOSITE, y, x, xm),
+        from_y=from_y,
+        neighborhood=tuple(from_y[j] for j in to_y_opposite),
         top=max(range(my.npoints), key=my.lengths.__getitem__),
     )
 
@@ -227,12 +231,12 @@ def dist(space: Space, u: tuple, v: tuple) -> int:
 # -- projected classes and the degree series -------------------------------------
 
 
-def _gw_plain_coeffs(space: Space, d: int, ui: int, vi: int) -> dict:
-    """Plain-basis coefficients on X of the degree-d projected class.
+def _gw_coeffs(space: Space, d: int, ui: int, vi: int) -> dict:
+    """Opposite-basis coefficients on X of the degree-d projected class.
 
     The Richardson class of the opposite class of X index ui and the plain
-    class of X index vi, both moved to Y_d, is expanded on Y_d; each basis
-    class of the expansion is moved back to X.
+    class of X index vi, both moved to Y_d, is expanded on Y_d in the
+    opposite basis; each basis class of the expansion is moved back to X.
     """
     dg = space.diagram(d)
     my = dg.y
@@ -243,33 +247,33 @@ def _gw_plain_coeffs(space: Space, d: int, ui: int, vi: int) -> dict:
     out = space.richardson.get(key)
     if out is None:
         rich = my.multiply_values(my.table(OPPOSITE)[u_d], my.table(PLAIN)[v_d])
-        out = space.richardson[key] = _move(my.expand_values(rich, PLAIN), dg.from_y_plain)
+        out = space.richardson[key] = _move(my.expand_values(rich, OPPOSITE), dg.from_y)
     return out
 
 
 def projected_gw_class(space: Space, u: tuple, v: tuple, d: int) -> LocalizedClass:
     """The K-class of the union of degree-d curves meeting both varieties."""
-    coeffs = _gw_plain_coeffs(space, d, space.index_of(u), space.index_of(v))
-    return LocalizedClass(space.model, space.model.recombine(coeffs, PLAIN))
+    coeffs = _gw_coeffs(space, d, space.index_of(u), space.index_of(v))
+    return LocalizedClass(space.model, space.model.recombine(coeffs, OPPOSITE))
 
 
 def gw_series(space: Space, u: tuple, v: tuple) -> tuple:
     """Degree series of projected classes, as its heads.
 
-    The degree-d class has plain-basis coefficients heads[d] below
+    The degree-d class has opposite-basis coefficients heads[d] below
     D = len(heads), and is the unit class from D on; D is minimal.  The
     class is the unit once u moves to the unit and v to the top index on
     Y_d, which the index maps show before any expansion.
     """
     ui, vi = space.index_of(u), space.index_of(v)
-    unit = {space.diagram(0).top: space.model.one()}
+    unit = {0: space.model.one()}
     heads = []
     d = 0
     while True:
         dg = space.diagram(d)
         if dg.y.lengths[dg.to_y_opposite[ui]] == 0 and dg.to_y_plain[vi] == dg.top:
             break
-        heads.append(_gw_plain_coeffs(space, d, ui, vi))
+        heads.append(_gw_coeffs(space, d, ui, vi))
         d += 1
         if d > max(space.m, space.n - space.m) + 1:
             raise AssertionError("series did not stabilize")
@@ -284,17 +288,6 @@ def gw_series(space: Space, u: tuple, v: tuple) -> tuple:
 def shift_expansion(space: Space, exp: dict) -> dict:
     """Scalar-linear substitution O^w -> O^{w(-1)} on an opposite expansion."""
     return _move(exp, space.diagram(1).neighborhood)
-
-
-def _plain_to_opposite(space: Space, coeffs: dict) -> dict:
-    bc = space.model.basis_change(PLAIN)
-    out: dict = {}
-    for x, c in coeffs.items():
-        for y, d in bc[x].items():
-            acc = out.get(y)
-            prod = c * d
-            out[y] = prod if acc is None else acc + prod
-    return {k: c for k, c in out.items() if not c.is_zero()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,25 +323,19 @@ def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
 
     Applies (1 - q * shift) to the degree series: the degree-d coefficient
     is the class of degree d minus the shifted class of degree d - 1.  The
-    shift fixes the unit class, so every degree beyond D = len(heads)
-    cancels and the product is a polynomial in q of degree at most D.
+    shift fixes the unit class, so every degree beyond the D heads of the
+    series cancels and the product is a polynomial in q of degree at most D.
     """
     key = (u, v)
     hit = space.products.get(key)
     if hit is not None:
         return hit
-    heads = gw_series(space, u, v)
-    bigd = len(heads)
-    unit_opp = {0: space.model.one()}
-    opp = [
-        _plain_to_opposite(space, heads[d]) if d < bigd else unit_opp
-        for d in range(bigd + 1)
-    ]
+    series = gw_series(space, u, v) + ({0: space.model.one()},)
     coeffs: dict = {}
-    for d in range(bigd + 1):
-        cur = dict(opp[d])
+    for d in range(len(series)):
+        cur = dict(series[d])
         if d:
-            for w, c in shift_expansion(space, opp[d - 1]).items():
+            for w, c in shift_expansion(space, series[d - 1]).items():
                 acc = cur.get(w)
                 cur[w] = -c if acc is None else acc - c
         cur = {w: c for w, c in cur.items() if not c.is_zero()}
@@ -359,11 +346,6 @@ def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
     return result
 
 
-def _opposite_in_plain(space: Space, v: tuple) -> dict:
-    """Expansion of an opposite basis class in the plain basis on X."""
-    return space.model.basis_change(OPPOSITE)[space.index_of(v)]
-
-
 def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> QKElement:
     """The product of two opposite classes, via the exact change of basis."""
     memo = space.products_opposite
@@ -371,7 +353,7 @@ def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> QKElement:
     if hit is not None:
         return hit
     total: dict = {}
-    for xidx, gamma in _opposite_in_plain(space, v).items():
+    for xidx, gamma in space.model.basis_change(OPPOSITE)[space.index_of(v)].items():
         part = quantum_product(space, u, space.partition_of(xidx))
         for d, exp in part.coeffs.items():
             bucket = total.setdefault(d, {})
@@ -528,7 +510,7 @@ def all_pairs(space: Space) -> list:
 def verify_coefficient_sum(space: Space, v_basis: str = OPPOSITE) -> Report:
     """Every structure table sums to exactly 1."""
     report = Report(str(space), space.equivariant)
-    one = LaurentElement.one(space.chars.nvars if space.equivariant else 0)
+    one = space.public_scalar(space.model.one())
     for u, v in all_pairs(space):
         report.pairs += 1
         total = structure_table(space, u, v, v_basis).sum_check()

@@ -18,7 +18,6 @@ from qkcomin.weyl import FlagShape
 from qkcomin.quantum import (
     QKElement,
     Space,
-    _plain_to_opposite,
     all_pairs,
     basis_element,
     curve_neighborhood_index,
@@ -162,7 +161,7 @@ def test_criterion_6_localization_calibration():
             rich = my.multiply_values(my.table(OPPOSITE)[uidx], my.table(PLAIN)[vidx])
             if not my.gkm_check(rich):
                 violations.append(f"{space} {yshape} richardson fails edge condition")
-            if not xm.gkm_check(xm.recombine(coeffs, PLAIN)):
+            if not xm.gkm_check(xm.recombine(coeffs, OPPOSITE)):
                 violations.append(f"{space} {yshape} projected class fails edge condition")
             checked += 2
     assert checked > 0
@@ -177,9 +176,7 @@ def test_criterion_7_ring_axioms():
     for space in configured_spaces():
         for v in space.partitions:
             got = quantum_product(space, (), v)
-            expect = QKElement(
-                space, {0: _plain_to_opposite(space, {space.index_of(v): space.model.one()})}
-            )
+            expect = QKElement(space, {0: space.model.basis_change(PLAIN)[space.index_of(v)]})
             if got != expect:
                 violations.append(f"{space} unit law fails at v={v}")
     # commutativity of tables under the (u,v) swap

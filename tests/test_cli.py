@@ -355,6 +355,9 @@ GOLDEN_TABLES = {
         "e6d3c222c328ca283219ac72586bd863c1863a2224a54f4af291cf530549677f",
     ("gr:2,5", False, "opposite"):
         "6bf0c22ea60c060a525d4732408d6028cbf984e1c2e780b1c88a217b248cb3d9",
+    # the bytes of the benchmark's table-eq workload
+    ("gr:2,5", True, "opposite"):
+        "96e4bf14d0f03198f622f5b6cae17355c016409cef52a2719a77abeecabd1ecb",
     # m > n - m: kernel and span clamp on the other side of the box
     ("gr:3,5", False, "plain"):
         "33c3c51b33b40f00b3e7da7f15b084d1be90cfac4300738dffb9e0cf24536064",

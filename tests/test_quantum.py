@@ -6,6 +6,7 @@ import pytest
 from qkcomin.gkm import (
     OPPOSITE,
     PLAIN,
+    KModel,
     LocalizedClass,
     pullback,
     pushforward,
@@ -18,7 +19,6 @@ from qkcomin.quantum import (
     QKElement,
     Space,
     StructureTable,
-    _plain_to_opposite,
     all_pairs,
     basis_element,
     curve_neighborhood_index,
@@ -267,9 +267,7 @@ class TestShift:
 class TestQuantumProduct:
     def test_unit_law(self, gr24):
         for v in gr24.partitions:
-            expect = QKElement(
-                gr24, {0: _plain_to_opposite(gr24, {gr24.index_of(v): gr24.model.one()})}
-            )
+            expect = QKElement(gr24, {0: gr24.model.basis_change(PLAIN)[gr24.index_of(v)]})
             assert quantum_product(gr24, (), v) == expect
 
     def test_p1_point_times_point(self, p1):
@@ -458,6 +456,23 @@ class TestVerifiers:
         # the kernel-span dimensions clamp on the other side when m > n-m
         rep = verify_space(get_space(m, n, equivariant=False), oracle=True)
         assert rep.passed
+
+    @pytest.mark.parametrize("m,n,equivariant", [(2, 5, False), (2, 4, True)])
+    def test_no_plain_to_opposite_change_of_basis_on_x(self, monkeypatch, m, n, equivariant):
+        # the degree series is expanded in the opposite basis, so no product
+        # converts plain coefficients on X to the opposite basis
+        calls = []
+        basis_change = KModel.basis_change
+
+        def recording(model, source):
+            calls.append((model.shape, source))
+            return basis_change(model, source)
+
+        monkeypatch.setattr(KModel, "basis_change", recording)
+        space = Space(m, n, equivariant=equivariant)
+        assert verify_space(space).passed
+        assert (space.shape, OPPOSITE) in calls
+        assert (space.shape, PLAIN) not in calls
 
     def test_violations_are_reported_not_raised(self, gr24):
         # a fabricated bad table shows up as a violation line
