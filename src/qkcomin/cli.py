@@ -3,9 +3,9 @@
 Commands: product, dist, neighborhood, table, verify, cache.  All JSON
 output is canonical (fixed key order, compact separators) so identical
 invocations produce byte-identical output.  Exit codes: 0 success, 1
-verification violations, 2 usage or parse errors, 3 I/O errors, 4 internal
-errors (a broken invariant of the calculator, not bad input, or a ``table``
-worker process that died).
+verification violations, 2 usage or parse errors, 3 I/O errors, 4 any
+other error (a broken invariant of the calculator, not bad input, or a
+``table`` worker process that died).
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import sys
 from itertools import repeat
 
 from qkcomin import cache as diskcache
-from qkcomin.gkm import OPPOSITE, PLAIN, NotInSpanError, ShapeMismatchError
-from qkcomin.laurent import ExponentRangeError, NotDivisibleError
+from qkcomin.gkm import OPPOSITE, PLAIN
 from qkcomin.quantum import (
     CHECKS,
     Space,
@@ -41,15 +40,6 @@ class UsageError(ValueError):
     pass
 
 
-# Raised only when a convention or invariant of the calculator is broken, or
-# an exponent outgrows the packed monomial keys; NotInSpanError and
-# ShapeMismatchError are ValueErrors, so these are caught before the
-# usage-error branch.
-INTERNAL_ERRORS = (
-    NotInSpanError, ShapeMismatchError, NotDivisibleError, ExponentRangeError, AssertionError,
-)
-
-
 def _parse_space(text: str, equivariant: bool, use_cache: bool) -> Space:
     m = _SPACE_RE.match(text.strip())
     if not m:
@@ -58,9 +48,13 @@ def _parse_space(text: str, equivariant: bool, use_cache: bool) -> Space:
     if not 0 < mm < nn:
         raise UsageError(f"bad space {text!r}; need 0 < m < n")
     if equivariant:
-        ceiling = int(os.environ.get("QK_CEILING_EQUIVARIANT", DEFAULT_CEILING_EQUIVARIANT))
+        var, default = "QK_CEILING_EQUIVARIANT", DEFAULT_CEILING_EQUIVARIANT
     else:
-        ceiling = int(os.environ.get("QK_CEILING_NONEQUIVARIANT", DEFAULT_CEILING_NONEQUIVARIANT))
+        var, default = "QK_CEILING_NONEQUIVARIANT", DEFAULT_CEILING_NONEQUIVARIANT
+    try:
+        ceiling = int(os.environ.get(var, default))
+    except ValueError as exc:
+        raise UsageError(exc) from exc
     if nn > ceiling:
         raise UsageError(
             f"space {text} exceeds the configured ceiling n <= {ceiling} "
@@ -70,7 +64,10 @@ def _parse_space(text: str, equivariant: bool, use_cache: bool) -> Space:
 
 
 def _parse_box_partition(space: Space, text: str, name: str) -> tuple:
-    lam = parse_partition(text)
+    try:
+        lam = parse_partition(text)
+    except ValueError as exc:
+        raise UsageError(exc) from exc
     if len(lam) > space.m or (lam and lam[0] > space.n - space.m):
         raise UsageError(
             f"--{name} {text!r} does not fit in the {space.m}x{space.n - space.m} box"
@@ -85,12 +82,8 @@ def _emit(doc, out_path):
 
 def _write_text(text: str, out_path):
     if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            raise SystemExit(3)
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -165,17 +158,13 @@ def cmd_table(args) -> int:
             y.table(PLAIN)
             y.table(OPPOSITE)
         from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
 
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(parts)),
-                initializer=_worker_init,
-                initargs=(space.m, space.n, space.equivariant, space.use_cache),
-            ) as pool:
-                rows = list(pool.map(_worker_row, parts, repeat(parts), repeat(args.v_basis)))
-        except BrokenProcessPool as exc:  # a worker died before returning its row
-            return _internal_error(exc)
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(parts)),
+            initializer=_worker_init,
+            initargs=(space.m, space.n, space.equivariant, space.use_cache),
+        ) as pool:
+            rows = list(pool.map(_worker_row, parts, repeat(parts), repeat(args.v_basis)))
         lines = [line for row in rows for line in row]
     else:
         lines = [_pair_line(space, u, v, args.v_basis) for u in parts for v in parts]
@@ -263,13 +252,16 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.func(args)
-    except INTERNAL_ERRORS as exc:
-        return _internal_error(exc)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except SystemExit as exc:  # argparse: usage errors and --help
         return exc.code if isinstance(exc.code, int) else 2
+    except Exception as exc:  # a broken invariant, never bad input
+        return _internal_error(exc)
 
 
 if __name__ == "__main__":

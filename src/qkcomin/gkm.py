@@ -45,8 +45,6 @@ from qkcomin.weyl import (
     dual_index,
     left_action_on_minrep,
     length,
-    min_coset_rep,
-    image_index,
 )
 
 PLAIN = "plain"
@@ -55,10 +53,6 @@ OPPOSITE = "opposite"
 
 class NotInSpanError(ValueError):
     """The class is not in the span of Schubert classes over the scalars."""
-
-
-class ShapeMismatchError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -121,7 +115,6 @@ class KModel:
         self._tables: dict = {}
         self._bruhat: dict = {}
         self._basis_change: dict = {}
-        self._edges = None
 
     def _left_entry(self, p: int, i: int):
         m, case = left_action_on_minrep(self.points[p], i, self.blocks)
@@ -268,28 +261,12 @@ class KModel:
 
     # -- class construction and ring operations --------------------------------
 
-    def schubert_values(self, widx: int, orientation: str) -> tuple:
-        return self.table(orientation)[widx]
-
-    def unit_values(self) -> tuple:
-        one = self.one()
-        return tuple(one for _ in range(self.npoints))
-
     def zero_values(self) -> tuple:
         z = self.zero()
         return tuple(z for _ in range(self.npoints))
 
     def multiply_values(self, a: tuple, b: tuple) -> tuple:
         return tuple(x * y for x, y in zip(a, b))
-
-    def add_values(self, a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
-
-    def is_zero_values(self, a) -> bool:
-        return all(x.is_zero() for x in a)
-
-    def is_unit_values(self, a) -> bool:
-        return all(x.is_one() for x in a)
 
     # -- diagonal restrictions in factored form ---------------------------------
 
@@ -358,14 +335,6 @@ class KModel:
                     out[p] = out[p] + c * row[p]
         return tuple(out)
 
-    def euler_char_values(self, values) -> LaurentElement:
-        """Pushforward to the point: sum of basis coefficients."""
-        coeffs = self.expand_values(values, OPPOSITE)
-        total = self.zero()
-        for c in coeffs.values():
-            total = total + c
-        return total
-
     # -- basis change -------------------------------------------------------------
 
     def basis_change(self, source: str) -> list:
@@ -377,90 +346,3 @@ class KModel:
             hit = [self.expand_values(row, target) for row in table]
             self._basis_change[source] = hit
         return hit
-
-    # -- moment graph ---------------------------------------------------------------
-
-    def gkm_edges(self) -> list:
-        """Pairs of fixed points on a common one-dimensional orbit, with root."""
-        if self._edges is None:
-            edges = []
-            n = self.shape.n
-            for a in range(1, n + 1):
-                for b in range(a + 1, n + 1):
-                    for p, w in enumerate(self.points):
-                        moved = tuple(
-                            b if x == a else a if x == b else x for x in w
-                        )
-                        q = self.idx[min_coset_rep(moved, self.blocks)]
-                        if q > p:
-                            edges.append((p, q, self.chars.root_exp(a, b)))
-            self._edges = edges
-        return self._edges
-
-    def gkm_check(self, values) -> bool:
-        return all(
-            (values[p] - values[q]).divisible_by_one_minus(mexp)
-            for p, q, mexp in self.gkm_edges()
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class LocalizedClass:
-    """A K-theory class given by its fixed-point restrictions."""
-
-    model: KModel
-    values: tuple
-
-    def __mul__(self, other: "LocalizedClass") -> "LocalizedClass":
-        if other.model is not self.model:
-            raise ShapeMismatchError("classes live on different models")
-        return LocalizedClass(self.model, self.model.multiply_values(self.values, other.values))
-
-    def __add__(self, other: "LocalizedClass") -> "LocalizedClass":
-        if other.model is not self.model:
-            raise ShapeMismatchError("classes live on different models")
-        return LocalizedClass(self.model, self.model.add_values(self.values, other.values))
-
-    def is_zero(self) -> bool:
-        return self.model.is_zero_values(self.values)
-
-    def is_unit(self) -> bool:
-        return self.model.is_unit_values(self.values)
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalizedClass):
-            return NotImplemented
-        return self.model is other.model and self.values == other.values
-
-
-def schubert_class(model: KModel, widx: int, orientation: str) -> LocalizedClass:
-    return LocalizedClass(model, model.schubert_values(widx, orientation))
-
-
-def unit_class(model: KModel) -> LocalizedClass:
-    return LocalizedClass(model, model.unit_values())
-
-
-def pullback(cls: LocalizedClass, src: KModel) -> LocalizedClass:
-    """Precompose with the induced map on fixed points (coset projection)."""
-    dst = cls.model
-    if not src.shape.projects_to(dst.shape):
-        raise ShapeMismatchError(f"{src.shape} does not project to {dst.shape}")
-    values = tuple(
-        cls.values[dst.idx[min_coset_rep(v, dst.blocks)]] for v in src.points
-    )
-    return LocalizedClass(src, values)
-
-
-def pushforward(cls: LocalizedClass, dst: KModel, orientation: str = PLAIN) -> LocalizedClass:
-    """Transport basis-wise: expand, map each index to its image, recombine."""
-    src = cls.model
-    if not src.shape.projects_to(dst.shape):
-        raise ShapeMismatchError(f"{src.shape} does not project to {dst.shape}")
-    coeffs = src.expand_values(cls.values, orientation)
-    out: dict = {}
-    for widx, c in coeffs.items():
-        img = image_index(src.points[widx], src.shape, dst.shape)
-        tid = dst.idx[img]
-        out[tid] = out.get(tid, dst.zero()) + c
-    return LocalizedClass(dst, dst.recombine(out, orientation))

@@ -33,8 +33,6 @@ them in range.
 >>> b = LaurentElement.parse("1 + t1*t2^-1", 2)
 >>> str(a * b)
 '1 - t1^2*t2^-2'
->>> str(exact_div_binomial(a * b, a))
-'1 + t1*t2^-1'
 """
 
 from __future__ import annotations
@@ -396,13 +394,6 @@ class LaurentElement:
             raise NotDivisibleError("not divisible")
         return _element(1, {lo + i: f[i] for i in head if f[i]}, self._bound)
 
-    def divisible_by_one_minus(self, mexp: tuple) -> bool:
-        try:
-            self.divide_exact_one_minus(mexp)
-            return True
-        except NotDivisibleError:
-            return False
-
     # -- grammar -------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -540,16 +531,3 @@ def subtract_product_into(acc: LaurentElement, a: LaurentElement, b: LaurentElem
                 del out[e]
     if bound > acc._bound:
         acc._bound = bound
-
-
-def exact_div_binomial(f: LaurentElement, g: LaurentElement) -> LaurentElement:
-    """Exact quotient f/g where g has the form 1 - (nontrivial monomial)."""
-    if g.nvars != f.nvars:
-        raise ValueError("variable counts differ")
-    terms = dict(g.terms)
-    if terms.pop(0, None) != 1 or len(terms) != 1:
-        raise ValueError("divisor must be 1 minus a monomial")
-    ((mkey, mc),) = terms.items()
-    if mc != -1:
-        raise ValueError("divisor must be 1 minus a monomial")
-    return f.divide_exact_one_minus(_unpack(mkey, g.nvars))

@@ -33,7 +33,6 @@ from qkcomin.gkm import (
     PLAIN,
     CharacterMap,
     KModel,
-    LocalizedClass,
     equivariant_chars,
     zspec_chars,
 )
@@ -251,12 +250,6 @@ def _gw_coeffs(space: Space, d: int, ui: int, vi: int) -> dict:
     return out
 
 
-def projected_gw_class(space: Space, u: tuple, v: tuple, d: int) -> LocalizedClass:
-    """The K-class of the union of degree-d curves meeting both varieties."""
-    coeffs = _gw_coeffs(space, d, space.index_of(u), space.index_of(v))
-    return LocalizedClass(space.model, space.model.recombine(coeffs, OPPOSITE))
-
-
 def gw_series(space: Space, u: tuple, v: tuple) -> tuple:
     """Degree series of projected classes, as its heads.
 
@@ -384,10 +377,6 @@ def star_elements(space: Space, a: QKElement, b: QKElement) -> QKElement:
                             prod = scale * c
                             bucket[w] = prod if acc is None else acc + prod
     return QKElement(space, total).normalized()
-
-
-def basis_element(space: Space, lam: tuple, degree: int = 0) -> QKElement:
-    return QKElement(space, {degree: {space.index_of(lam): space.model.one()}})
 
 
 # -- Euler characteristic maps -----------------------------------------------------

@@ -1,0 +1,75 @@
+"""Literal references that tests compare the engine against.
+
+The engine moves Schubert classes through index maps; these helpers work on
+fixed-point values instead.  Unlike :mod:`qkcomin.oracles` they may call
+:meth:`KModel.expand_values`.
+"""
+
+from functools import lru_cache
+
+from qkcomin.gkm import OPPOSITE, PLAIN, KModel
+from qkcomin.laurent import NotDivisibleError
+from qkcomin.quantum import QKElement, Space, _gw_coeffs
+from qkcomin.weyl import image_index, min_coset_rep
+
+
+def is_unit(values) -> bool:
+    return all(x.is_one() for x in values)
+
+
+def euler_char(model: KModel, values):
+    """Pushforward to the point: sum of the opposite-basis coefficients."""
+    total = model.zero()
+    for c in model.expand_values(values, OPPOSITE).values():
+        total = total + c
+    return total
+
+
+@lru_cache(maxsize=None)
+def gkm_edges(model: KModel) -> tuple:
+    """Pairs of fixed points on a common one-dimensional orbit, with root."""
+    n = model.shape.n
+    edges = []
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            for p, w in enumerate(model.points):
+                moved = tuple(b if x == a else a if x == b else x for x in w)
+                q = model.idx[min_coset_rep(moved, model.blocks)]
+                if q > p:
+                    edges.append((p, q, model.chars.root_exp(a, b)))
+    return tuple(edges)
+
+
+def gkm_check(model: KModel, values) -> bool:
+    """The edge condition: 1 - t^root divides the difference along each edge."""
+    try:
+        for p, q, mexp in gkm_edges(model):
+            (values[p] - values[q]).divide_exact_one_minus(mexp)
+    except NotDivisibleError:
+        return False
+    return True
+
+
+def pullback(values: tuple, dst: KModel, src: KModel) -> tuple:
+    """Precompose a class on ``dst`` with the coset projection from ``src``."""
+    assert src.shape.projects_to(dst.shape)
+    return tuple(values[dst.idx[min_coset_rep(v, dst.blocks)]] for v in src.points)
+
+
+def pushforward(values: tuple, src: KModel, dst: KModel, orientation: str = PLAIN) -> tuple:
+    """Transport basis-wise: expand, map each index to its image, recombine."""
+    out: dict = {}
+    for widx, c in src.expand_values(values, orientation).items():
+        tid = dst.idx[image_index(src.points[widx], src.shape, dst.shape)]
+        out[tid] = out.get(tid, dst.zero()) + c
+    return dst.recombine(out, orientation)
+
+
+def projected_class(space: Space, u: tuple, v: tuple, d: int) -> tuple:
+    """Values on X of the class of degree-d curves meeting both varieties."""
+    coeffs = _gw_coeffs(space, d, space.index_of(u), space.index_of(v))
+    return space.model.recombine(coeffs, OPPOSITE)
+
+
+def basis_element(space: Space, lam: tuple, degree: int = 0) -> QKElement:
+    return QKElement(space, {degree: {space.index_of(lam): space.model.one()}})

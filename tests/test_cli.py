@@ -11,7 +11,7 @@ import pytest
 
 import qkcomin
 from qkcomin.cli import main
-from qkcomin.gkm import KModel, NotInSpanError, ShapeMismatchError
+from qkcomin.gkm import KModel, NotInSpanError
 from qkcomin.laurent import NotDivisibleError
 from qkcomin.quantum import CHECKS
 
@@ -180,10 +180,12 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "exc_type",
-        [NotInSpanError, ShapeMismatchError, NotDivisibleError, AssertionError],
+        [NotInSpanError, NotDivisibleError, AssertionError, ValueError, KeyError, TypeError],
         ids=lambda t: t.__name__,
     )
     def test_internal_error_exits_4(self, capsys, monkeypatch, exc_type):
+        """Any error of the engine is internal, whatever its type: not a
+        usage error (2), not a verify failure (1), not a traceback."""
         from qkcomin import cli
         from qkcomin.quantum import get_space
 
@@ -196,7 +198,9 @@ class TestVerify:
         rc, out, err = run_cli(capsys, "verify", "--space", "gr:1,2")
         assert rc == 4
         assert out == ""
-        assert err == f"internal error: {exc_type.__name__}: forced failure\n"
+        # str() of a KeyError is the repr of its key, which escapes the newline
+        detail = repr("forced\nfailure") if exc_type is KeyError else "forced failure"
+        assert err == f"internal error: {exc_type.__name__}: {detail}\n"
 
     def test_exponent_range_guard_exits_4(self, capsys, monkeypatch):
         from qkcomin import cli, gkm
@@ -226,6 +230,12 @@ class TestVerify:
     def test_equivariant_ceiling(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "--space", "gr:2,6", "--equivariant")
         assert rc == 2 and "ceiling" in err
+
+    def test_malformed_ceiling_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("QK_CEILING_NONEQUIVARIANT", "abc")
+        rc, out, err = run_cli(capsys, "verify", "--space", "gr:1,2")
+        assert rc == 2 and out == ""
+        assert err == "error: invalid literal for int() with base 10: 'abc'\n"
 
 
 class TestTable:
@@ -425,6 +435,17 @@ class TestCache:
         assert rc == 0 and json.loads(out)["files"] == 0
         rc, out, _ = run_cli(capsys, "cache", "clear")
         assert rc == 0 and json.loads(out) == {"removed": 0}
+
+    def test_stats_io_error_exits_3(self, capsys, monkeypatch):
+        from qkcomin import cache as diskcache
+
+        def unreadable():
+            raise PermissionError("cache directory unreadable")
+
+        monkeypatch.setattr(diskcache, "stats", unreadable)
+        rc, out, err = run_cli(capsys, "cache", "stats")
+        assert rc == 3 and out == ""
+        assert err == "error: cache directory unreadable\n"
 
     def test_non_object_files_are_recomputed(self, capsys, tmp_path, monkeypatch):
         """A cache file of valid JSON that is not a cache document is a miss:

@@ -12,10 +12,10 @@ from qkcomin.quantum import (
     dist,
     get_space,
     gw_series,
-    projected_gw_class,
     quantum_product,
     shift_expansion,
 )
+from reference import euler_char, gkm_check, is_unit, projected_class
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +46,10 @@ class TestMultiplyAlgebra:
         for a in range(m.npoints):
             for b in range(0, m.npoints, 2):
                 prod = m.multiply_values(m.table(OPPOSITE)[a], m.table(PLAIN)[b])
-                assert m.gkm_check(prod)
+                assert gkm_check(m, prod)
 
     def test_euler_char_of_zero(self, gr24eq):
-        assert gr24eq.euler_char_values(gr24eq.zero_values()) == LaurentElement.zero(4)
+        assert euler_char(gr24eq, gr24eq.zero_values()) == LaurentElement.zero(4)
 
 
 class TestProductDegreeWindow:
@@ -69,7 +69,7 @@ class TestProductDegreeWindow:
         heads = gw_series(space, (2, 2), (1,))
         assert heads
         for d in range(len(heads), len(heads) + 2):
-            assert projected_gw_class(space, (2, 2), (1,), d).is_unit()
+            assert is_unit(projected_class(space, (2, 2), (1,), d))
 
     @pytest.mark.parametrize("m,n", [(1, 4), (2, 4), (2, 5), (3, 6)])
     def test_stabilization_at_most_twice_diameter(self, m, n):

@@ -6,7 +6,6 @@ from qkcomin.laurent import (
     ExponentRangeError,
     LaurentElement,
     NotDivisibleError,
-    exact_div_binomial,
     subtract_product_into,
 )
 
@@ -44,35 +43,25 @@ class TestRingOps:
 class TestDivision:
     def test_self_quotient(self):
         g = L("1 - t1*t2^-1")
-        assert exact_div_binomial(g, g) == LaurentElement.one(2)
+        assert g.divide_exact_one_minus((1, -1)) == LaurentElement.one(2)
 
     def test_factorization(self):
         f = L("1 - t1^2*t2^-2")
-        g = L("1 - t1*t2^-1")
-        assert exact_div_binomial(f, g) == L("1 + t1*t2^-1")
+        assert f.divide_exact_one_minus((1, -1)) == L("1 + t1*t2^-1")
 
     def test_not_divisible(self):
         f = L("1 + t1", 1)
-        g = L("1 - t1", 1)
         with pytest.raises(NotDivisibleError):
-            exact_div_binomial(f, g)
+            f.divide_exact_one_minus((1,))
 
     def test_geometric_ladder(self):
         f = L("1 - t1^3", 1)
-        g = L("1 - t1", 1)
-        assert exact_div_binomial(f, g) == L("1 + t1 + t1^2", 1)
+        assert f.divide_exact_one_minus((1,)) == L("1 + t1 + t1^2", 1)
 
     def test_disjoint_ladders(self):
         f = (L("1 - t1^3", 1)) + L("t1^10", 1) - L("t1^12", 1)
-        g = L("1 - t1", 1)
-        h = exact_div_binomial(f, g)
-        assert h * g == f
-
-    def test_bad_divisor(self):
-        with pytest.raises(ValueError):
-            exact_div_binomial(L("1"), L("2 - t1"))
-        with pytest.raises(ValueError):
-            exact_div_binomial(L("1"), L("1 - 2*t1"))
+        h = f.divide_exact_one_minus((1,))
+        assert h * L("1 - t1", 1) == f
 
 
 class TestSpecialize:
@@ -153,7 +142,7 @@ class TestProperties:
     @given(elements, monomials)
     def test_division_roundtrip(self, h, mexp):
         g = LaurentElement.one(2) - LaurentElement.monomial(2, mexp)
-        assert exact_div_binomial(h * g, g) == h
+        assert (h * g).divide_exact_one_minus(mexp) == h
 
     @settings(max_examples=60, deadline=None)
     @given(elements, elements)
