@@ -24,6 +24,28 @@ runs with the full torus, since the sweep operator permutes characters;
 one-parameter plain tables are produced by specializing each finished
 row.  There w0 acts as z -> z^-1, which is exact because every
 restriction lies in the degree-zero sublattice (see :func:`zspec_chars`).
+
+Classes are expanded in a Schubert basis by triangular elimination
+(:meth:`KModel.expand_values`).  With the full torus the residuals are
+Laurent polynomials.  With one parameter they are dense polynomials with
+small coefficients, held Kronecker-packed: z^lo * F(z), F a polynomial, is
+the pair (lo, F(B)) with B = 2**W, W = PACK_BITS at first.  An update
+acc -= c * row[p] is one shift, one integer product and one subtraction,
+and dividing by the diagonal entry z^d * D(z) is one integer divmod by D(B).
+
+* F -> F(B) is a ring map Z[z] -> Z and Python integers never wrap.  For
+  a class in the span, every packed value is thus, at any W, the value at
+  B of the polynomial the exact elimination holds, so a nonzero remainder
+  or a nonzero final residual proves the class is not in the span.
+* A polynomial with coefficients in (-B/2, B/2) is fixed by its value at
+  B: balanced base-B digits are unique.  Each residual carries a bound on
+  its L1 norm, the exact norm of the input plus ||c||_1 * ||row[p]||_1 per
+  update, which bounds its coefficients and its value's digits.  When all
+  bounds stay below B/2, a zero value is the zero polynomial, and a
+  quotient H read in balanced digits with max|H| * ||D||_1 < B/2 is exact,
+  since H * D and F then both have coefficients below B/2 and agree at B.
+* Otherwise the elimination reruns at width 2W.  A table is packed on its
+  first expansion, once per (model, orientation) and width.
 """
 
 from __future__ import annotations
@@ -36,6 +58,8 @@ from qkcomin.laurent import (
     ExponentRangeError,
     LaurentElement,
     NotDivisibleError,
+    kronecker_pack,
+    kronecker_unpack,
     subtract_product_into,
 )
 from qkcomin.weyl import (
@@ -49,6 +73,9 @@ from qkcomin.weyl import (
 
 PLAIN = "plain"
 OPPOSITE = "opposite"
+
+# digit width of the first packing of a one-variable table; widened on demand
+PACK_BITS = 64
 
 
 class NotInSpanError(ValueError):
@@ -115,6 +142,7 @@ class KModel:
         self._tables: dict = {}
         self._bruhat: dict = {}
         self._basis_change: dict = {}
+        self._packed: dict = {}
 
     def _left_entry(self, p: int, i: int):
         m, case = left_action_on_minrep(self.points[p], i, self.blocks)
@@ -297,15 +325,28 @@ class KModel:
     def expand_values(self, values, orientation: str) -> dict:
         """Coefficients of a localized class in a Schubert basis.
 
-        Triangular elimination along a linear extension of the Bruhat order,
-        dividing by (factored) diagonal restrictions; every division is exact
-        for classes in the span.
+        Triangular elimination along a linear extension of the Bruhat order:
+        at each index the residual is divided by the diagonal restriction
+        and the coefficient times the basis class is subtracted; every
+        division is exact for classes in the span.  Full-torus residuals are
+        Laurent polynomials, divided factor by factor.  One-variable
+        residuals are Kronecker-packed integers (see the module docstring
+        and :meth:`_eliminate_packed`); the elimination restarts at twice
+        the digit width whenever a bound reaches half the digit base.
         """
-        residual = [v.copy() for v in values]  # updated in place
-        reverse = orientation == PLAIN
         order = sorted(
-            range(self.npoints), key=lambda p: self.lengths[p], reverse=reverse
+            range(self.npoints), key=lambda p: self.lengths[p], reverse=orientation == PLAIN
         )
+        if self.chars.nvars == 1:
+            bits = self._packed.get(orientation, (PACK_BITS,))[0]
+            while True:
+                coeffs = self._eliminate_packed(
+                    values, order, *self._packed_table(orientation, bits)
+                )
+                if coeffs is not None:
+                    return coeffs
+                bits *= 2
+        residual = [v.copy() for v in values]  # updated in place
         table = self.table(orientation)
         coeffs: dict = {}
         for widx in order:
@@ -323,6 +364,65 @@ class KModel:
                 subtract_product_into(acc, c, rv)
         if any(not v.is_zero() for v in residual):
             raise NotInSpanError("not in the scalar span of Schubert classes")
+        return coeffs
+
+    def _packed_table(self, orientation: str, bits: int) -> tuple:
+        """(bits, diagonal, rows) of the table packed at ``bits``-bit digits.
+
+        ``diagonal[w]`` is the packed (lo, P, l1) of the entry (w, w), and
+        ``rows[w]`` lists (p, lo, P, l1) for the other nonzero entries of
+        row w.  Converted on the first expansion at this width and kept.
+        """
+        hit = self._packed.get(orientation)
+        if hit is None or hit[0] != bits:
+            table = self.table(orientation)
+            diagonal = [kronecker_pack(row[w], bits) for w, row in enumerate(table)]
+            rows = [
+                [(p, *kronecker_pack(v, bits)) for p, v in enumerate(row) if v and p != w]
+                for w, row in enumerate(table)
+            ]
+            hit = self._packed[orientation] = (bits, diagonal, rows)
+        return hit
+
+    @staticmethod
+    def _eliminate_packed(values, order, bits, diagonal, rows) -> dict | None:
+        """The elimination of :meth:`expand_values` on packed residuals.
+
+        Residual p is z^lo[p] * F_p(z), held as lo[p] and acc[p] = F_p(B)
+        with B = 2**bits, and bound[p] >= ||F_p||_1.  A nonzero remainder
+        or final residual raises at any width.  The coefficients read are
+        exact when every bound stayed below B/2 (module docstring);
+        otherwise this returns None, to be rerun wider.
+        """
+        half = 1 << (bits - 1)
+        lo, acc, bound = (list(col) for col in zip(*(kronecker_pack(v, bits) for v in values)))
+        coeffs: dict = {}
+        peak = 0  # largest |coefficient| bound of a quotient times its divisor
+        for widx in order:
+            packed = acc[widx]
+            if not packed:
+                continue
+            dlo, dpacked, dl1 = diagonal[widx]
+            q, r = divmod(packed, dpacked)
+            if r:
+                raise NotInSpanError("not in the scalar span of Schubert classes")
+            clo = lo[widx] - dlo
+            c, cmax, cl1 = kronecker_unpack(clo, q, bits)
+            peak = max(peak, cmax * dl1)
+            coeffs[widx] = c
+            acc[widx] = 0  # F - c * diagonal
+            for p, rlo, rpacked, rl1 in rows[widx]:
+                shift = clo + rlo - lo[p]
+                if shift >= 0:
+                    acc[p] -= (q * rpacked) << (bits * shift)
+                else:
+                    acc[p] = (acc[p] << (-bits * shift)) - q * rpacked
+                    lo[p] = clo + rlo
+                bound[p] += cl1 * rl1
+        if any(acc):
+            raise NotInSpanError("not in the scalar span of Schubert classes")
+        if max(peak, *bound) >= half:
+            return None
         return coeffs
 
     def recombine(self, coeffs: dict, orientation: str) -> tuple:

@@ -144,18 +144,10 @@ class LaurentElement:
         key = _pack(exp, nvars)
         return _element(nvars, {key: coeff} if coeff else {}, max(map(abs, exp), default=0))
 
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "LaurentElement":
-        """The variable t_i, 1-based."""
-        return cls.monomial(nvars, tuple(1 if k == i - 1 else 0 for k in range(nvars)))
-
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {0: 1}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -295,20 +287,6 @@ class LaurentElement:
             u = e + offset
             out[e + (((u >> lo) & _MASK) - ((u >> hi) & _MASK)) * step] = c
         return _element(n, out, self._bound)
-
-    def permute_letters(self, sigma: tuple) -> "LaurentElement":
-        """Apply t_i -> t_{sigma(i)} for a permutation in one-line notation."""
-        n = self.nvars
-        if sorted(sigma) != list(range(1, n + 1)):
-            raise ValueError(f"{sigma} is not a permutation of 1..{n}")
-        weights = _layout(n)[0]
-        targets = [weights[s - 1] for s in sigma]
-        out = {sum(map(mul, _unpack(e, n), targets)): c for e, c in self.terms.items()}
-        return _element(n, out, self._bound)
-
-    def exponent_sums(self) -> set:
-        """Set of total degrees of the monomials (for lattice-invariance asserts)."""
-        return {sum(_unpack(e, self.nvars)) for e in self.terms}
 
     # -- division by 1 - monomial -------------------------------------------
 
@@ -531,3 +509,46 @@ def subtract_product_into(acc: LaurentElement, a: LaurentElement, b: LaurentElem
                 del out[e]
     if bound > acc._bound:
         acc._bound = bound
+
+
+def kronecker_pack(f: LaurentElement, bits: int) -> tuple:
+    """(lo, P, l1) of a one-variable element f = z^lo * F(z).
+
+    F is a polynomial with F(0) != 0, P = F(2**bits) is its Kronecker
+    substitution and l1 the sum of |coefficients|.  The zero element is
+    (0, 0, 0).  Evaluating at 2**bits is a ring map, so sums and products
+    of packed values are exact at any width; :func:`kronecker_unpack`
+    reads the coefficients back when they are known to lie below
+    2**(bits - 1) in size.
+    """
+    terms = f.terms
+    if not terms:
+        return 0, 0, 0
+    lo = min(terms)
+    packed = sum(c << (bits * (e - lo)) for e, c in terms.items())
+    return lo, packed, sum(map(abs, terms.values()))
+
+
+def kronecker_unpack(lo: int, packed: int, bits: int) -> tuple:
+    """(z^lo * F(z), largest |coefficient|, l1) for the F with F(2**bits) = packed.
+
+    F is read in balanced digits, each in [-2**(bits - 1), 2**(bits - 1)).
+    Every integer has exactly one such expansion, so this is the F of the
+    packing whenever that F had all its coefficients below 2**(bits - 1)
+    in size; the caller proves that bound.
+    """
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    terms: dict = {}
+    e = lo
+    while packed:
+        d = packed & mask
+        if d >= half:
+            d -= mask + 1
+        if d:
+            terms[e] = d
+        packed = (packed - d) >> bits
+        e += 1
+    sizes = list(map(abs, terms.values()))
+    bound = max(map(abs, terms), default=0)
+    return _element(1, terms, bound), max(sizes, default=0), sum(sizes)

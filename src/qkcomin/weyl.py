@@ -24,30 +24,10 @@ from functools import cached_property, lru_cache
 # -- plain permutation calculus ----------------------------------------------
 
 
-def identity(n: int) -> tuple:
-    return tuple(range(1, n + 1))
-
-
-def inverse(w: tuple) -> tuple:
-    out = [0] * len(w)
-    for i, x in enumerate(w):
-        out[x - 1] = i + 1
-    return tuple(out)
-
-
-def compose(u: tuple, v: tuple) -> tuple:
-    """(u v)(i) = u(v(i))."""
-    return tuple(u[x - 1] for x in v)
-
-
 def length(w: tuple) -> int:
     """Number of inversions."""
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def longest_element(n: int) -> tuple:
-    return tuple(range(n, 0, -1))
 
 
 def left_mul_simple(w: tuple, i: int) -> tuple:
@@ -160,17 +140,6 @@ class FlagShape:
     @cached_property
     def blocks(self) -> tuple:
         return parabolic_blocks(self.parabolic, self.n)
-
-    @property
-    def dimension(self) -> int:
-        """Complex dimension: number of cross-block position pairs."""
-        sizes = [len(b) for b in self.blocks]
-        total = self.n * (self.n - 1) // 2
-        return total - sum(s * (s - 1) // 2 for s in sizes)
-
-    @property
-    def is_point(self) -> bool:
-        return not self.dims
 
     def projects_to(self, other: "FlagShape") -> bool:
         """True when forgetting flag steps maps this shape onto ``other``."""

@@ -8,13 +8,65 @@ fixed-point values instead.  Unlike :mod:`qkcomin.oracles` they may call
 from functools import lru_cache
 
 from qkcomin.gkm import OPPOSITE, PLAIN, KModel
-from qkcomin.laurent import NotDivisibleError
+from qkcomin.laurent import LaurentElement, NotDivisibleError, _unpack
 from qkcomin.quantum import QKElement, Space, _gw_coeffs
-from qkcomin.weyl import image_index, min_coset_rep
+from qkcomin.weyl import FlagShape, image_index, min_coset_rep
+
+
+# -- scalars and permutations --------------------------------------------------
+
+
+def unit_vector(n: int, i: int) -> tuple:
+    return tuple(1 if k == i - 1 else 0 for k in range(n))
+
+
+def variable(nvars: int, i: int) -> LaurentElement:
+    """The variable t_i, 1-based."""
+    return LaurentElement.monomial(nvars, unit_vector(nvars, i))
+
+
+def permute_letters(f: LaurentElement, sigma: tuple) -> LaurentElement:
+    """Apply t_i -> t_{sigma(i)} for a permutation in one-line notation."""
+    assert sorted(sigma) == list(range(1, f.nvars + 1)), sigma
+    return f.substitute_letters(tuple(unit_vector(f.nvars, s) for s in sigma), f.nvars)
+
+
+def exponent_sums(f: LaurentElement) -> set:
+    """Set of total degrees of the monomials (for lattice-invariance asserts)."""
+    return {sum(_unpack(e, f.nvars)) for e in f.terms}
+
+
+def identity(n: int) -> tuple:
+    return tuple(range(1, n + 1))
+
+
+def inverse(w: tuple) -> tuple:
+    out = [0] * len(w)
+    for i, x in enumerate(w):
+        out[x - 1] = i + 1
+    return tuple(out)
+
+
+def compose(u: tuple, v: tuple) -> tuple:
+    """(u v)(i) = u(v(i))."""
+    return tuple(u[x - 1] for x in v)
+
+
+def longest_element(n: int) -> tuple:
+    return tuple(range(n, 0, -1))
+
+
+def dimension(shape: FlagShape) -> int:
+    """Complex dimension: number of cross-block position pairs."""
+    sizes = [len(b) for b in shape.blocks]
+    return shape.n * (shape.n - 1) // 2 - sum(s * (s - 1) // 2 for s in sizes)
+
+
+# -- classes as fixed-point values ---------------------------------------------
 
 
 def is_unit(values) -> bool:
-    return all(x.is_one() for x in values)
+    return all(x == 1 for x in values)
 
 
 def euler_char(model: KModel, values):

@@ -34,7 +34,9 @@ def definitions(tree):
             yield node
 
 
-@pytest.mark.parametrize("module", ["gkm.py", "quantum.py", "cli.py", "cache.py"])
+@pytest.mark.parametrize(
+    "module", ["gkm.py", "quantum.py", "cli.py", "cache.py", "laurent.py", "weyl.py"]
+)
 def test_every_definition_has_a_caller(module):
     package_refs = Counter()
     for path in PACKAGE.glob("*.py"):

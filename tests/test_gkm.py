@@ -7,7 +7,6 @@ from qkcomin.laurent import LaurentElement
 from qkcomin.weyl import (
     FlagShape,
     dual_index,
-    longest_element,
     min_coset_rep,
     minrep_to_partition,
     partition_to_minrep,
@@ -21,7 +20,16 @@ from qkcomin.gkm import (
     equivariant_chars,
     zspec_chars,
 )
-from reference import euler_char, gkm_check, is_unit, pullback, pushforward
+from reference import (
+    euler_char,
+    exponent_sums,
+    gkm_check,
+    is_unit,
+    longest_element,
+    permute_letters,
+    pullback,
+    pushforward,
+)
 
 
 def all_shapes(n):
@@ -85,7 +93,7 @@ class TestCalibration:
         for o in (PLAIN, OPPOSITE):
             for row in m.table(o):
                 for v in row:
-                    assert v.exponent_sums() <= {0}
+                    assert exponent_sums(v) <= {0}
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orientations_exchanged_by_longest_element_twist(self, n):
@@ -97,7 +105,7 @@ class TestCalibration:
                 for p in range(m.npoints):
                     tw = m.idx[min_coset_rep(w0_conjugate_value(m.points[p]), shape.blocks)]
                     lhs = m.table(OPPOSITE)[w][p]
-                    rhs = m.table(PLAIN)[dual][tw].permute_letters(w0)
+                    rhs = permute_letters(m.table(PLAIN)[dual][tw], w0)
                     assert lhs == rhs
 
     @pytest.mark.parametrize("chars", [equivariant_chars(4), zspec_chars(4)], ids=["t", "z"])
@@ -166,20 +174,39 @@ class TestMultiply:
         assert got == lr_constants_setvalued((1,), (1,), 2, 4)
 
 
+# coefficients a + b*t2 of up to four basis classes, by index mod npoints
+SMALL_COEFFS = st.dictionaries(
+    st.integers(0, 5), st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=4
+)
+
+
 class TestExpand:
+    """The full-torus elimination; :class:`TestExpandZ` reruns every test on
+    the packed one-variable elimination."""
+
+    chars = staticmethod(equivariant_chars)
+
+    def new_model(self, dims, n):
+        return model(dims, n, self.chars(n))
+
+    def letter(self, n, i):
+        """The scalar of the letter t_i under this character map."""
+        chars = self.chars(n)
+        return LaurentElement.monomial(chars.nvars, chars.images[i - 1])
+
     def test_expand_schubert_class_is_delta(self):
-        m = model((1, 2), 3)
+        m = self.new_model((1, 2), 3)
         for o in (PLAIN, OPPOSITE):
             for w in range(m.npoints):
                 exp = m.expand_values(m.table(o)[w], o)
                 assert exp == {w: m.one()}
 
     def test_expand_zero(self):
-        m = model((1,), 3)
+        m = self.new_model((1,), 3)
         assert m.expand_values(m.zero_values(), PLAIN) == {}
 
     def test_expand_triangular_support(self):
-        m = model((2,), 4)
+        m = self.new_model((2,), 4)
         for u in range(m.npoints):
             for v in range(m.npoints):
                 r = m.multiply_values(m.table(OPPOSITE)[u], m.table(PLAIN)[v])
@@ -187,44 +214,98 @@ class TestExpand:
                     assert m.leq(u, w)
 
     def test_not_in_span(self):
-        m = model((1,), 2)
+        m = self.new_model((1,), 2)
         vals = (m.one(), m.zero())  # violates the moment-graph condition
+        # the division by the diagonal entry at index 0 fails
         with pytest.raises(NotInSpanError):
             m.expand_values(vals, PLAIN)
 
+    def test_not_in_span_by_final_residual(self):
+        # every division is exact, but a table entry below the diagonal
+        # leaves a residual at an index the elimination has passed
+        m = self.new_model((1,), 2)
+        table = m.table(OPPOSITE)
+        m._tables[OPPOSITE] = [table[0], (m.one(), table[1][1])]
+        with pytest.raises(NotInSpanError):
+            m.expand_values((m.zero(), table[1][1]), OPPOSITE)
+
     def test_recombine_roundtrip(self):
-        m = model((1, 3), 4)
-        t2 = LaurentElement.variable(4, 2)
+        m = self.new_model((1, 3), 4)
+        t2 = self.letter(4, 2)
         coeffs = {0: m.one() + t2, 3: m.one() - t2 * t2, 5: m.one()}
         vals = m.recombine(coeffs, PLAIN)
         assert m.expand_values(vals, PLAIN) == coeffs
 
     @settings(max_examples=15, deadline=None)
-    @given(
-        st.dictionaries(
-            st.integers(0, 5),
-            st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
-                lambda ab: LaurentElement.integer(3, ab[0])
-                + ab[1] * LaurentElement.variable(3, 2)
-            ),
-            max_size=4,
-        )
-    )
+    @given(SMALL_COEFFS)
     def test_recombine_roundtrip_random(self, coeffs):
-        m = model((1,), 3)
-        coeffs = {w % m.npoints: c for w, c in coeffs.items() if not c.is_zero()}
+        self.check_roundtrip(coeffs)
+
+    def check_roundtrip(self, coeffs):
+        m = self.new_model((1,), 3)
+        t2 = self.letter(3, 2)
+        coeffs = {w % m.npoints: a * m.one() + b * t2 for w, (a, b) in coeffs.items()}
+        coeffs = {w: c for w, c in coeffs.items() if not c.is_zero()}
         for o in (PLAIN, OPPOSITE):
             vals = m.recombine(coeffs, o)
             assert m.expand_values(vals, o) == coeffs
 
     def test_euler_char_basis_independent(self):
-        m = model((2,), 4)
+        m = self.new_model((2,), 4)
         r = m.multiply_values(m.table(OPPOSITE)[1], m.table(PLAIN)[4])
         by_opp = euler_char(m, r)
         by_plain = m.zero()
         for c in m.expand_values(r, PLAIN).values():
             by_plain = by_plain + c
         assert by_opp == by_plain
+
+
+class TestExpandZ(TestExpand):
+    chars = staticmethod(zspec_chars)
+
+    # hypothesis wants its own test function per class
+    @settings(max_examples=15, deadline=None)
+    @given(SMALL_COEFFS)
+    def test_recombine_roundtrip_random(self, coeffs):
+        self.check_roundtrip(coeffs)
+
+    @pytest.mark.parametrize("orientation", [PLAIN, OPPOSITE])
+    def test_coefficients_near_the_digit_bound(self, monkeypatch, orientation):
+        """Coefficients around 2**(W-1) at a narrow digit width W come back
+        exactly, after the elimination widens its digits."""
+        from qkcomin import gkm
+
+        bits = 8
+        monkeypatch.setattr(gkm, "PACK_BITS", bits)
+        m = KModel(FlagShape((2,), 4), zspec_chars(4), use_cache=False)
+        z = self.letter(4, 2)
+        big = (1 << (bits - 1), 1 + (1 << (bits - 1)), (1 << (bits - 1)) - 1, 300)
+        for w in range(m.npoints):
+            for k, c in enumerate(big):
+                sign = (-1) ** (w + k)
+                coeffs = {w: sign * c * m.one() - c * z, (w + k + 1) % m.npoints: sign * m.one()}
+                got = m.expand_values(m.recombine(coeffs, orientation), orientation)
+                assert got == coeffs
+        assert m._packed[orientation][0] > bits
+
+    @pytest.mark.parametrize("orientation", [PLAIN, OPPOSITE])
+    def test_quotient_past_the_digit_bound(self, monkeypatch, orientation):
+        """A coefficient past 2**(W-1) whose product with the diagonal has
+        small coefficients: only the bound on the quotient sees it."""
+        from qkcomin import gkm
+
+        bits = 8
+        monkeypatch.setattr(gkm, "PACK_BITS", bits)
+        m = KModel(FlagShape((2,), 4), zspec_chars(4), use_cache=False)
+        table = m.table(orientation)
+        # the point class: its row is its diagonal entry alone
+        (w,) = [w for w, row in enumerate(table) if sum(map(bool, row)) == 1]
+        c = m.one()
+        for (k,) in m.diag_factor_exps(w, orientation):
+            c = c * sum((LaurentElement.monomial(1, (i * abs(k),)) for i in range(8)), m.zero())
+        assert max(map(abs, c.terms.values())) >= 1 << (bits - 1)
+        assert m.expand_values(m.recombine({w: c}, orientation), orientation) == {w: c}
+        assert m._packed[orientation][0] > bits
 
 
 class TestBasisChange:

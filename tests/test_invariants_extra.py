@@ -15,7 +15,7 @@ from qkcomin.quantum import (
     quantum_product,
     shift_expansion,
 )
-from reference import euler_char, gkm_check, is_unit, projected_class
+from reference import euler_char, gkm_check, is_unit, projected_class, variable
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ class TestEulerMapOnRandomElements:
         def random_scalar():
             c = LaurentElement.integer(nv, rng.randint(-2, 2))
             if equivariant and rng.random() < 0.5:
-                c = c + LaurentElement.variable(nv, rng.randint(1, 4))
+                c = c + variable(nv, rng.randint(1, 4))
             return c
 
         def random_element():
@@ -119,7 +119,7 @@ class TestEulerMapOnRandomElements:
 class TestShiftLinearity:
     def test_scalar_linear(self):
         space = get_space(2, 4, equivariant=True)
-        t3 = LaurentElement.variable(4, 3)
+        t3 = variable(4, 3)
         one = space.model.one()
         a = {1: one + t3, 4: t3}
         b = {1: one, 2: t3 * t3}

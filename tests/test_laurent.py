@@ -6,8 +6,11 @@ from qkcomin.laurent import (
     ExponentRangeError,
     LaurentElement,
     NotDivisibleError,
+    kronecker_pack,
+    kronecker_unpack,
     subtract_product_into,
 )
+from reference import permute_letters, variable
 
 
 def L(text, nvars=2):
@@ -89,7 +92,7 @@ class TestSpecialize:
 
     def test_permute_letters(self):
         f = LaurentElement.parse("t1*t3^-1", 3)
-        assert f.permute_letters((3, 2, 1)) == LaurentElement.parse("t1^-1*t3", 3)
+        assert permute_letters(f, (3, 2, 1)) == LaurentElement.parse("t1^-1*t3", 3)
 
 
 class TestGrammar:
@@ -113,7 +116,7 @@ class TestGrammar:
         never memoized: "t5" is read with five letters first, and every
         case must fail again on a second call."""
         if bad == "t5":
-            assert LaurentElement.parse(bad, 5) == LaurentElement.variable(5, 5)
+            assert LaurentElement.parse(bad, 5) == variable(5, 5)
         for _ in range(2):
             with pytest.raises(ValueError):
                 L(bad, 4)
@@ -203,6 +206,24 @@ class TestOneVariableFastPath:
             f.divide_exact_one_minus((k,))
         with pytest.raises(NotDivisibleError):
             embed(f).divide_exact_one_minus((k, 0))
+
+
+class TestKronecker:
+    """Packing at 2**bits is a ring map, and reads back below 2**(bits-1)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(z_elements, z_elements, st.sampled_from([4, 8, 64]))
+    def test_product_of_packings(self, a, b, bits):
+        def size(x):
+            return max(map(abs, x.terms.values()), default=0)
+
+        (la, pa, na), (lb, pb, nb) = kronecker_pack(a, bits), kronecker_pack(b, bits)
+        assert (na, nb) == (sum(map(abs, a.terms.values())), sum(map(abs, b.terms.values())))
+        for f, lo, packed in ((a, la, pa), (a * b, la + lb, pa * pb)):
+            got, largest, l1 = kronecker_unpack(lo, packed, bits)
+            if size(f) < 1 << (bits - 1):
+                assert got == f
+                assert (largest, l1) == (size(f), sum(map(abs, f.terms.values())))
 
 
 # -- a tuple-keyed reference: {exponent tuple: nonzero coefficient} ----------
@@ -350,7 +371,7 @@ class TestAgainstTupleReference:
         i = draw.draw(st.integers(1, n - 1))
         assert agrees(x.swap_letters(i), ref_swap(a, i, n))
         sigma = tuple(draw.draw(st.permutations(range(1, n + 1))))
-        assert agrees(x.permute_letters(sigma), ref_permute(a, sigma))
+        assert agrees(permute_letters(x, sigma), ref_permute(a, sigma))
         new_nvars = draw.draw(st.integers(0, 3))
         images = tuple(
             draw.draw(st.tuples(*[st.integers(-2, 2)] * new_nvars)) for _ in range(n)
@@ -426,7 +447,7 @@ class TestExponentRange:
         with pytest.raises(ExponentRangeError):
             top.substitute_letters(((1, 0), (0, 2)), 2)
         assert str(top.swap_letters(1)) == f"t1^{lim}"
-        assert str(top.permute_letters((2, 1))) == f"t1^{lim}"
+        assert str(permute_letters(top, (2, 1))) == f"t1^{lim}"
         assert top.substitute_letters(((0,), (2,)), 1) == LaurentElement.monomial(1, (2 * lim,))
 
     def test_in_place_update(self):

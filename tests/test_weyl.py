@@ -6,15 +6,11 @@ from qkcomin import weyl
 from qkcomin.weyl import (
     FlagShape,
     bruhat_leq,
-    compose,
     coset_minreps,
     dual_index,
-    identity,
     image_index,
-    inverse,
     left_action_on_minrep,
     length,
-    longest_element,
     max_coset_rep,
     min_coset_rep,
     minrep_to_partition,
@@ -25,6 +21,7 @@ from qkcomin.weyl import (
     preimage_index_plain,
     reduced_word,
 )
+from reference import compose, dimension, identity, inverse, longest_element
 
 
 def all_perms(n):
@@ -234,13 +231,13 @@ class TestTransport:
         img = image_index(w, src, dst)
         assert img == min_coset_rep(w, dst.blocks)
         # dimension drops at most by the fiber dimension
-        assert length(w) - length(img) <= src.dimension - dst.dimension
+        assert length(w) - length(img) <= dimension(src) - dimension(dst)
 
     def test_preimage_of_point_is_fiber(self):
         src = FlagShape((1, 2, 3), 4)
         dst = FlagShape((2,), 4)
         pre = preimage_index_plain(identity(4), dst, src)
-        assert length(pre) == src.dimension - dst.dimension
+        assert length(pre) == dimension(src) - dimension(dst)
 
     @pytest.mark.parametrize(
         "src_dims,dst_dims,n",
@@ -249,7 +246,7 @@ class TestTransport:
     def test_roundtrip_and_dimension(self, src_dims, dst_dims, n):
         src = FlagShape(src_dims, n)
         dst = FlagShape(dst_dims, n)
-        fiber = src.dimension - dst.dimension
+        fiber = dimension(src) - dimension(dst)
         for w in coset_minreps(dst):
             pre = preimage_index_plain(w, dst, src)
             assert image_index(pre, src, dst) == w
@@ -286,9 +283,9 @@ class TestTransport:
 class TestShapes:
     def test_point_shape(self):
         pt = FlagShape.make((0, 4), 4)
-        assert pt.is_point
+        assert not pt.dims
         assert coset_minreps(pt) == (identity(4),)
-        assert pt.dimension == 0
+        assert dimension(pt) == 0
 
     def test_normalization(self):
         assert FlagShape.make((2, 0, 2, 4), 4) == FlagShape((2,), 4)
