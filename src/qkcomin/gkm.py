@@ -132,6 +132,8 @@ class KModel:
         self.points = coset_minreps(shape)
         self.idx = {w: k for k, w in enumerate(self.points)}
         self.lengths = tuple(length(w) for w in self.points)
+        # index of the w0 translate: X_w = w0 X^{dual[w]}
+        self.dual = tuple(self.idx[dual_index(w, shape)] for w in self.points)
         self.blocks = shape.blocks
         self.npoints = len(self.points)
         n = shape.n
@@ -223,8 +225,7 @@ class KModel:
 
     def _build(self, orientation: str) -> list:
         if orientation == OPPOSITE:
-            plain = self.table(PLAIN)
-            dual = [self.idx[dual_index(w, self.shape)] for w in self.points]
+            plain, dual = self.table(PLAIN), self.dual
             images, nv = self.chars.w0_images, self.chars.nvars
             return [
                 tuple(plain[dual[w]][q].substitute_letters(images, nv) for q in dual)

@@ -305,7 +305,9 @@ class LaurentElement:
         and |j| <= L/|M_p| + 1, each digit of a residue vector is at most
         L + (L/|M_p| + 1)|M_k| <= 3L in size, so two residue vectors differ
         by less than 6L < B in every digit and pack to the same int only if
-        they are equal.  The quotient's monomials lie between those of f
+        they are equal.  With one letter the key is the exponent itself, of
+        any size, so j = e // M is read with no digit mask and the residue
+        key is e mod M.  The quotient's monomials lie between those of f
         along each ladder, so they keep f's bound.
         """
         terms = self.terms
@@ -316,15 +318,14 @@ class LaurentElement:
         if not any(mexp):
             raise ValueError("binomial divisor must be 1 minus a nontrivial monomial")
         km = _pack(mexp, n)
-        if n == 1:
-            return self._divide_one_minus_z(km)
         p = max(range(n), key=lambda k: abs(mexp[k]))
         mp = mexp[p]
         _, shifts, offset, _ = _layout(n)
         shift = shifts[p]
+        mask = _MASK if n > 1 else -1  # one letter: the key is the exponent
         groups: dict = {}
         for e in terms:
-            j = ((((e + offset) >> shift) & _MASK) - _BIAS) // mp
+            j = ((((e + offset) >> shift) & mask) - _BIAS) // mp
             groups.setdefault(e - j * km, []).append(e)
         descending = km < 0
         out: dict = {}
@@ -345,32 +346,6 @@ class LaurentElement:
             if carry:
                 raise NotDivisibleError("not divisible")
         return _element(n, out, self._bound)
-
-    def _divide_one_minus_z(self, k: int) -> "LaurentElement":
-        """One-variable case of :meth:`divide_exact_one_minus`, by 1 - z^k.
-
-        Runs the ladder h[e] = f[e] + h[e - k] in place on the dense
-        coefficient list of f, upward for k > 0 and downward for k < 0.
-        The quotient is exact iff the |k| rungs where the ladder ends, past
-        the support of h, are left at zero.
-        """
-        lo = min(self.terms)
-        f = [0] * (max(self.terms) - lo + 1)
-        for e, c in self.terms.items():
-            f[e - lo] = c
-        n = len(f)
-        if k > 0:
-            for i in range(k, n):
-                f[i] += f[i - k]
-            head, tail = range(n - k), f[max(n - k, 0):]
-        else:
-            k = -k
-            for i in range(n - k - 1, -1, -1):
-                f[i] += f[i + k]
-            head, tail = range(k, n), f[:k]
-        if any(tail):
-            raise NotDivisibleError("not divisible")
-        return _element(1, {lo + i: f[i] for i in head if f[i]}, self._bound)
 
     # -- grammar -------------------------------------------------------------
 

@@ -8,7 +8,9 @@ Schubert class to a Schubert class, so each space keeps the diagram of one
 degree as maps of Schubert indices (:class:`Diagram`): X to Y_d for the
 opposite and the plain classes, Y_d to X for the opposite classes, and the
 curve neighborhood index lambda(-d) of every opposite class, which is its
-round trip X -> Y_d -> X.  The class of the variety swept out by degree-d
+round trip X -> Y_d -> X.  Only opposite classes are moved; the plain map
+is the w0 dual of the opposite one, since the diagram is GL_n-equivariant
+and X_v = w0 X^{w0 v}.  The class of the variety swept out by degree-d
 curves meeting an opposite Schubert variety and a B-stable one is the
 Richardson class on Y_d of the two moved indices, expanded there in the
 opposite basis and moved back to X through these maps; that expansion is
@@ -44,7 +46,6 @@ from qkcomin.weyl import (
     partition_contains,
     partition_to_minrep,
     partitions_in_box,
-    preimage_index_plain,
     format_partition,
 )
 
@@ -149,18 +150,6 @@ def kernel_span_shapes(space: Space, d: int) -> tuple:
 # -- the diagram Y_d <- T_d -> X as index maps -----------------------------------
 
 
-def _transport(w: tuple, orientation: str, src: FlagShape, t: FlagShape, dst: FlagShape) -> tuple:
-    """Index of the push-pull src <- t -> dst of a Schubert class on src.
-
-    Pulling back takes the full preimage: an opposite class keeps its
-    index, since pullback preserves codimension, and a plain class moves
-    to its preimage index.  Pushing forward takes the image index.
-    """
-    if orientation == PLAIN:
-        w = preimage_index_plain(w, src, t)
-    return image_index(w, t, dst)
-
-
 @dataclass(frozen=True, eq=False)
 class Diagram:
     """The diagram Y_d <- T_d -> X of one degree, on model indices.
@@ -171,6 +160,11 @@ class Diagram:
     ``neighborhood[i]`` indexes on X the degree-d curve neighborhood of the
     opposite class i, its round trip; ``top`` indexes on Y_d the plain
     unit class.
+
+    Only opposite classes are moved: pulling back keeps the index, since
+    pullback preserves codimension, and pushing forward takes the image
+    index.  ``to_y_plain`` and ``top`` are the w0 duals of ``to_y_opposite``
+    and of the opposite unit class.
     """
 
     y: KModel
@@ -183,20 +177,20 @@ class Diagram:
 
 def _build_diagram(space: Space, d: int) -> Diagram:
     y, t = kernel_span_shapes(space, d)
-    x, xm, my = space.shape, space.model, space.submodel(y)
+    xm, my = space.model, space.submodel(y)
 
-    def move(ws, orientation, src, dst, target):
-        return tuple(target.idx[_transport(w, orientation, src, t, dst)] for w in ws)
+    def move(src, dst):
+        return tuple(dst.idx[image_index(w, t, dst.shape)] for w in src.points)
 
-    to_y_opposite = move(xm.points, OPPOSITE, x, y, my)
-    from_y = move(my.points, OPPOSITE, y, x, xm)
+    to_y_opposite = move(xm, my)
+    from_y = move(my, xm)
     return Diagram(
         y=my,
         to_y_opposite=to_y_opposite,
-        to_y_plain=move(xm.points, PLAIN, x, y, my),
+        to_y_plain=tuple(my.dual[to_y_opposite[j]] for j in xm.dual),
         from_y=from_y,
         neighborhood=tuple(from_y[j] for j in to_y_opposite),
-        top=max(range(my.npoints), key=my.lengths.__getitem__),
+        top=my.dual[0],
     )
 
 
@@ -307,8 +301,7 @@ class QKElement:
         )
 
     def min_degree(self):
-        keys = [d for d, exp in self.normalized().coeffs.items()]
-        return min(keys) if keys else None
+        return min(self.normalized().coeffs, default=None)
 
 
 def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
@@ -339,6 +332,16 @@ def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
     return result
 
 
+def _add_scaled(total: dict, scale: LaurentElement, elt: QKElement, shift: int = 0) -> None:
+    """total += scale * q^shift * elt, on degree buckets of opposite coefficients."""
+    for d, exp in elt.coeffs.items():
+        bucket = total.setdefault(d + shift, {})
+        for w, c in exp.items():
+            acc = bucket.get(w)
+            prod = scale * c
+            bucket[w] = prod if acc is None else acc + prod
+
+
 def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> QKElement:
     """The product of two opposite classes, via the exact change of basis."""
     memo = space.products_opposite
@@ -347,13 +350,7 @@ def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> QKElement:
         return hit
     total: dict = {}
     for xidx, gamma in space.model.basis_change(OPPOSITE)[space.index_of(v)].items():
-        part = quantum_product(space, u, space.partition_of(xidx))
-        for d, exp in part.coeffs.items():
-            bucket = total.setdefault(d, {})
-            for w, c in exp.items():
-                acc = bucket.get(w)
-                prod = gamma * c
-                bucket[w] = prod if acc is None else acc + prod
+        _add_scaled(total, gamma, quantum_product(space, u, space.partition_of(xidx)))
     result = QKElement(space, total).normalized()
     memo[(u, v)] = result
     return result
@@ -369,13 +366,7 @@ def star_elements(space: Space, a: QKElement, b: QKElement) -> QKElement:
                     base = quantum_product_opposite_v(
                         space, space.partition_of(x1), space.partition_of(x2)
                     )
-                    scale = c1 * c2
-                    for d, exp in base.coeffs.items():
-                        bucket = total.setdefault(d + d1 + d2, {})
-                        for w, c in exp.items():
-                            acc = bucket.get(w)
-                            prod = scale * c
-                            bucket[w] = prod if acc is None else acc + prod
+                    _add_scaled(total, c1 * c2, base, d1 + d2)
     return QKElement(space, total).normalized()
 
 

@@ -157,14 +157,6 @@ def min_coset_rep(w: tuple, blocks: tuple) -> tuple:
     return tuple(out)
 
 
-def max_coset_rep(w: tuple, blocks: tuple) -> tuple:
-    """Unique longest element of w W_P: reverse-sort within position blocks."""
-    out = []
-    for b in blocks:
-        out.extend(sorted((w[p - 1] for p in b), reverse=True))
-    return tuple(out)
-
-
 def is_minrep(w: tuple, blocks: tuple) -> bool:
     return all(
         w[b[i] - 1] < w[b[i + 1] - 1] for b in blocks for i in range(len(b) - 1)
@@ -290,10 +282,3 @@ def image_index(w: tuple, src: FlagShape, dst: FlagShape) -> tuple:
     if not src.projects_to(dst):
         raise ValueError(f"{src} does not project to {dst}")
     return min_coset_rep(w, dst.blocks)
-
-
-def preimage_index_plain(w: tuple, dst: FlagShape, src: FlagShape) -> tuple:
-    """Index on the source of the full preimage of X_w (B-stable side)."""
-    if not src.projects_to(dst):
-        raise ValueError(f"{src} does not project to {dst}")
-    return min_coset_rep(max_coset_rep(w, dst.blocks), src.blocks)

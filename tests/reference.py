@@ -62,6 +62,21 @@ def dimension(shape: FlagShape) -> int:
     return shape.n * (shape.n - 1) // 2 - sum(s * (s - 1) // 2 for s in sizes)
 
 
+def max_coset_rep(w: tuple, blocks: tuple) -> tuple:
+    """Unique longest element of w W_P: reverse-sort within position blocks."""
+    out = []
+    for b in blocks:
+        out.extend(sorted((w[p - 1] for p in b), reverse=True))
+    return tuple(out)
+
+
+def preimage_index_plain(w: tuple, dst: FlagShape, src: FlagShape) -> tuple:
+    """Index on the source of the full preimage of X_w (B-stable side)."""
+    if not src.projects_to(dst):
+        raise ValueError(f"{src} does not project to {dst}")
+    return min_coset_rep(max_coset_rep(w, dst.blocks), src.blocks)
+
+
 # -- classes as fixed-point values ---------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import ast
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 import qkcomin
 
 PACKAGE = Path(qkcomin.__file__).resolve().parent
+MODULES = ("gkm.py", "quantum.py", "cli.py", "cache.py", "laurent.py", "weyl.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # names kept without a caller in the package, one reason each
 ALLOWED = {
@@ -19,33 +22,66 @@ ALLOWED = {
 }
 
 
-def references(tree) -> Counter:
-    """How often each name is read, as a variable or as an attribute."""
-    return Counter(
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    )
+def references(tree, skip) -> Counter:
+    """How often each name is read, as a variable or as an attribute,
+    outside the subtrees in ``skip``."""
+    counts = Counter()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        stack.extend(ast.iter_child_nodes(node))
+    return counts
 
 
 def definitions(tree):
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, DEFINITIONS):
             yield node
 
 
-@pytest.mark.parametrize(
-    "module", ["gkm.py", "quantum.py", "cli.py", "cache.py", "laurent.py", "weyl.py"]
-)
-def test_every_definition_has_a_caller(module):
-    package_refs = Counter()
-    for path in PACKAGE.glob("*.py"):
-        package_refs += references(ast.parse(path.read_text(encoding="utf-8")))
-    unused = [
-        f"{node.name} (line {node.lineno})"
-        for node in definitions(ast.parse((PACKAGE / module).read_text(encoding="utf-8")))
+@lru_cache(maxsize=None)
+def dead_definitions() -> tuple:
+    """(module, definition) pairs of the checked modules that nothing live reads.
+
+    A name read only inside its own definition, or inside definitions
+    already found dead, has no caller.  Rounds repeat until none is newly
+    found, so a chain of helpers that only call each other is flagged whole.
+    """
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
+    }
+    candidates = [
+        (module, node)
+        for module in MODULES
+        for node in definitions(trees[module])
         if not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in ALLOWED
-        and package_refs[node.name] == references(node)[node.name]
+    ]
+    dead: set = set()
+    found: list = []
+    while True:
+        live = sum((references(tree, dead) for tree in trees.values()), Counter())
+        new = [
+            (module, node)
+            for module, node in candidates
+            if node not in dead and live[node.name] == references(node, dead)[node.name]
+        ]
+        if not new:
+            return tuple(found)
+        found.extend(new)
+        for _, node in new:
+            dead.update(definitions(node))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_definition_has_a_caller(module):
+    unused = [
+        f"{node.name} (line {node.lineno})" for where, node in dead_definitions() if where == module
     ]
     assert not unused, f"defined in {module} and never referenced in the package: {unused}"

@@ -27,6 +27,7 @@ from reference import (
     is_unit,
     longest_element,
     permute_letters,
+    preimage_index_plain,
     pullback,
     pushforward,
 )
@@ -349,8 +350,6 @@ class TestProjections:
         assert is_unit(pullback((dst.one(),) * dst.npoints, dst, src))
 
     def test_pullback_of_plain_class_is_preimage_class(self):
-        from qkcomin.weyl import preimage_index_plain
-
         src = model((1, 2, 3), 4)
         dst = model((2,), 4)
         for w in range(dst.npoints):

@@ -161,10 +161,11 @@ z_steps = st.integers(-4, 4).filter(bool)
 
 
 def embed(x):
-    """The same polynomial in two variables, second exponent 0: the generic path.
+    """The same polynomial in two variables, second exponent 0.
 
-    A one-variable key is the exponent itself.  The constructor drops zero
-    coefficients, so a zero left in the terms by a fast path is caught first.
+    A one-variable key is the exponent itself, a two-variable key packs
+    16-bit digits.  The constructor drops zero coefficients, so a zero left
+    in the terms of a one-variable result is caught first.
     """
     assert all(x.terms.values())
     return LaurentElement(2, {(e, 0): c for e, c in x.terms.items()})
@@ -178,7 +179,8 @@ def quotient_or_error(f, mexp):
 
 
 class TestOneVariableFastPath:
-    """The nvars == 1 paths agree with the generic tuple-keyed paths."""
+    """One-variable elements, keyed by the exponent itself, agree with the
+    same polynomials in two variables."""
 
     @settings(max_examples=200, deadline=None)
     @given(z_elements, z_elements)
@@ -206,6 +208,16 @@ class TestOneVariableFastPath:
             f.divide_exact_one_minus((k,))
         with pytest.raises(NotDivisibleError):
             embed(f).divide_exact_one_minus((k, 0))
+
+    @pytest.mark.parametrize("k", [3, -3, -70000])
+    def test_division_beyond_sixteen_bit_exponents(self, k):
+        # one-letter keys are unbounded; read as 16-bit digits, terms on
+        # either side of +-2**15 would fall on different ladders
+        h = L("-t1^-33000 + 7*t1^5 + 2*t1^40000", 1)
+        f = h * (LaurentElement.one(1) - LaurentElement.monomial(1, (k,)))
+        assert f.divide_exact_one_minus((k,)) == h
+        with pytest.raises(NotDivisibleError):
+            (f + 1).divide_exact_one_minus((k,))
 
 
 class TestKronecker:

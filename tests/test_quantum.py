@@ -6,7 +6,7 @@ import pytest
 from qkcomin.gkm import OPPOSITE, PLAIN, KModel
 from qkcomin.laurent import LaurentElement
 from qkcomin.oracles import MomentGraph, givental_p1_product
-from qkcomin.weyl import FlagShape, partition_to_subset
+from qkcomin.weyl import FlagShape, image_index, partition_to_subset
 from qkcomin.quantum import (
     QKElement,
     Space,
@@ -34,6 +34,7 @@ from reference import (
     euler_char,
     gkm_check,
     is_unit,
+    preimage_index_plain,
     projected_class,
     pullback,
     pushforward,
@@ -108,6 +109,23 @@ class TestKernelSpan:
         assert t == gr24.shape
         # a point target forces the degree-2 class of any pair to be the unit
         assert is_unit(projected_class(gr24, (2, 2), (), 2))
+
+
+class TestDiagramDuality:
+    @pytest.mark.parametrize("m,n", [(m, n) for n in range(2, 9) for m in range(1, n)])
+    def test_plain_maps_are_w0_duals_of_the_literal_transport(self, m, n):
+        # the plain side of each diagram, read off the opposite side by w0
+        # duality, equals the preimage index on T_d pushed forward to Y_d
+        space = Space(m, n, use_cache=False)
+        x, xm = space.shape, space.model
+        for d in range(max(m, n - m) + 2):
+            y, t = kernel_span_shapes(space, d)
+            dg = space.diagram(d)
+            for i, w in enumerate(xm.points):
+                literal = image_index(preimage_index_plain(w, x, t), t, y)
+                assert dg.to_y_plain[i] == dg.y.idx[literal], (d, w)
+            assert dg.top == max(range(dg.y.npoints), key=dg.y.lengths.__getitem__)
+        assert not any(model._tables for model in space.models.values())
 
 
 class TestCurveNeighborhood:

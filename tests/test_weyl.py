@@ -11,17 +11,23 @@ from qkcomin.weyl import (
     image_index,
     left_action_on_minrep,
     length,
-    max_coset_rep,
     min_coset_rep,
     minrep_to_partition,
     parabolic_blocks,
     partition_contains,
     partition_to_minrep,
     partitions_in_box,
-    preimage_index_plain,
     reduced_word,
 )
-from reference import compose, dimension, identity, inverse, longest_element
+from reference import (
+    compose,
+    dimension,
+    identity,
+    inverse,
+    longest_element,
+    max_coset_rep,
+    preimage_index_plain,
+)
 
 
 def all_perms(n):
