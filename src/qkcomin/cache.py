@@ -72,7 +72,7 @@ def store_rows(key: str, rows: list) -> None:
     }
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix="restrict_", suffix=".tmp")
     except OSError:
         return  # caching is best-effort
     try:
@@ -88,11 +88,12 @@ def store_rows(key: str, rows: list) -> None:
 
 
 def clear() -> int:
-    """Delete all cache files; returns the number removed."""
+    """Delete all cache files, and the temp files of writers killed before
+    their rename; returns the number removed."""
     d = cache_dir()
     removed = 0
     if d.is_dir():
-        for p in d.glob("restrict_*.json"):
+        for p in [*d.glob("restrict_*.json"), *d.glob("restrict_*.tmp")]:
             try:
                 p.unlink()
                 removed += 1

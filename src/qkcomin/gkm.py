@@ -25,13 +25,15 @@ one-parameter plain tables are produced by specializing each finished
 row.  There w0 acts as z -> z^-1, which is exact because every
 restriction lies in the degree-zero sublattice (see :func:`zspec_chars`).
 
-Classes are expanded in a Schubert basis by triangular elimination
-(:meth:`KModel.expand_values`).  With the full torus the residuals are
-Laurent polynomials.  With one parameter they are dense polynomials with
-small coefficients, held Kronecker-packed: z^lo * F(z), F a polynomial, is
-the pair (lo, F(B)) with B = 2**W, W = PACK_BITS at first.  An update
-acc -= c * row[p] is one shift, one integer product and one subtraction,
-and dividing by the diagonal entry z^d * D(z) is one integer divmod by D(B).
+Classes are expanded in the opposite Schubert basis by triangular
+elimination (:meth:`KModel.expand_values`); a plain-basis expansion is the
+w0 translate of an opposite-basis one (:meth:`KModel.basis_change`).  With
+the full torus the residuals are Laurent polynomials.  With one parameter
+they are dense polynomials with small coefficients, held Kronecker-packed:
+z^lo * F(z), F a polynomial, is the pair (lo, F(B)) with B = 2**W,
+W = PACK_BITS at first.  An update acc -= c * row[p] is one shift, one
+integer product and one subtraction, and dividing by the diagonal entry
+z^d * D(z) is one integer divmod by D(B).
 
 * F -> F(B) is a ring map Z[z] -> Z and Python integers never wrap.  For
   a class in the span, every packed value is thus, at any W, the value at
@@ -44,8 +46,8 @@ and dividing by the diagonal entry z^d * D(z) is one integer divmod by D(B).
   bounds stay below B/2, a zero value is the zero polynomial, and a
   quotient H read in balanced digits with max|H| * ||D||_1 < B/2 is exact,
   since H * D and F then both have coefficients below B/2 and agree at B.
-* Otherwise the elimination reruns at width 2W.  A table is packed on its
-  first expansion, once per (model, orientation) and width.
+* Otherwise the elimination reruns at width 2W.  The opposite table is
+  packed on its first expansion, once per model and width.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ from qkcomin.laurent import (
 )
 from qkcomin.weyl import (
     FlagShape,
-    bruhat_leq,
     coset_minreps,
     dual_index,
     left_action_on_minrep,
@@ -142,9 +143,8 @@ class KModel:
             for i in range(1, n)
         ]
         self._tables: dict = {}
-        self._bruhat: dict = {}
-        self._basis_change: dict = {}
-        self._packed: dict = {}
+        self._basis_change: list | None = None
+        self._packed: tuple | None = None
 
     def _left_entry(self, p: int, i: int):
         m, case = left_action_on_minrep(self.points[p], i, self.blocks)
@@ -157,16 +157,6 @@ class KModel:
 
     def one(self) -> LaurentElement:
         return LaurentElement.one(self.chars.nvars)
-
-    # -- Bruhat order on indices ---------------------------------------------
-
-    def leq(self, p: int, q: int) -> bool:
-        key = (p, q)
-        hit = self._bruhat.get(key)
-        if hit is None:
-            hit = bruhat_leq(self.points[p], self.points[q])
-            self._bruhat[key] = hit
-        return hit
 
     # -- restriction tables ---------------------------------------------------
 
@@ -299,63 +289,57 @@ class KModel:
 
     # -- diagonal restrictions in factored form ---------------------------------
 
-    def diag_factor_exps(self, widx: int, orientation: str) -> tuple:
-        """Binomial factors 1 - t^e of the diagonal restriction at the index.
-
-        Plain classes: cross-block non-inversions; opposite classes:
-        cross-block inversions (the normal directions of the respective cell).
+    def diag_factor_exps(self, widx: int) -> tuple:
+        """Binomial factors 1 - t^e of the opposite class's diagonal restriction
+        at the index: the cross-block inversions (the normal directions of
+        the opposite cell).
         """
         w = self.points[widx]
-        want_inversion = orientation == OPPOSITE
         exps = []
         for bi in range(len(self.blocks)):
             for bj in range(bi + 1, len(self.blocks)):
                 for i in self.blocks[bi]:
                     for j in self.blocks[bj]:
-                        if (w[i - 1] > w[j - 1]) == want_inversion:
+                        if w[i - 1] > w[j - 1]:
                             exps.append(self.chars.root_exp(w[i - 1], w[j - 1]))
         return tuple(exps)
 
-    def _divide_diag(self, val: LaurentElement, widx: int, orientation: str):
-        for mexp in self.diag_factor_exps(widx, orientation):
+    def _divide_diag(self, val: LaurentElement, widx: int):
+        for mexp in self.diag_factor_exps(widx):
             val = val.divide_exact_one_minus(mexp)
         return val
 
     # -- triangular basis expansion ---------------------------------------------
 
-    def expand_values(self, values, orientation: str) -> dict:
-        """Coefficients of a localized class in a Schubert basis.
+    def expand_values(self, values) -> dict:
+        """Coefficients of a localized class in the opposite Schubert basis.
 
-        Triangular elimination along a linear extension of the Bruhat order:
-        at each index the residual is divided by the diagonal restriction
-        and the coefficient times the basis class is subtracted; every
-        division is exact for classes in the span.  Full-torus residuals are
-        Laurent polynomials, divided factor by factor.  One-variable
-        residuals are Kronecker-packed integers (see the module docstring
-        and :meth:`_eliminate_packed`); the elimination restarts at twice
-        the digit width whenever a bound reaches half the digit base.
+        Triangular elimination in index order, which sorts points by length
+        and so extends the Bruhat order: at each index the residual is
+        divided by the diagonal restriction and the coefficient times the
+        basis class is subtracted; every division is exact for classes in
+        the span.  Full-torus residuals are Laurent polynomials, divided
+        factor by factor.  One-variable residuals are Kronecker-packed
+        integers (see the module docstring and :meth:`_eliminate_packed`);
+        the elimination restarts at twice the digit width whenever a bound
+        reaches half the digit base.
         """
-        order = sorted(
-            range(self.npoints), key=lambda p: self.lengths[p], reverse=orientation == PLAIN
-        )
         if self.chars.nvars == 1:
-            bits = self._packed.get(orientation, (PACK_BITS,))[0]
+            bits = PACK_BITS if self._packed is None else self._packed[0]
             while True:
-                coeffs = self._eliminate_packed(
-                    values, order, *self._packed_table(orientation, bits)
-                )
+                coeffs = self._eliminate_packed(values, *self._packed_table(bits))
                 if coeffs is not None:
                     return coeffs
                 bits *= 2
         residual = [v.copy() for v in values]  # updated in place
-        table = self.table(orientation)
+        table = self.table(OPPOSITE)
         coeffs: dict = {}
-        for widx in order:
+        for widx in range(self.npoints):
             val = residual[widx]
             if val.is_zero():
                 continue
             try:
-                c = self._divide_diag(val, widx, orientation)
+                c = self._divide_diag(val, widx)
             except NotDivisibleError as exc:
                 raise NotInSpanError("not in the scalar span of Schubert classes") from exc
             if c is val:  # no diagonal factor; val is about to be updated
@@ -367,26 +351,27 @@ class KModel:
             raise NotInSpanError("not in the scalar span of Schubert classes")
         return coeffs
 
-    def _packed_table(self, orientation: str, bits: int) -> tuple:
-        """(bits, diagonal, rows) of the table packed at ``bits``-bit digits.
+    def _packed_table(self, bits: int) -> tuple:
+        """(bits, diagonal, rows) of the opposite table packed at ``bits``-bit
+        digits.
 
         ``diagonal[w]`` is the packed (lo, P, l1) of the entry (w, w), and
         ``rows[w]`` lists (p, lo, P, l1) for the other nonzero entries of
         row w.  Converted on the first expansion at this width and kept.
         """
-        hit = self._packed.get(orientation)
+        hit = self._packed
         if hit is None or hit[0] != bits:
-            table = self.table(orientation)
+            table = self.table(OPPOSITE)
             diagonal = [kronecker_pack(row[w], bits) for w, row in enumerate(table)]
             rows = [
                 [(p, *kronecker_pack(v, bits)) for p, v in enumerate(row) if v and p != w]
                 for w, row in enumerate(table)
             ]
-            hit = self._packed[orientation] = (bits, diagonal, rows)
+            hit = self._packed = (bits, diagonal, rows)
         return hit
 
     @staticmethod
-    def _eliminate_packed(values, order, bits, diagonal, rows) -> dict | None:
+    def _eliminate_packed(values, bits, diagonal, rows) -> dict | None:
         """The elimination of :meth:`expand_values` on packed residuals.
 
         Residual p is z^lo[p] * F_p(z), held as lo[p] and acc[p] = F_p(B)
@@ -399,7 +384,7 @@ class KModel:
         lo, acc, bound = (list(col) for col in zip(*(kronecker_pack(v, bits) for v in values)))
         coeffs: dict = {}
         peak = 0  # largest |coefficient| bound of a quotient times its divisor
-        for widx in order:
+        for widx in range(len(acc)):
             packed = acc[widx]
             if not packed:
                 continue
@@ -438,12 +423,21 @@ class KModel:
 
     # -- basis change -------------------------------------------------------------
 
-    def basis_change(self, source: str) -> list:
-        """Expansion of every source-basis class in the other basis."""
-        target = OPPOSITE if source == PLAIN else PLAIN
-        hit = self._basis_change.get(source)
-        if hit is None:
-            table = self.table(source)
-            hit = [self.expand_values(row, target) for row in table]
-            self._basis_change[source] = hit
-        return hit
+    def basis_change(self) -> list:
+        """Plain-basis expansion of every opposite class.
+
+        O^v = w0 O_{dual[v]}, so the expansion of O^v is the w0 translate of
+        the opposite-basis expansion of the plain class dual[v]: w0 takes
+        O^x to O_{dual[x]} and acts on each coefficient as in :meth:`_build`.
+        """
+        if self._basis_change is None:
+            plain, dual = self.table(PLAIN), self.dual
+            images, nv = self.chars.w0_images, self.chars.nvars
+            self._basis_change = [
+                {
+                    dual[x]: c.substitute_letters(images, nv)
+                    for x, c in self.expand_values(plain[dual[v]]).items()
+                }
+                for v in range(self.npoints)
+            ]
+        return self._basis_change

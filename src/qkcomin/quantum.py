@@ -41,6 +41,7 @@ from qkcomin.gkm import (
 from qkcomin.laurent import LaurentElement
 from qkcomin.weyl import (
     FlagShape,
+    bruhat_leq,
     image_index,
     minrep_to_partition,
     partition_contains,
@@ -69,7 +70,8 @@ class Space:
     # degree d -> Diagram of Y_d <- T_d -> X
     diagrams: dict = field(default_factory=dict, init=False, repr=False)
     # (Y_d shape, u index, v index on Y_d) -> opposite-basis coefficients on X
-    # of the projected class, shared across every (u, v, d) that lands there
+    # of the projected class, shared across every (u, v, d) that lands there;
+    # empty where u_d is not below v_d in the Bruhat order on Y_d
     richardson: dict = field(default_factory=dict, init=False, repr=False)
     # (u, v) -> the product with v in the plain basis
     products: dict = field(default_factory=dict, init=False, repr=False)
@@ -234,13 +236,14 @@ def _gw_coeffs(space: Space, d: int, ui: int, vi: int) -> dict:
     dg = space.diagram(d)
     my = dg.y
     u_d, v_d = dg.to_y_opposite[ui], dg.to_y_plain[vi]
-    if not my.leq(u_d, v_d):
-        return {}
     key = (my.shape, u_d, v_d)
     out = space.richardson.get(key)
     if out is None:
-        rich = my.multiply_values(my.table(OPPOSITE)[u_d], my.table(PLAIN)[v_d])
-        out = space.richardson[key] = _move(my.expand_values(rich, OPPOSITE), dg.from_y)
+        out = {}
+        if bruhat_leq(my.points[u_d], my.points[v_d]):
+            rich = my.multiply_values(my.table(OPPOSITE)[u_d], my.table(PLAIN)[v_d])
+            out = _move(my.expand_values(rich), dg.from_y)
+        space.richardson[key] = out
     return out
 
 
@@ -349,7 +352,7 @@ def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> QKElement:
     if hit is not None:
         return hit
     total: dict = {}
-    for xidx, gamma in space.model.basis_change(OPPOSITE)[space.index_of(v)].items():
+    for xidx, gamma in space.model.basis_change()[space.index_of(v)].items():
         _add_scaled(total, gamma, quantum_product(space, u, space.partition_of(xidx)))
     result = QKElement(space, total).normalized()
     memo[(u, v)] = result

@@ -1,13 +1,14 @@
 """Literal references that tests compare the engine against.
 
-The engine moves Schubert classes through index maps; these helpers work on
-fixed-point values instead.  Unlike :mod:`qkcomin.oracles` they may call
-:meth:`KModel.expand_values`.
+The engine moves Schubert classes through index maps and expands only in
+the opposite basis; these helpers work on fixed-point values instead, and
+expand in the plain basis by its own elimination.  Unlike
+:mod:`qkcomin.oracles` they may call :meth:`KModel.expand_values`.
 """
 
 from functools import lru_cache
 
-from qkcomin.gkm import OPPOSITE, PLAIN, KModel
+from qkcomin.gkm import OPPOSITE, PLAIN, KModel, NotInSpanError
 from qkcomin.laurent import LaurentElement, NotDivisibleError, _unpack
 from qkcomin.quantum import QKElement, Space, _gw_coeffs
 from qkcomin.weyl import FlagShape, image_index, min_coset_rep
@@ -87,9 +88,60 @@ def is_unit(values) -> bool:
 def euler_char(model: KModel, values):
     """Pushforward to the point: sum of the opposite-basis coefficients."""
     total = model.zero()
-    for c in model.expand_values(values, OPPOSITE).values():
+    for c in model.expand_values(values).values():
         total = total + c
     return total
+
+
+def diag_factor_exps(model: KModel, widx: int, orientation: str) -> tuple:
+    """Binomial factors 1 - t^e of the diagonal restriction at the index.
+
+    Plain classes: cross-block non-inversions; opposite classes:
+    cross-block inversions (the normal directions of the respective cell).
+    """
+    if orientation == OPPOSITE:
+        return model.diag_factor_exps(widx)
+    w = model.points[widx]
+    return tuple(
+        model.chars.root_exp(w[i - 1], w[j - 1])
+        for bi, block in enumerate(model.blocks)
+        for later in model.blocks[bi + 1:]
+        for i in block
+        for j in later
+        if w[i - 1] < w[j - 1]
+    )
+
+
+def expand_plain(model: KModel, values) -> dict:
+    """Coefficients of a localized class in the plain Schubert basis.
+
+    The literal elimination, independent of :meth:`KModel.expand_values`:
+    indices in descending length, each residual divided by the
+    non-inversion factors of the plain diagonal.
+    """
+    table = model.table(PLAIN)
+    residual = list(values)
+    coeffs = {}
+    for widx in sorted(range(model.npoints), key=lambda p: model.lengths[p], reverse=True):
+        c = residual[widx]
+        if c.is_zero():
+            continue
+        try:
+            for mexp in diag_factor_exps(model, widx, PLAIN):
+                c = c.divide_exact_one_minus(mexp)
+        except NotDivisibleError as exc:
+            raise NotInSpanError("not in the scalar span of Schubert classes") from exc
+        coeffs[widx] = c
+        residual = [acc - c * rv for acc, rv in zip(residual, table[widx])]
+    if any(not v.is_zero() for v in residual):
+        raise NotInSpanError("not in the scalar span of Schubert classes")
+    return coeffs
+
+
+def expand(model: KModel, values, orientation: str) -> dict:
+    """Coefficients in the basis of the orientation: by the engine in the
+    opposite basis, by :func:`expand_plain` in the plain one."""
+    return expand_plain(model, values) if orientation == PLAIN else model.expand_values(values)
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +178,7 @@ def pullback(values: tuple, dst: KModel, src: KModel) -> tuple:
 def pushforward(values: tuple, src: KModel, dst: KModel, orientation: str = PLAIN) -> tuple:
     """Transport basis-wise: expand, map each index to its image, recombine."""
     out: dict = {}
-    for widx, c in src.expand_values(values, orientation).items():
+    for widx, c in expand(src, values, orientation).items():
         tid = dst.idx[image_index(src.points[widx], src.shape, dst.shape)]
         out[tid] = out.get(tid, dst.zero()) + c
     return dst.recombine(out, orientation)

@@ -21,6 +21,14 @@ ALLOWED = {
     "positivity_sign_report": "the planned sign check reports with it",
 }
 
+# checked names that are also defined elsewhere in the package, where a read
+# of one definition counts for all; one reason each why every one is read
+SHARED_NAMES = {
+    "zero": "KModel.zero returns LaurentElement.zero, which sum_check also calls",
+    "one": "KModel.one returns LaurentElement.one, which the sweep also calls",
+    "dist": "quantum.dist is called by name, oracles.MomentGraph.dist as graph.dist",
+}
+
 
 def references(tree, skip) -> Counter:
     """How often each name is read, as a variable or as an attribute,
@@ -45,6 +53,15 @@ def definitions(tree):
             yield node
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+@lru_cache(maxsize=None)
+def package_trees() -> dict:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+
 @lru_cache(maxsize=None)
 def dead_definitions() -> tuple:
     """(module, definition) pairs of the checked modules that nothing live reads.
@@ -53,15 +70,12 @@ def dead_definitions() -> tuple:
     already found dead, has no caller.  Rounds repeat until none is newly
     found, so a chain of helpers that only call each other is flagged whole.
     """
-    trees = {
-        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
-    }
+    trees = package_trees()
     candidates = [
         (module, node)
         for module in MODULES
         for node in definitions(trees[module])
-        if not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in ALLOWED
+        if not is_dunder(node.name) and node.name not in ALLOWED
     ]
     dead: set = set()
     found: list = []
@@ -85,3 +99,19 @@ def test_every_definition_has_a_caller(module):
         f"{node.name} (line {node.lineno})" for where, node in dead_definitions() if where == module
     ]
     assert not unused, f"defined in {module} and never referenced in the package: {unused}"
+
+
+def test_shared_names_are_listed():
+    """References are counted by name, so a checked definition whose name is
+    defined twice could borrow the reads of its namesake; every such name
+    must be listed in SHARED_NAMES with its reason, and nothing else."""
+    counts = Counter(
+        node.name for tree in package_trees().values() for node in definitions(tree)
+    )
+    shared = {
+        node.name
+        for module in MODULES
+        for node in definitions(package_trees()[module])
+        if counts[node.name] > 1 and not is_dunder(node.name) and node.name not in ALLOWED
+    }
+    assert shared == set(SHARED_NAMES)

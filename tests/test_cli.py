@@ -189,7 +189,7 @@ class TestVerify:
         from qkcomin import cli
         from qkcomin.quantum import get_space
 
-        def broken(self, values, orientation):
+        def broken(self, values):
             raise exc_type("forced\nfailure")
 
         # a fresh Space, so no memoized product hides the expansion
@@ -371,6 +371,12 @@ GOLDEN_TABLES = {
     # m > n - m: kernel and span clamp on the other side of the box
     ("gr:3,5", False, "plain"):
         "33c3c51b33b40f00b3e7da7f15b084d1be90cfac4300738dffb9e0cf24536064",
+    # the change of basis of opposite v: equivariant with m > n - m, and
+    # z mode at n = 6
+    ("gr:3,5", True, "opposite"):
+        "ad45385d6cd7c7b2aaf8bc6c4e7754d6c96a070134ab2f67ec1cedbf82b56ecb",
+    ("gr:2,6", False, "opposite"):
+        "92d3f3948e0b5089ccf9c33ecc8020df60ec074fbefea8de40703b0900a62f4c",
 }
 GOLDEN_GR24_EQUIVARIANT_CACHE = {
     "restrict_008f28f749b65e68b195e364.json":

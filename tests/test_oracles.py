@@ -68,7 +68,7 @@ class TestSetValuedRule:
                 mdl.table(OPPOSITE)[space.index_of(lam)],
                 mdl.table(OPPOSITE)[space.index_of(mu)],
             )
-            exp = mdl.expand_values(prod, OPPOSITE)
+            exp = mdl.expand_values(prod)
             got = {
                 space.partition_of(w): c.specialize_ones()
                 for w, c in exp.items()
@@ -140,7 +140,7 @@ class TestSubwordFormula:
         m = KModel(shape, chars)
         for w in range(m.npoints):
             diag = m.one()
-            for e in m.diag_factor_exps(w, OPPOSITE):
+            for e in m.diag_factor_exps(w):
                 diag = diag * (m.one() - LaurentElement.monomial(4, e))
             assert subword_restriction(shape, m.points[w], m.points[w], chars) == diag
 

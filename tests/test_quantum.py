@@ -281,7 +281,8 @@ class TestShift:
 class TestQuantumProduct:
     def test_unit_law(self, gr24):
         for v in gr24.partitions:
-            expect = QKElement(gr24, {0: gr24.model.basis_change(PLAIN)[gr24.index_of(v)]})
+            m = gr24.model
+            expect = QKElement(gr24, {0: m.expand_values(m.table(PLAIN)[gr24.index_of(v)])})
             assert quantum_product(gr24, (), v) == expect
 
     def test_p1_point_times_point(self, p1):
@@ -472,20 +473,22 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("m,n,equivariant", [(2, 5, False), (2, 4, True)])
     def test_no_plain_to_opposite_change_of_basis_on_x(self, monkeypatch, m, n, equivariant):
-        # the degree series is expanded in the opposite basis, so no product
-        # converts plain coefficients on X to the opposite basis
+        # the degree series is expanded on Y_d in the opposite basis, so no
+        # product with v plain changes basis on X; only the products with v
+        # opposite of the sum check do, and only on X
         calls = []
         basis_change = KModel.basis_change
 
-        def recording(model, source):
-            calls.append((model.shape, source))
-            return basis_change(model, source)
+        def recording(model):
+            calls.append(model.shape)
+            return basis_change(model)
 
         monkeypatch.setattr(KModel, "basis_change", recording)
         space = Space(m, n, equivariant=equivariant)
+        assert verify_space(space, checks=("hom", "mindeg")).passed
+        assert calls == []
         assert verify_space(space).passed
-        assert (space.shape, OPPOSITE) in calls
-        assert (space.shape, PLAIN) not in calls
+        assert set(calls) == {space.shape}
 
     def test_violations_are_reported_not_raised(self, gr24):
         # a fabricated bad table shows up as a violation line
