@@ -174,10 +174,10 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     space = _parse_space(args.space, args.equivariant, not args.no_cache)
-    checks = tuple(args.checks.split(",")) if args.checks else tuple(CHECKS)
-    unknown = set(checks) - set(CHECKS)
+    checks = tuple(dict.fromkeys(args.checks.split(","))) if args.checks else tuple(CHECKS)
+    unknown = [name for name in checks if name not in CHECKS]
     if unknown:
-        raise UsageError(f"unknown checks: {','.join(sorted(unknown))}")
+        raise UsageError(f"unknown checks: {','.join(map(repr, unknown))}")
     report = verify_space(space, checks=checks, oracle=args.oracle)
     for line in report.violations:
         sys.stdout.write(line + "\n")

@@ -135,20 +135,10 @@ class KModel:
         self.lengths = tuple(length(w) for w in self.points)
         # index of the w0 translate: X_w = w0 X^{dual[w]}
         self.dual = tuple(self.idx[dual_index(w, shape)] for w in self.points)
-        self.blocks = shape.blocks
         self.npoints = len(self.points)
-        n = shape.n
-        self._left = [
-            [self._left_entry(p, i) for p in range(self.npoints)]
-            for i in range(1, n)
-        ]
         self._tables: dict = {}
         self._basis_change: list | None = None
         self._packed: tuple | None = None
-
-    def _left_entry(self, p: int, i: int):
-        m, case = left_action_on_minrep(self.points[p], i, self.blocks)
-        return self.idx[m], case
 
     # -- scalars ------------------------------------------------------------
 
@@ -235,10 +225,11 @@ class KModel:
     def _identity_point_row(self, eq: CharacterMap) -> tuple:
         """Localization of the structure sheaf of the identity coset, index 0."""
         val = LaurentElement.one(eq.nvars)
-        for bi in range(len(self.blocks)):
-            for bj in range(bi + 1, len(self.blocks)):
-                for i in self.blocks[bi]:
-                    for j in self.blocks[bj]:
+        blocks = self.shape.blocks
+        for bi in range(len(blocks)):
+            for bj in range(bi + 1, len(blocks)):
+                for i in blocks[bi]:
+                    for j in blocks[bj]:
                         binom = LaurentElement.one(eq.nvars) - LaurentElement.monomial(
                             eq.nvars, eq.root_exp(i, j)
                         )
@@ -253,8 +244,15 @@ class KModel:
         and the parent of each row, one simple reflection lower, lies in the
         previous layer.  Only that layer is retained, so the transient
         memory stays small even when the consumer only keeps a specialized
-        form of each row.
+        form of each row.  ``left[i - 1][p]`` is the index of s_i times the
+        point p and whether that raises (+1), lowers (-1) or keeps (0) its
+        length.
         """
+        blocks = self.shape.blocks
+        left = []
+        for i in range(1, self.shape.n):
+            acts = (left_action_on_minrep(w, i, blocks) for w in self.points)
+            left.append([(self.idx[m], case) for m, case in acts])
         prev: dict = {}
         cur: dict = {}
         for p in range(self.npoints):
@@ -263,17 +261,17 @@ class KModel:
             else:
                 if self.lengths[p] != self.lengths[p - 1]:
                     prev, cur = cur, {}
-                i = next(i for i in range(1, self.shape.n) if self._left[i - 1][p][1] == -1)
-                row = self._sweep_row(eq, prev[self._left[i - 1][p][0]], i)
+                i = next(i for i in range(1, self.shape.n) if left[i - 1][p][1] == -1)
+                row = self._sweep_row(eq, prev[left[i - 1][p][0]], i, left[i - 1])
             cur[p] = row
             yield row
 
-    def _sweep_row(self, eq: CharacterMap, row: tuple, i: int) -> tuple:
+    def _sweep_row(self, eq: CharacterMap, row: tuple, i: int, left_i: list) -> tuple:
         mexp = eq.root_exp(i, i + 1)
         mono = LaurentElement.monomial(eq.nvars, mexp)
         out = [None] * self.npoints
         for p in range(self.npoints):
-            p2, _ = self._left[i - 1][p]
+            p2, _ = left_i[p]
             g = row[p] - mono * row[p2].swap_letters(i)
             out[p] = g.divide_exact_one_minus(mexp)
         return tuple(out)
@@ -295,11 +293,12 @@ class KModel:
         the opposite cell).
         """
         w = self.points[widx]
+        blocks = self.shape.blocks
         exps = []
-        for bi in range(len(self.blocks)):
-            for bj in range(bi + 1, len(self.blocks)):
-                for i in self.blocks[bi]:
-                    for j in self.blocks[bj]:
+        for bi in range(len(blocks)):
+            for bj in range(bi + 1, len(blocks)):
+                for i in blocks[bi]:
+                    for j in blocks[bj]:
                         if w[i - 1] > w[j - 1]:
                             exps.append(self.chars.root_exp(w[i - 1], w[j - 1]))
         return tuple(exps)

@@ -1,10 +1,9 @@
 """Symmetric-group and parabolic-coset combinatorics for type-A flag varieties.
 
 Permutations are tuples in one-line notation with values 1..n.  A parabolic
-subgroup is described either by the set of simple-reflection indices it
-contains, or equivalently by the flag shape whose dimension steps are the
-complementary indices; both induce the same partition of positions 1..n
-into consecutive blocks.
+subgroup is described by the flag shape whose dimension steps cut the
+positions 1..n into consecutive blocks; the subgroup permutes positions
+within each block.
 
 >>> length((1, 3, 2, 4))
 1
@@ -17,6 +16,7 @@ into consecutive blocks.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -35,13 +35,6 @@ def left_mul_simple(w: tuple, i: int) -> tuple:
     return tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
 
 
-def right_mul_simple(w: tuple, i: int) -> tuple:
-    """w s_i: exchange positions i and i+1 (1-based)."""
-    lw = list(w)
-    lw[i - 1], lw[i] = lw[i], lw[i - 1]
-    return tuple(lw)
-
-
 def w0_conjugate_value(w: tuple) -> tuple:
     """One-line notation of w0 w, i.e. values x -> n+1-x."""
     n = len(w)
@@ -56,60 +49,15 @@ def bruhat_leq(u: tuple, v: tuple) -> bool:
     su: list = []
     sv: list = []
     for k in range(n - 1):
-        _insort(su, u[k])
-        _insort(sv, v[k])
+        insort(su, u[k])
+        insort(sv, v[k])
         for a, b in zip(su, sv):
             if a > b:
                 return False
     return True
 
 
-def _insort(xs: list, x: int) -> None:
-    lo, hi = 0, len(xs)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if xs[mid] < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    xs.insert(lo, x)
-
-
-def reduced_word(w: tuple) -> tuple:
-    """Canonical reduced word: repeatedly remove the smallest right descent."""
-    word = []
-    lw = list(w)
-    n = len(lw)
-    moved = True
-    while moved:
-        moved = False
-        for i in range(n - 1):
-            if lw[i] > lw[i + 1]:
-                lw[i], lw[i + 1] = lw[i + 1], lw[i]
-                word.append(i + 1)
-                moved = True
-                break
-    word.reverse()
-    return tuple(word)
-
-
 # -- parabolic subgroups and flag shapes --------------------------------------
-
-
-def parabolic_blocks(indices: frozenset, n: int) -> tuple:
-    """Position blocks 1..n cut by the simple indices NOT in the parabolic.
-
-    The subgroup generated by {s_i : i in indices} permutes positions within
-    maximal runs of consecutive members of ``indices``.
-    """
-    blocks = []
-    start = 1
-    for i in range(1, n):
-        if i not in indices:
-            blocks.append(tuple(range(start, i + 1)))
-            start = i + 1
-    blocks.append(tuple(range(start, n + 1)))
-    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -134,12 +82,10 @@ class FlagShape:
         return FlagShape(tuple(kept), n)
 
     @cached_property
-    def parabolic(self) -> frozenset:
-        return frozenset(range(1, self.n)) - set(self.dims)
-
-    @cached_property
     def blocks(self) -> tuple:
-        return parabolic_blocks(self.parabolic, self.n)
+        """Position blocks 1..n cut at the dimension steps."""
+        cuts = (0, *self.dims, self.n)
+        return tuple(tuple(range(a + 1, b + 1)) for a, b in zip(cuts, cuts[1:]))
 
     def projects_to(self, other: "FlagShape") -> bool:
         """True when forgetting flag steps maps this shape onto ``other``."""
@@ -155,12 +101,6 @@ def min_coset_rep(w: tuple, blocks: tuple) -> tuple:
     for b in blocks:
         out.extend(sorted(w[p - 1] for p in b))
     return tuple(out)
-
-
-def is_minrep(w: tuple, blocks: tuple) -> bool:
-    return all(
-        w[b[i] - 1] < w[b[i + 1] - 1] for b in blocks for i in range(len(b) - 1)
-    )
 
 
 @lru_cache(maxsize=None)
@@ -222,10 +162,9 @@ def partition_to_minrep(lam: tuple, m: int, n: int) -> tuple:
         raise ValueError(f"{lam} does not fit in the {m}x{n - m} box")
     if any(x < 0 for x in lam):
         raise ValueError("negative parts")
-    padded = lam + (0,) * (m - len(lam))
-    first = sorted(padded[m - 1 - i] + i + 1 for i in range(m))
+    first = partition_to_subset(lam, m)
     rest = sorted(set(range(1, n + 1)) - set(first))
-    return tuple(first + rest)
+    return first + tuple(rest)
 
 
 def minrep_to_partition(w: tuple, m: int, n: int) -> tuple:

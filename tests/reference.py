@@ -2,8 +2,8 @@
 
 The engine moves Schubert classes through index maps and expands only in
 the opposite basis; these helpers work on fixed-point values instead, and
-expand in the plain basis by its own elimination.  Unlike
-:mod:`qkcomin.oracles` they may call :meth:`KModel.expand_values`.
+expand in the plain basis by its own elimination.  Unlike the literature
+oracles of :mod:`slow_oracles` they may call :meth:`KModel.expand_values`.
 """
 
 from functools import lru_cache
@@ -63,6 +63,22 @@ def dimension(shape: FlagShape) -> int:
     return shape.n * (shape.n - 1) // 2 - sum(s * (s - 1) // 2 for s in sizes)
 
 
+def parabolic_blocks(indices: frozenset, n: int) -> tuple:
+    """Position blocks 1..n cut by the simple indices NOT in the parabolic.
+
+    The subgroup generated by {s_i : i in indices} permutes positions within
+    maximal runs of consecutive members of ``indices``.
+    """
+    blocks = []
+    start = 1
+    for i in range(1, n):
+        if i not in indices:
+            blocks.append(tuple(range(start, i + 1)))
+            start = i + 1
+    blocks.append(tuple(range(start, n + 1)))
+    return tuple(blocks)
+
+
 def max_coset_rep(w: tuple, blocks: tuple) -> tuple:
     """Unique longest element of w W_P: reverse-sort within position blocks."""
     out = []
@@ -104,8 +120,8 @@ def diag_factor_exps(model: KModel, widx: int, orientation: str) -> tuple:
     w = model.points[widx]
     return tuple(
         model.chars.root_exp(w[i - 1], w[j - 1])
-        for bi, block in enumerate(model.blocks)
-        for later in model.blocks[bi + 1:]
+        for bi, block in enumerate(model.shape.blocks)
+        for later in model.shape.blocks[bi + 1:]
         for i in block
         for j in later
         if w[i - 1] < w[j - 1]
@@ -153,7 +169,7 @@ def gkm_edges(model: KModel) -> tuple:
         for b in range(a + 1, n + 1):
             for p, w in enumerate(model.points):
                 moved = tuple(b if x == a else a if x == b else x for x in w)
-                q = model.idx[min_coset_rep(moved, model.blocks)]
+                q = model.idx[min_coset_rep(moved, model.shape.blocks)]
                 if q > p:
                     edges.append((p, q, model.chars.root_exp(a, b)))
     return tuple(edges)
@@ -172,7 +188,7 @@ def gkm_check(model: KModel, values) -> bool:
 def pullback(values: tuple, dst: KModel, src: KModel) -> tuple:
     """Precompose a class on ``dst`` with the coset projection from ``src``."""
     assert src.shape.projects_to(dst.shape)
-    return tuple(values[dst.idx[min_coset_rep(v, dst.blocks)]] for v in src.points)
+    return tuple(values[dst.idx[min_coset_rep(v, dst.shape.blocks)]] for v in src.points)
 
 
 def pushforward(values: tuple, src: KModel, dst: KModel, orientation: str = PLAIN) -> tuple:

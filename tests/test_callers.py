@@ -1,4 +1,4 @@
-"""Every function, method and class of the engine modules has a caller in the package."""
+"""Every function, method and class of the package modules has a caller in the package."""
 
 import ast
 from collections import Counter
@@ -10,7 +10,9 @@ import pytest
 import qkcomin
 
 PACKAGE = Path(qkcomin.__file__).resolve().parent
-MODULES = ("gkm.py", "quantum.py", "cli.py", "cache.py", "laurent.py", "weyl.py")
+MODULES = tuple(
+    sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ("__init__.py", "__main__.py"))
+)
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # names kept without a caller in the package, one reason each

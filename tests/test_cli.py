@@ -135,6 +135,23 @@ class TestVerify:
         rc, _, err = run_cli(capsys, "verify", "--space", "gr:1,3", "--checks", "bogus")
         assert rc == 2 and "unknown checks" in err
 
+    def test_empty_check_name_is_named(self, capsys):
+        rc, _, err = run_cli(capsys, "verify", "--space", "gr:1,3", "--checks", "sum,")
+        assert rc == 2 and "unknown checks: ''" in err
+
+    def test_repeated_check_runs_once(self, capsys, monkeypatch):
+        from qkcomin.quantum import Report
+
+        def one_violation(space):
+            rep = Report(str(space), space.equivariant, pairs=1)
+            rep.violations.append("u=1 v=1 got=0")
+            return rep
+
+        monkeypatch.setitem(CHECKS, "x", one_violation)
+        rc, out, _ = run_cli(capsys, "verify", "--space", "gr:1,2", "--checks", "x,x")
+        assert rc == 1
+        assert out.split("\n") == ["x: u=1 v=1 got=0", "FAIL pairs=1 violations=1", ""]
+
     @pytest.mark.parametrize("name", list(CHECKS))
     def test_every_registered_check_is_accepted(self, capsys, name):
         rc, out, _ = run_cli(capsys, "verify", "--space", "gr:1,3", "--checks", name)

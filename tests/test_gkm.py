@@ -165,7 +165,7 @@ class TestMultiply:
                 assert all(x.is_zero() for x in r) == (not bruhat_leq(m.points[u], m.points[v]))
 
     def test_gr24_classical_product_matches_tableau_oracle(self):
-        from qkcomin.oracles import lr_constants_setvalued
+        from slow_oracles import lr_constants_setvalued
 
         m = model((2,), 4)
         i1 = m.idx[partition_to_minrep((1,), 2, 4)]

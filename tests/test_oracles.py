@@ -1,18 +1,22 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
+import qkcomin
+import slow_oracles
 from qkcomin.gkm import OPPOSITE, KModel, equivariant_chars, zspec_chars
 from qkcomin.laurent import LaurentElement
-from qkcomin.oracles import (
-    MomentGraph,
+from qkcomin.oracles import MomentGraph
+from qkcomin.weyl import FlagShape, partitions_in_box
+from qkcomin.quantum import Space, quantum_product
+from slow_oracles import (
     givental_p1_product,
     lr_constants_setvalued,
     stable_lr_constants,
     subword_restriction,
 )
-from qkcomin.weyl import FlagShape, partitions_in_box
-from qkcomin.quantum import Space, quantum_product
 
 
 class TestSetValuedRule:
@@ -165,9 +169,47 @@ class TestSubwordFormula:
                         == m.table(OPPOSITE)[w][v]
                     )
 
+    def test_non_minimal_index_rejected(self):
+        shape = FlagShape((2,), 4)
+        chars = equivariant_chars(4)
+        with pytest.raises(ValueError):
+            subword_restriction(shape, (2, 1, 3, 4), (1, 2, 3, 4), chars)
+
     def test_large_rank_rejected(self):
         shape = FlagShape((2,), 6)
         with pytest.raises(ValueError):
             subword_restriction(
                 shape, (1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), equivariant_chars(6)
             )
+
+
+# -- the oracles stay independent of the engine -----------------------------------
+
+TESTS = Path(__file__).resolve().parent
+ORACLE_FILES = (Path(qkcomin.__file__).resolve().parent / "oracles.py", Path(slow_oracles.__file__))
+
+
+def imported_modules(path: Path) -> set:
+    """Dotted names of every module the file imports, at any depth."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ("qkcomin" if node.level else "", node.module)))
+            if base == "qkcomin":
+                out.update(f"qkcomin.{alias.name}" for alias in node.names)
+            else:
+                out.add(base)
+    return out
+
+
+@pytest.mark.parametrize("path", ORACLE_FILES, ids=lambda p: p.name)
+def test_oracles_import_only_scalars_and_permutations(path):
+    """The oracles may use the package's scalars and permutations, never the
+    tables, and never the test references, which call the engine."""
+    imported = imported_modules(path)
+    package = {name for name in imported if name.split(".")[0] == "qkcomin"}
+    assert package <= {"qkcomin.laurent", "qkcomin.weyl"}
+    test_modules = {p.stem for p in TESTS.glob("*.py")}
+    assert not {name.split(".")[0] for name in imported} & test_modules

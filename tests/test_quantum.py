@@ -5,7 +5,7 @@ import pytest
 
 from qkcomin.gkm import OPPOSITE, PLAIN, KModel
 from qkcomin.laurent import LaurentElement
-from qkcomin.oracles import MomentGraph, givental_p1_product
+from qkcomin.oracles import MomentGraph
 from qkcomin.weyl import FlagShape, image_index, partition_to_subset
 from qkcomin.quantum import (
     QKElement,
@@ -40,6 +40,7 @@ from reference import (
     pushforward,
     variable,
 )
+from slow_oracles import givental_p1_product
 
 
 @pytest.fixture(scope="module")

@@ -13,11 +13,9 @@ from qkcomin.weyl import (
     length,
     min_coset_rep,
     minrep_to_partition,
-    parabolic_blocks,
     partition_contains,
     partition_to_minrep,
     partitions_in_box,
-    reduced_word,
 )
 from reference import (
     compose,
@@ -26,8 +24,10 @@ from reference import (
     inverse,
     longest_element,
     max_coset_rep,
+    parabolic_blocks,
     preimage_index_plain,
 )
+from slow_oracles import reduced_word, right_mul_simple
 
 
 def all_perms(n):
@@ -82,7 +82,7 @@ class TestLength:
             assert len(word) == length(w)
             acc = identity(4)
             for i in word:
-                acc = weyl.right_mul_simple(acc, i)
+                acc = right_mul_simple(acc, i)
             assert acc == w
 
 
@@ -287,6 +287,18 @@ class TestTransport:
 
 
 class TestShapes:
+    def test_blocks_match_parabolic_reference(self):
+        # every flag shape with n <= 8: 2^(n-1) of them per n, 255 in all
+        count = 0
+        for n in range(1, 9):
+            for r in range(n):
+                for dims in itertools.combinations(range(1, n), r):
+                    shape = FlagShape(dims, n)
+                    parabolic = frozenset(range(1, n)) - set(dims)
+                    assert shape.blocks == parabolic_blocks(parabolic, n)
+                    count += 1
+        assert count == 255
+
     def test_point_shape(self):
         pt = FlagShape.make((0, 4), 4)
         assert not pt.dims
