@@ -2,28 +2,32 @@
 
 A class is represented by its restrictions to the torus-fixed points, one
 exact Laurent polynomial per point, constrained by divisibility along the
-one-dimensional torus orbits (the moment-graph edges).  The B-stable
-Schubert classes are generated by one sweep recursion, upward from the
-point class of the identity coset: sweeping a Borel orbit closure by the
-minimal parabolic P_i corresponds on fixed-point functions to the operator
+one-dimensional torus orbits (the moment-graph edges).  Two scalar modes
+exist: the full torus (n characters), and a one-parameter specialization
+t_i -> z^(i-1) used for computations whose reported output is
+non-equivariant.  Each mode builds one orientation of the restriction
+table and reads the other off it by the longest element, X^w = w0 X_{w0 w},
+through the index map w -> w0 w and the action of w0 on the scalars.
 
-    (A_i f)(v) = (f(v) - e * s_i(f(v'))) / (1 - e),
+* On the full torus, the B-stable (plain) Schubert classes are generated
+  by one sweep recursion, upward from the point class of the identity
+  coset: sweeping a Borel orbit closure by the minimal parabolic P_i
+  corresponds on fixed-point functions to the operator
 
-where v' is the coset of s_i v, s_i acts on the scalars by exchanging the
-characters t_i and t_{i+1}, and e is the character of the simple root.
-The division is always exact; a failed division signals a convention bug
-and aborts loudly.  The opposite family is the translate by the longest
-element, X^w = w0 X_{w0 w}: its table is read off the plain one through
-the index map w -> w0 w and the action of w0 on the scalars.
+      (A_i f)(v) = (f(v) - e * s_i(f(v'))) / (1 - e),
+
+  where v' is the coset of s_i v, s_i acts on the scalars by exchanging
+  the characters t_i and t_{i+1}, and e is the character of the simple
+  root.  The division is always exact; a failed division signals a
+  convention bug and aborts loudly.
+* With one parameter, the opposite classes are summed over Hecke subwords
+  of a reduced word of each point (:meth:`KModel._subword_rows`), on
+  Kronecker-packed integers, with no division and no full torus.  There
+  w0 acts as z -> z^-1, which is exact because every restriction lies in
+  the degree-zero sublattice (see :func:`zspec_chars`).
 
 Restriction tables are memoized per (shape, scalar mode, orientation) and
-mirrored on disk.  Two scalar modes exist: the full torus (n characters),
-and a one-parameter specialization t_i -> z^(i-1) used for computations
-whose reported output is non-equivariant.  The recursion itself always
-runs with the full torus, since the sweep operator permutes characters;
-one-parameter plain tables are produced by specializing each finished
-row.  There w0 acts as z -> z^-1, which is exact because every
-restriction lies in the degree-zero sublattice (see :func:`zspec_chars`).
+mirrored on disk.
 
 Classes are expanded in the opposite Schubert basis by triangular
 elimination (:meth:`KModel.expand_values`); a plain-basis expansion is the
@@ -70,6 +74,8 @@ from qkcomin.weyl import (
     dual_index,
     left_action_on_minrep,
     length,
+    reduced_word,
+    right_mul_simple,
 )
 
 PLAIN = "plain"
@@ -90,7 +96,7 @@ class CharacterMap:
     n: int
     nvars: int
     images: tuple
-    # images of the letters under the longest element w0 (see KModel._build)
+    # images of the letters under the longest element w0 (see KModel._w0_translate)
     w0_images: tuple
     key: str
 
@@ -112,10 +118,13 @@ def equivariant_chars(n: int) -> CharacterMap:
 def zspec_chars(n: int) -> CharacterMap:
     """One-parameter specialization t_i -> z^(i-1); exact and nondegenerate.
 
-    The longest element acts as z -> z^-1.  This is exact on restrictions,
-    which all lie in the degree-zero sublattice: w0 sends t^e to the
-    monomial with exponent e_i at position n+1-i, which specializes to
-    z^(sum_i e_i (n-i)) = z^((n-1) sum e - sum_i e_i (i-1)), and sum e = 0.
+    The root e_a - e_b maps to z^(b - a), so every positive root is z^k
+    with k > 0, which the subword formula of :meth:`KModel._subword_rows`
+    relies on.  The longest element acts as z -> z^-1.  This is exact on
+    restrictions, which all lie in the degree-zero sublattice: w0 sends t^e
+    to the monomial with exponent e_i at position n+1-i, which specializes
+    to z^(sum_i e_i (n-i)) = z^((n-1) sum e - sum_i e_i (i-1)), and
+    sum e = 0.
     """
     images = tuple((i,) for i in range(n))
     return CharacterMap(n, 1, images, ((-1,),), f"z{n}")
@@ -169,9 +178,12 @@ class KModel:
                 return rows
         rows = self._build(orientation)
         if self.use_cache:
+            # tables share equal entries; format each shared element once
+            distinct = {id(v): v for row in rows for v in row}
+            text = {k: str(v) for k, v in distinct.items()}
             diskcache.store_rows(
                 self._cache_key(orientation),
-                [[str(v) for v in row] for row in rows],
+                [[text[id(v)] for v in row] for row in rows],
             )
         return rows
 
@@ -204,77 +216,137 @@ class KModel:
         return rows
 
     def _build(self, orientation: str) -> list:
-        if orientation == OPPOSITE:
-            plain, dual = self.table(PLAIN), self.dual
-            images, nv = self.chars.w0_images, self.chars.nvars
-            return [
-                tuple(plain[dual[w]][q].substitute_letters(images, nv) for q in dual)
-                for w in range(self.npoints)
-            ]
-        if orientation != PLAIN:
+        """One table: the sweep on the full torus, the subword formula in z
+        mode, and the other orientation by the longest element."""
+        if orientation not in (PLAIN, OPPOSITE):
             raise ValueError(f"unknown orientation {orientation!r}")
-        eq = equivariant_chars(self.shape.n)
-        if self.chars == eq:
-            return list(self._plain_rows(eq))
-        images, nv = self.chars.images, self.chars.nvars
-        return [
-            tuple(v.substitute_letters(images, nv) for v in row)
-            for row in self._plain_rows(eq)
-        ]
+        first = OPPOSITE if self.chars.nvars == 1 else PLAIN
+        if orientation != first:
+            return self._w0_translate(self.table(first))
+        if first == OPPOSITE:
+            return self._subword_rows()
+        return self._plain_rows()
 
-    def _identity_point_row(self, eq: CharacterMap) -> tuple:
+    def _w0_translate(self, table: list) -> list:
+        """The table of the other orientation: X^w = w0 X_{dual[w]}, and w0
+        is an involution, so the same map serves both ways.
+
+        Entry (w, p) is w0 applied to entry (dual[w], dual[p]).  Each shared
+        source element is translated once and its image shared in turn.
+        """
+        dual = self.dual
+        images, nv = self.chars.w0_images, self.chars.nvars
+        distinct = {id(v): v for row in table for v in row}
+        moved = {k: v.substitute_letters(images, nv) for k, v in distinct.items()}
+        return [tuple(moved[id(table[dual[w]][q])] for q in dual) for w in range(self.npoints)]
+
+    def _identity_point_row(self) -> tuple:
         """Localization of the structure sheaf of the identity coset, index 0."""
-        val = LaurentElement.one(eq.nvars)
+        chars = self.chars
+        val = LaurentElement.one(chars.nvars)
         blocks = self.shape.blocks
         for bi in range(len(blocks)):
             for bj in range(bi + 1, len(blocks)):
                 for i in blocks[bi]:
                     for j in blocks[bj]:
-                        binom = LaurentElement.one(eq.nvars) - LaurentElement.monomial(
-                            eq.nvars, eq.root_exp(i, j)
+                        binom = LaurentElement.one(chars.nvars) - LaurentElement.monomial(
+                            chars.nvars, chars.root_exp(i, j)
                         )
                         val = val * binom
-        return (val,) + (LaurentElement.zero(eq.nvars),) * (self.npoints - 1)
+        return (val,) + (LaurentElement.zero(chars.nvars),) * (self.npoints - 1)
 
-    def _plain_rows(self, eq: CharacterMap):
+    def _plain_rows(self) -> list:
         """Full-torus rows of the plain table, in index order.
 
         The sweep starts from the point class of the identity coset, index
-        0, and goes up one length at a time: points are sorted by length,
-        and the parent of each row, one simple reflection lower, lies in the
-        previous layer.  Only that layer is retained, so the transient
-        memory stays small even when the consumer only keeps a specialized
-        form of each row.  ``left[i - 1][p]`` is the index of s_i times the
-        point p and whether that raises (+1), lowers (-1) or keeps (0) its
-        length.
+        0, and goes up: points are sorted by length, so the parent of each
+        row, one simple reflection lower, is built before it.
+        ``left[i - 1][p]`` is the index of s_i times the point p and whether
+        that raises (+1), lowers (-1) or keeps (0) its length.
         """
         blocks = self.shape.blocks
         left = []
         for i in range(1, self.shape.n):
             acts = (left_action_on_minrep(w, i, blocks) for w in self.points)
             left.append([(self.idx[m], case) for m, case in acts])
-        prev: dict = {}
-        cur: dict = {}
-        for p in range(self.npoints):
-            if p == 0:
-                row = self._identity_point_row(eq)
-            else:
-                if self.lengths[p] != self.lengths[p - 1]:
-                    prev, cur = cur, {}
-                i = next(i for i in range(1, self.shape.n) if left[i - 1][p][1] == -1)
-                row = self._sweep_row(eq, prev[left[i - 1][p][0]], i, left[i - 1])
-            cur[p] = row
-            yield row
+        rows = [self._identity_point_row()]
+        for p in range(1, self.npoints):
+            i = next(i for i in range(1, self.shape.n) if left[i - 1][p][1] == -1)
+            rows.append(self._sweep_row(rows[left[i - 1][p][0]], i, left[i - 1]))
+        return rows
 
-    def _sweep_row(self, eq: CharacterMap, row: tuple, i: int, left_i: list) -> tuple:
-        mexp = eq.root_exp(i, i + 1)
-        mono = LaurentElement.monomial(eq.nvars, mexp)
+    def _sweep_row(self, row: tuple, i: int, left_i: list) -> tuple:
+        mexp = self.chars.root_exp(i, i + 1)
+        mono = LaurentElement.monomial(self.chars.nvars, mexp)
         out = [None] * self.npoints
         for p in range(self.npoints):
             p2, _ = left_i[p]
             g = row[p] - mono * row[p2].swap_letters(i)
             out[p] = g.divide_exact_one_minus(mexp)
         return tuple(out)
+
+    def _subword_rows(self) -> list:
+        """Opposite rows in z mode, by the K-theoretic subword formula.
+
+        The restriction of O^w to the point v is (-1)^l(w) times the sum,
+        over the subwords of a reduced word of v whose 0-Hecke (Demazure)
+        product is w, of the product of (z^k - 1) over the letters taken,
+        where z^k is the character of the letter's prefix root (Graham 2002;
+        Willems 2004).  One dynamic programme per point v runs over its
+        word, keyed by the Demazure product u of the letters taken so far:
+        letter i adds (z^k - 1) times the state of u to the state of u s_i
+        if that is longer, and to u itself otherwise.  It gives the column
+        of v for every w at once.
+
+        Prefix roots are e_a - e_b with a < b, so z^k = z^(b - a) with
+        k > 0, and every state is a polynomial held Kronecker-packed: a
+        step is one shift and one subtraction.  The states' L1 norms sum to
+        at most 3^l(v) < 2^(2 l(v)), so at W >= 2 max l + 2 bits per digit
+        every coefficient lies below 2^(W - 2) and unpacks exactly.  Each
+        distinct packed value is unpacked once and shared.
+        """
+        n, npoints = self.shape.n, self.npoints
+        bits = max(PACK_BITS, 2 * max(self.lengths) + 2)
+        # Demazure products by id; the model points come first, so ids below
+        # npoints are the states the table reads
+        perms = list(self.points)
+        ids = dict(self.idx)
+        steps = [[None] * n for _ in perms]  # steps[u][i]: id of the product u * s_i
+        unpacked = {0: LaurentElement.zero(1)}
+        rows = [[unpacked[0]] * npoints for _ in range(npoints)]
+        for col, v in enumerate(self.points):
+            states = {0: 1}
+            prefix = list(range(1, n + 1))
+            for i in reduced_word(v):
+                a, b = prefix[i - 1], prefix[i]
+                prefix[i - 1], prefix[i] = b, a
+                (k,) = self.chars.root_exp(b, a)
+                shift = bits * k
+                nxt = states.copy()
+                for u, val in states.items():
+                    t = steps[u][i]
+                    if t is None:
+                        p = perms[u]
+                        t = u
+                        if p[i - 1] < p[i]:
+                            ps = right_mul_simple(p, i)
+                            t = ids.get(ps)
+                            if t is None:
+                                t = ids[ps] = len(perms)
+                                perms.append(ps)
+                                steps.append([None] * n)
+                        steps[u][i] = t
+                    nxt[t] = nxt.get(t, 0) + (val << shift) - val
+                states = nxt
+            for u, val in states.items():
+                if u < npoints:
+                    if self.lengths[u] % 2:
+                        val = -val
+                    elem = unpacked.get(val)
+                    if elem is None:
+                        elem = unpacked[val] = kronecker_unpack(0, val, bits)[0]
+                    rows[u][col] = elem
+        return [tuple(row) for row in rows]
 
     # -- class construction and ring operations --------------------------------
 
@@ -427,7 +499,7 @@ class KModel:
 
         O^v = w0 O_{dual[v]}, so the expansion of O^v is the w0 translate of
         the opposite-basis expansion of the plain class dual[v]: w0 takes
-        O^x to O_{dual[x]} and acts on each coefficient as in :meth:`_build`.
+        O^x to O_{dual[x]} and acts on each coefficient as in :meth:`_w0_translate`.
         """
         if self._basis_change is None:
             plain, dual = self.table(PLAIN), self.dual

@@ -98,11 +98,22 @@ class Space:
     def partitions(self) -> tuple:
         return partitions_in_box(self.m, self.n - self.m)
 
+    @cached_property
+    def _partition_by_index(self) -> tuple:
+        return tuple(minrep_to_partition(w, self.m, self.n) for w in self.model.points)
+
+    @cached_property
+    def _index_by_partition(self) -> dict:
+        return {lam: k for k, lam in enumerate(self._partition_by_index)}
+
     def index_of(self, lam: tuple) -> int:
-        return self.model.idx[partition_to_minrep(lam, self.m, self.n)]
+        hit = self._index_by_partition.get(tuple(lam))
+        if hit is None:  # outside the box, which raises, or not in normal form
+            hit = self.model.idx[partition_to_minrep(lam, self.m, self.n)]
+        return hit
 
     def partition_of(self, idx: int) -> tuple:
-        return minrep_to_partition(self.model.points[idx], self.m, self.n)
+        return self._partition_by_index[idx]
 
     def submodel(self, shape: FlagShape) -> KModel:
         model = self.models.get(shape)

@@ -30,6 +30,31 @@ def length(w: tuple) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
+def right_mul_simple(w: tuple, i: int) -> tuple:
+    """w s_i: exchange positions i and i+1 (1-based)."""
+    lw = list(w)
+    lw[i - 1], lw[i] = lw[i], lw[i - 1]
+    return tuple(lw)
+
+
+def reduced_word(w: tuple) -> tuple:
+    """Canonical reduced word: repeatedly remove the smallest right descent."""
+    word = []
+    lw = list(w)
+    n = len(lw)
+    moved = True
+    while moved:
+        moved = False
+        for i in range(n - 1):
+            if lw[i] > lw[i + 1]:
+                lw[i], lw[i + 1] = lw[i + 1], lw[i]
+                word.append(i + 1)
+                moved = True
+                break
+    word.reverse()
+    return tuple(word)
+
+
 def left_mul_simple(w: tuple, i: int) -> tuple:
     """s_i w: exchange the values i and i+1 wherever they sit."""
     return tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)

@@ -13,35 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from qkcomin.laurent import LaurentElement
-from qkcomin.weyl import FlagShape, length, min_coset_rep
-
-
-# -- permutation words ----------------------------------------------------------
-
-
-def right_mul_simple(w: tuple, i: int) -> tuple:
-    """w s_i: exchange positions i and i+1 (1-based)."""
-    lw = list(w)
-    lw[i - 1], lw[i] = lw[i], lw[i - 1]
-    return tuple(lw)
-
-
-def reduced_word(w: tuple) -> tuple:
-    """Canonical reduced word: repeatedly remove the smallest right descent."""
-    word = []
-    lw = list(w)
-    n = len(lw)
-    moved = True
-    while moved:
-        moved = False
-        for i in range(n - 1):
-            if lw[i] > lw[i + 1]:
-                lw[i], lw[i + 1] = lw[i + 1], lw[i]
-                word.append(i + 1)
-                moved = True
-                break
-    word.reverse()
-    return tuple(word)
+from qkcomin.weyl import FlagShape, length, min_coset_rep, reduced_word, right_mul_simple
 
 
 # -- set-valued tableau rule for the classical K-ring ---------------------------

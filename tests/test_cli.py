@@ -406,6 +406,22 @@ GOLDEN_GR24_EQUIVARIANT_CACHE = {
         "237659089b4bf0544ba9876dfc9af673974635b9995c8f89e26bfaf10a37b1ff",
 }
 
+# every z-mode table file of a cold `qk verify --space gr:2,5`
+GOLDEN_GR25_Z_CACHE = {
+    "restrict_048f261130bb1f586a4bf500.json":
+        "e298b10202f3502992c4640a8d8ff2bcdcb74ce99bc8fbb94cba86b5d845914c",
+    "restrict_0ae42bf1731cc2a79947ec17.json":
+        "deadbe1917d0b3205f350f42aa7e1cac59dd4b7678476fa241234f5ef5db89ad",
+    "restrict_37c49ad3adba66523afa3b50.json":
+        "c9a4bb245affa2dda83137a6cb9111dfd1ee45442a488c397d264f82c3a25f63",
+    "restrict_95bccf33d2d5aae4235d898e.json":
+        "a143970d34723d86a9abd33e2a028faeac0d0cd9c7340ff747a9163b9e846389",
+    "restrict_c1b2a054d8473c748e17eb44.json":
+        "872fedcb0d18ad80f150f9e9f571c2e12ec56342fad7e91043b6642693691bb4",
+    "restrict_f7ef6748211dd75114ba9ff3.json":
+        "9853848a407bbfc50410f1e979ccbf56bac360eeb1367108516d2aa8fafe1d62",
+}
+
 
 class TestOutputIdentity:
     """Pinned bytes of tables and cache files, computed from an empty cache."""
@@ -443,6 +459,15 @@ class TestOutputIdentity:
             for p in sorted(fresh.glob("restrict_*.json"))
         }
         assert files == GOLDEN_GR24_EQUIVARIANT_CACHE
+
+    def test_zmode_cache_files(self, capsys, fresh):
+        rc, _, _ = run_cli(capsys, "verify", "--space", "gr:2,5")
+        assert rc == 0
+        files = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(fresh.glob("restrict_*.json"))
+        }
+        assert files == GOLDEN_GR25_Z_CACHE
 
 
 def parse(text):

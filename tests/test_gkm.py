@@ -21,6 +21,7 @@ from qkcomin.gkm import (
     equivariant_chars,
     zspec_chars,
 )
+from qkcomin.quantum import Space, kernel_span_shapes
 from reference import (
     diag_factor_exps,
     euler_char,
@@ -116,8 +117,10 @@ class TestCalibration:
 
     @pytest.mark.parametrize("chars", [equivariant_chars(4), zspec_chars(4)], ids=["t", "z"])
     def test_one_sweep_builds_both_tables(self, monkeypatch, chars):
-        """Only the plain sweep exchanges letters, once per point of each
-        row after the first; the opposite table is derived from it."""
+        """On the full torus only the plain sweep exchanges letters, once
+        per point of each row after the first; the opposite table is
+        derived from it.  z mode builds each orientation once, by the
+        subword formula and its w0 translate, and exchanges no letters."""
         calls = []
         swap = LaurentElement.swap_letters
 
@@ -125,22 +128,63 @@ class TestCalibration:
             calls.append(i)
             return swap(self, i)
 
+        builds = []
+        build = KModel._build
+
+        def counted_build(self, orientation):
+            builds.append(orientation)
+            return build(self, orientation)
+
         monkeypatch.setattr(LaurentElement, "swap_letters", counted)
+        monkeypatch.setattr(KModel, "_build", counted_build)
         m = KModel(FlagShape((1, 3), 4), chars, use_cache=False)
         m.table(OPPOSITE)
         m.table(PLAIN)
-        assert len(calls) == (m.npoints - 1) * m.npoints
+        if chars.nvars == 1:
+            assert calls == []
+            assert sorted(builds) == [OPPOSITE, PLAIN]
+        else:
+            assert len(calls) == (m.npoints - 1) * m.npoints
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @staticmethod
+    def check_specializations(shape):
+        """The z tables, built by the subword formula, are the specialized
+        full-torus sweep tables: two independent builders meet."""
+        n = shape.n
+        m = KModel(shape, equivariant_chars(n))
+        mz = KModel(shape, zspec_chars(n), use_cache=False)
+        for o in (PLAIN, OPPOSITE):
+            for w in range(m.npoints):
+                for p in range(m.npoints):
+                    specialized = m.table(o)[w][p].substitute_letters(mz.chars.images, 1)
+                    assert specialized == mz.table(o)[w][p]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_zmode_tables_are_specializations(self, n):
         for shape in all_shapes(n):
-            m = KModel(shape, equivariant_chars(n))
-            mz = KModel(shape, zspec_chars(n))
-            for o in (PLAIN, OPPOSITE):
-                for w in range(m.npoints):
-                    for p in range(m.npoints):
-                        specialized = m.table(o)[w][p].substitute_letters(mz.chars.images, 1)
-                        assert specialized == mz.table(o)[w][p]
+            self.check_specializations(shape)
+
+    def test_zmode_tables_of_every_y_d_of_gr_m_6_are_specializations(self):
+        shapes = {
+            kernel_span_shapes(Space(m, 6), d)[0]
+            for m in range(1, 6)
+            for d in range(1, min(m, 6 - m) + 1)
+        }
+        for shape in sorted(shapes, key=str):
+            self.check_specializations(shape)
+
+    def test_subword_digit_width_does_not_depend_on_pack_bits(self, monkeypatch):
+        """The subword formula widens its digits past PACK_BITS by the
+        length rule, so a narrow PACK_BITS gives the same tables."""
+        from qkcomin import gkm
+
+        # coefficients up to 10 and 32, past the 4-bit digits' 7
+        shapes = [*all_shapes(4), FlagShape((1, 2, 3, 4), 5), FlagShape((2, 4), 6)]
+        wide = [KModel(s, zspec_chars(s.n), use_cache=False).table(OPPOSITE) for s in shapes]
+        monkeypatch.setattr(gkm, "PACK_BITS", 4)
+        for shape, table in zip(shapes, wide):
+            narrow = KModel(shape, zspec_chars(shape.n), use_cache=False)
+            assert narrow.table(OPPOSITE) == table
 
 
 class TestP1:

@@ -6,7 +6,13 @@ import pytest
 from qkcomin.gkm import OPPOSITE, PLAIN, KModel
 from qkcomin.laurent import LaurentElement
 from qkcomin.oracles import MomentGraph
-from qkcomin.weyl import FlagShape, image_index, partition_to_subset
+from qkcomin.weyl import (
+    FlagShape,
+    image_index,
+    minrep_to_partition,
+    partition_to_minrep,
+    partition_to_subset,
+)
 from qkcomin.quantum import (
     QKElement,
     Space,
@@ -92,6 +98,25 @@ class TestSpaceState:
         assert gr24.diagram(1).y is gr24.submodel(y)
         # Y_0 = X
         assert gr24.diagram(0).y is gr24.model
+
+    @pytest.mark.parametrize("m,n", [(2, 4), (2, 5), (3, 5)])
+    def test_partition_index_maps_are_the_literal_dictionary(self, m, n):
+        space = Space(m, n)
+        for lam in space.partitions:
+            w = partition_to_minrep(lam, m, n)
+            assert space.index_of(lam) == space.model.idx[w]
+            assert space.partition_of(space.index_of(lam)) == minrep_to_partition(w, m, n)
+            # a trailing zero within m parts, or a list, names the same partition
+            padded = [*lam, 0][:m]
+            assert space.index_of(padded) == space.index_of(lam)
+
+    @pytest.mark.parametrize("lam", [(3,), (1, 1, 1), (-1,), (1, 2)])
+    def test_index_of_a_partition_outside_the_box_raises(self, gr24, lam):
+        with pytest.raises(ValueError) as got:
+            gr24.index_of(lam)
+        with pytest.raises(ValueError) as want:
+            partition_to_minrep(lam, 2, 4)
+        assert str(got.value) == str(want.value)
 
 
 class TestKernelSpan:

@@ -16,6 +16,8 @@ from qkcomin.weyl import (
     partition_contains,
     partition_to_minrep,
     partitions_in_box,
+    reduced_word,
+    right_mul_simple,
 )
 from reference import (
     compose,
@@ -27,7 +29,6 @@ from reference import (
     parabolic_blocks,
     preimage_index_plain,
 )
-from slow_oracles import reduced_word, right_mul_simple
 
 
 def all_perms(n):
