@@ -174,18 +174,20 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     space = _parse_space(args.space, args.equivariant, not args.no_cache)
-    checks = tuple(dict.fromkeys(args.checks.split(","))) if args.checks else tuple(CHECKS)
+    if args.checks is None:
+        checks = tuple(CHECKS)
+    else:
+        checks = tuple(dict.fromkeys(args.checks.split(",")))
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:
         raise UsageError(f"unknown checks: {','.join(map(repr, unknown))}")
     report = verify_space(space, checks=checks, oracle=args.oracle)
-    for line in report.violations:
-        sys.stdout.write(line + "\n")
     if report.passed:
-        sys.stdout.write(f"PASS pairs={report.pairs}\n")
-        return 0
-    sys.stdout.write(f"FAIL pairs={report.pairs} violations={len(report.violations)}\n")
-    return 1
+        verdict = f"PASS pairs={report.pairs}"
+    else:
+        verdict = f"FAIL pairs={report.pairs} violations={len(report.violations)}"
+    _write_text("".join(line + "\n" for line in (*report.violations, verdict)), args.out)
+    return 0 if report.passed else 1
 
 
 def cmd_cache(args) -> int:

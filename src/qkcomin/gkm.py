@@ -5,26 +5,14 @@ exact Laurent polynomial per point, constrained by divisibility along the
 one-dimensional torus orbits (the moment-graph edges).  Two scalar modes
 exist: the full torus (n characters), and a one-parameter specialization
 t_i -> z^(i-1) used for computations whose reported output is
-non-equivariant.  Each mode builds one orientation of the restriction
-table and reads the other off it by the longest element, X^w = w0 X_{w0 w},
-through the index map w -> w0 w and the action of w0 on the scalars.
-
-* On the full torus, the B-stable (plain) Schubert classes are generated
-  by one sweep recursion, upward from the point class of the identity
-  coset: sweeping a Borel orbit closure by the minimal parabolic P_i
-  corresponds on fixed-point functions to the operator
-
-      (A_i f)(v) = (f(v) - e * s_i(f(v'))) / (1 - e),
-
-  where v' is the coset of s_i v, s_i acts on the scalars by exchanging
-  the characters t_i and t_{i+1}, and e is the character of the simple
-  root.  The division is always exact; a failed division signals a
-  convention bug and aborts loudly.
-* With one parameter, the opposite classes are summed over Hecke subwords
-  of a reduced word of each point (:meth:`KModel._subword_rows`), on
-  Kronecker-packed integers, with no division and no full torus.  There
-  w0 acts as z -> z^-1, which is exact because every restriction lies in
-  the degree-zero sublattice (see :func:`zspec_chars`).
+non-equivariant.  In both modes the opposite table is summed over Hecke
+subwords of a reduced word of each point (:meth:`KModel._subword_rows`),
+with no division: as Laurent polynomials on the full torus, on
+Kronecker-packed integers with one parameter.  The plain table is read off
+it by the longest element, X_w = w0 X^{w0 w}, through the index map
+w -> w0 w and the action of w0 on the scalars.  With one parameter w0 acts
+as z -> z^-1, which is exact because every restriction lies in the
+degree-zero sublattice (see :func:`zspec_chars`).
 
 Restriction tables are memoized per (shape, scalar mode, orientation) and
 mirrored on disk.
@@ -72,7 +60,6 @@ from qkcomin.weyl import (
     FlagShape,
     coset_minreps,
     dual_index,
-    left_action_on_minrep,
     length,
     reduced_word,
     right_mul_simple,
@@ -216,16 +203,13 @@ class KModel:
         return rows
 
     def _build(self, orientation: str) -> list:
-        """One table: the sweep on the full torus, the subword formula in z
-        mode, and the other orientation by the longest element."""
-        if orientation not in (PLAIN, OPPOSITE):
-            raise ValueError(f"unknown orientation {orientation!r}")
-        first = OPPOSITE if self.chars.nvars == 1 else PLAIN
-        if orientation != first:
-            return self._w0_translate(self.table(first))
-        if first == OPPOSITE:
+        """One table: the opposite one by the subword formula, the plain one
+        as its translate by the longest element."""
+        if orientation == OPPOSITE:
             return self._subword_rows()
-        return self._plain_rows()
+        if orientation == PLAIN:
+            return self._w0_translate(self.table(OPPOSITE))
+        raise ValueError(f"unknown orientation {orientation!r}")
 
     def _w0_translate(self, table: list) -> list:
         """The table of the other orientation: X^w = w0 X_{dual[w]}, and w0
@@ -240,111 +224,84 @@ class KModel:
         moved = {k: v.substitute_letters(images, nv) for k, v in distinct.items()}
         return [tuple(moved[id(table[dual[w]][q])] for q in dual) for w in range(self.npoints)]
 
-    def _identity_point_row(self) -> tuple:
-        """Localization of the structure sheaf of the identity coset, index 0."""
-        chars = self.chars
-        val = LaurentElement.one(chars.nvars)
-        blocks = self.shape.blocks
-        for bi in range(len(blocks)):
-            for bj in range(bi + 1, len(blocks)):
-                for i in blocks[bi]:
-                    for j in blocks[bj]:
-                        binom = LaurentElement.one(chars.nvars) - LaurentElement.monomial(
-                            chars.nvars, chars.root_exp(i, j)
-                        )
-                        val = val * binom
-        return (val,) + (LaurentElement.zero(chars.nvars),) * (self.npoints - 1)
-
-    def _plain_rows(self) -> list:
-        """Full-torus rows of the plain table, in index order.
-
-        The sweep starts from the point class of the identity coset, index
-        0, and goes up: points are sorted by length, so the parent of each
-        row, one simple reflection lower, is built before it.
-        ``left[i - 1][p]`` is the index of s_i times the point p and whether
-        that raises (+1), lowers (-1) or keeps (0) its length.
-        """
-        blocks = self.shape.blocks
-        left = []
-        for i in range(1, self.shape.n):
-            acts = (left_action_on_minrep(w, i, blocks) for w in self.points)
-            left.append([(self.idx[m], case) for m, case in acts])
-        rows = [self._identity_point_row()]
-        for p in range(1, self.npoints):
-            i = next(i for i in range(1, self.shape.n) if left[i - 1][p][1] == -1)
-            rows.append(self._sweep_row(rows[left[i - 1][p][0]], i, left[i - 1]))
-        return rows
-
-    def _sweep_row(self, row: tuple, i: int, left_i: list) -> tuple:
-        mexp = self.chars.root_exp(i, i + 1)
-        mono = LaurentElement.monomial(self.chars.nvars, mexp)
-        out = [None] * self.npoints
-        for p in range(self.npoints):
-            p2, _ = left_i[p]
-            g = row[p] - mono * row[p2].swap_letters(i)
-            out[p] = g.divide_exact_one_minus(mexp)
-        return tuple(out)
-
     def _subword_rows(self) -> list:
-        """Opposite rows in z mode, by the K-theoretic subword formula.
+        """Opposite rows by the K-theoretic subword formula.
 
         The restriction of O^w to the point v is (-1)^l(w) times the sum,
         over the subwords of a reduced word of v whose 0-Hecke (Demazure)
-        product is w, of the product of (z^k - 1) over the letters taken,
-        where z^k is the character of the letter's prefix root (Graham 2002;
-        Willems 2004).  One dynamic programme per point v runs over its
-        word, keyed by the Demazure product u of the letters taken so far:
-        letter i adds (z^k - 1) times the state of u to the state of u s_i
-        if that is longer, and to u itself otherwise.  It gives the column
-        of v for every w at once.
+        product is w, of the product of (e - 1) over the letters taken,
+        where e = t_b / t_a is the character of e_b - e_a, the negated
+        prefix root of the letter (Graham 2002; Willems 2004).  One dynamic
+        programme per point
+        v runs over its word, keyed by the Demazure product u of the letters
+        taken so far: letter i adds (e - 1) times the state of u to the
+        state of u s_i if that is longer, and to u itself otherwise.  It
+        gives the column of v for every w at once, with no division.
 
-        Prefix roots are e_a - e_b with a < b, so z^k = z^(b - a) with
-        k > 0, and every state is a polynomial held Kronecker-packed: a
-        step is one shift and one subtraction.  The states' L1 norms sum to
-        at most 3^l(v) < 2^(2 l(v)), so at W >= 2 max l + 2 bits per digit
-        every coefficient lies below 2^(W - 2) and unpacks exactly.  Each
-        distinct packed value is unpacked once and shared.
+        On the full torus every state is a Laurent polynomial.  Every
+        prefix root e_a - e_b has a < b, so in z mode e = z^(b - a) with
+        b - a > 0, and every state is a polynomial held Kronecker-packed: a
+        step is one shift and one subtraction.  The states' L1 norms sum to at most 3^l(v) <
+        2^(2 l(v)), so at W >= 2 max l + 2 bits per digit every coefficient
+        lies below 2^(W - 2) and unpacks exactly.  In both modes each
+        distinct final value is decoded once and shared.
         """
-        n, npoints = self.shape.n, self.npoints
+        n, npoints, nv = self.shape.n, self.npoints, self.chars.nvars
+        packed = nv == 1
         bits = max(PACK_BITS, 2 * max(self.lengths) + 2)
+        zero = LaurentElement.zero(nv)
+        start = 1 if packed else LaurentElement.one(nv)
         # Demazure products by id; the model points come first, so ids below
         # npoints are the states the table reads
         perms = list(self.points)
         ids = dict(self.idx)
         steps = [[None] * n for _ in perms]  # steps[u][i]: id of the product u * s_i
-        unpacked = {0: LaurentElement.zero(1)}
-        rows = [[unpacked[0]] * npoints for _ in range(npoints)]
+
+        def demazure(u: int, i: int) -> int:
+            p = perms[u]
+            t = u
+            if p[i - 1] < p[i]:
+                ps = right_mul_simple(p, i)
+                t = ids.get(ps)
+                if t is None:
+                    t = ids[ps] = len(perms)
+                    perms.append(ps)
+                    steps.append([None] * n)
+            steps[u][i] = t
+            return t
+
+        shared: dict = {}  # final values, each decoded once
+        rows = [[zero] * npoints for _ in range(npoints)]
         for col, v in enumerate(self.points):
-            states = {0: 1}
+            states = {0: start}
             prefix = list(range(1, n + 1))
             for i in reduced_word(v):
                 a, b = prefix[i - 1], prefix[i]
                 prefix[i - 1], prefix[i] = b, a
-                (k,) = self.chars.root_exp(b, a)
-                shift = bits * k
+                exp = self.chars.root_exp(b, a)
                 nxt = states.copy()
-                for u, val in states.items():
-                    t = steps[u][i]
-                    if t is None:
-                        p = perms[u]
-                        t = u
-                        if p[i - 1] < p[i]:
-                            ps = right_mul_simple(p, i)
-                            t = ids.get(ps)
-                            if t is None:
-                                t = ids[ps] = len(perms)
-                                perms.append(ps)
-                                steps.append([None] * n)
-                        steps[u][i] = t
-                    nxt[t] = nxt.get(t, 0) + (val << shift) - val
+                if packed:
+                    shift = bits * exp[0]
+                    for u, val in states.items():
+                        t = steps[u][i]
+                        if t is None:
+                            t = demazure(u, i)
+                        nxt[t] = nxt.get(t, 0) + (val << shift) - val
+                else:
+                    mono = LaurentElement.monomial(nv, exp)
+                    for u, val in states.items():
+                        t = steps[u][i]
+                        if t is None:
+                            t = demazure(u, i)
+                        nxt[t] = nxt.get(t, zero) + val * mono - val
                 states = nxt
             for u, val in states.items():
                 if u < npoints:
                     if self.lengths[u] % 2:
                         val = -val
-                    elem = unpacked.get(val)
+                    elem = shared.get(val)
                     if elem is None:
-                        elem = unpacked[val] = kronecker_unpack(0, val, bits)[0]
+                        elem = shared[val] = kronecker_unpack(0, val, bits)[0] if packed else val
                     rows[u][col] = elem
         return [tuple(row) for row in rows]
 

@@ -55,11 +55,6 @@ def reduced_word(w: tuple) -> tuple:
     return tuple(word)
 
 
-def left_mul_simple(w: tuple, i: int) -> tuple:
-    """s_i w: exchange the values i and i+1 wherever they sit."""
-    return tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
-
-
 def w0_conjugate_value(w: tuple) -> tuple:
     """One-line notation of w0 w, i.e. values x -> n+1-x."""
     n = len(w)
@@ -143,19 +138,6 @@ def coset_minreps(shape: FlagShape) -> tuple:
     reps = [acc for acc, _ in partial]
     reps.sort(key=lambda w: (length(w), w))
     return tuple(reps)
-
-
-def left_action_on_minrep(w: tuple, i: int, blocks: tuple) -> tuple:
-    """Left multiplication by s_i on the coset of a minimal representative.
-
-    Returns (minrep', case) with case +1 (raises length), -1 (lowers), or
-    0 (coset fixed).
-    """
-    sw = left_mul_simple(w, i)
-    m = min_coset_rep(sw, blocks)
-    if m == w:
-        return w, 0
-    return m, 1 if length(m) > length(w) else -1
 
 
 # -- partition dictionary for Grassmannians -----------------------------------

@@ -2,8 +2,11 @@
 
 The engine moves Schubert classes through index maps and expands only in
 the opposite basis; these helpers work on fixed-point values instead, and
-expand in the plain basis by its own elimination.  Unlike the literature
-oracles of :mod:`slow_oracles` they may call :meth:`KModel.expand_values`.
+expand in the plain basis by its own elimination.  The engine builds its
+restriction tables by the Hecke subword formula; :func:`sweep_tables`
+builds the full-torus ones by the sweep recursion instead.  Unlike the
+literature oracles of :mod:`slow_oracles` they may call
+:meth:`KModel.expand_values`.
 """
 
 from functools import lru_cache
@@ -11,7 +14,7 @@ from functools import lru_cache
 from qkcomin.gkm import OPPOSITE, PLAIN, KModel, NotInSpanError
 from qkcomin.laurent import LaurentElement, NotDivisibleError, _unpack
 from qkcomin.quantum import QKElement, Space, _gw_coeffs
-from qkcomin.weyl import FlagShape, image_index, min_coset_rep
+from qkcomin.weyl import FlagShape, image_index, length, min_coset_rep
 
 
 # -- scalars and permutations --------------------------------------------------
@@ -92,6 +95,94 @@ def preimage_index_plain(w: tuple, dst: FlagShape, src: FlagShape) -> tuple:
     if not src.projects_to(dst):
         raise ValueError(f"{src} does not project to {dst}")
     return min_coset_rep(max_coset_rep(w, dst.blocks), src.blocks)
+
+
+def left_mul_simple(w: tuple, i: int) -> tuple:
+    """s_i w: exchange the values i and i+1 wherever they sit."""
+    return tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
+
+
+def left_action_on_minrep(w: tuple, i: int, blocks: tuple) -> tuple:
+    """Left multiplication by s_i on the coset of a minimal representative.
+
+    Returns (minrep', case) with case +1 (raises length), -1 (lowers), or
+    0 (coset fixed).
+    """
+    sw = left_mul_simple(w, i)
+    m = min_coset_rep(sw, blocks)
+    if m == w:
+        return w, 0
+    return m, 1 if length(m) > length(w) else -1
+
+
+# -- the sweep recursion ---------------------------------------------------------
+#
+# On the full torus the B-stable (plain) Schubert classes are generated by
+# one sweep recursion, upward from the point class of the identity coset:
+# sweeping a Borel orbit closure by the minimal parabolic P_i corresponds on
+# fixed-point functions to the operator
+#
+#     (A_i f)(v) = (f(v) - e * s_i(f(v'))) / (1 - e),
+#
+# where v' is the coset of s_i v, s_i acts on the scalars by exchanging the
+# characters t_i and t_{i+1}, and e is the character of the simple root.
+# The division is always exact; a failed division signals a convention bug
+# and aborts loudly.
+
+
+def identity_point_row(model: KModel) -> tuple:
+    """Localization of the structure sheaf of the identity coset, index 0."""
+    chars = model.chars
+    val = LaurentElement.one(chars.nvars)
+    blocks = model.shape.blocks
+    for bi in range(len(blocks)):
+        for bj in range(bi + 1, len(blocks)):
+            for i in blocks[bi]:
+                for j in blocks[bj]:
+                    binom = LaurentElement.one(chars.nvars) - LaurentElement.monomial(
+                        chars.nvars, chars.root_exp(i, j)
+                    )
+                    val = val * binom
+    return (val,) + (LaurentElement.zero(chars.nvars),) * (model.npoints - 1)
+
+
+def plain_rows(model: KModel) -> list:
+    """Full-torus rows of the plain table, in index order.
+
+    The sweep starts from the point class of the identity coset, index
+    0, and goes up: points are sorted by length, so the parent of each
+    row, one simple reflection lower, is built before it.
+    ``left[i - 1][p]`` is the index of s_i times the point p and whether
+    that raises (+1), lowers (-1) or keeps (0) its length.
+    """
+    blocks = model.shape.blocks
+    left = []
+    for i in range(1, model.shape.n):
+        acts = (left_action_on_minrep(w, i, blocks) for w in model.points)
+        left.append([(model.idx[m], case) for m, case in acts])
+    rows = [identity_point_row(model)]
+    for p in range(1, model.npoints):
+        i = next(i for i in range(1, model.shape.n) if left[i - 1][p][1] == -1)
+        rows.append(sweep_row(model, rows[left[i - 1][p][0]], i, left[i - 1]))
+    return rows
+
+
+def sweep_row(model: KModel, row: tuple, i: int, left_i: list) -> tuple:
+    mexp = model.chars.root_exp(i, i + 1)
+    mono = LaurentElement.monomial(model.chars.nvars, mexp)
+    out = [None] * model.npoints
+    for p in range(model.npoints):
+        p2, _ = left_i[p]
+        g = row[p] - mono * row[p2].swap_letters(i)
+        out[p] = g.divide_exact_one_minus(mexp)
+    return tuple(out)
+
+
+def sweep_tables(model: KModel) -> dict:
+    """Both tables of a full-torus model by orientation: the plain rows of
+    the sweep and their translate by the longest element."""
+    plain = plain_rows(model)
+    return {PLAIN: plain, OPPOSITE: model._w0_translate(plain)}
 
 
 # -- classes as fixed-point values ---------------------------------------------

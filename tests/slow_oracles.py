@@ -4,7 +4,7 @@ Everything here is deliberately naive: exhaustive enumeration, a 2x2
 polynomial solve and subword summation, no memoized algebra.  The
 verification strategy of the test suite rests on these routes being
 independent of the localization engine, so none of this code may call into
-the recursion-based tables: it imports only :mod:`qkcomin.laurent` and
+the engine's tables: it imports only :mod:`qkcomin.laurent` and
 :mod:`qkcomin.weyl` from the package, and nothing from :mod:`reference`.
 """
 
@@ -219,7 +219,9 @@ def subword_restriction(shape: FlagShape, w: tuple, v: tuple, chars) -> LaurentE
 
     Sums over all subwords of a fixed reduced word of v whose 0-Hecke
     product is w; each position contributes the character of the negated
-    prefix root.  Small ranks only; independent of the sweep recursion.
+    prefix root.  Small ranks only.  The package builds its tables by the
+    same formula, so the builder independent of both is the sweep recursion
+    of :func:`reference.sweep_tables`, which the tests hold them to.
     """
     if shape.n > 4:
         raise ValueError("subword oracle is limited to small rank")

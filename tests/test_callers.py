@@ -21,13 +21,15 @@ ALLOWED = {
     "load_table_json": "public API in the README; tests round-trip every table line through it",
     "star_elements": "the planned whitney check multiplies with it",
     "positivity_sign_report": "the planned sign check reports with it",
+    "swap_letters": "bench/tracer.py looks LaurentElement.swap_letters up by name "
+    "(inspect.getattr_static raises on a missing one); the reference sweep calls it",
 }
 
 # checked names that are also defined elsewhere in the package, where a read
 # of one definition counts for all; one reason each why every one is read
 SHARED_NAMES = {
     "zero": "KModel.zero returns LaurentElement.zero, which sum_check also calls",
-    "one": "KModel.one returns LaurentElement.one, which the sweep also calls",
+    "one": "KModel.one returns LaurentElement.one, which starts every subword state",
     "dist": "quantum.dist is called by name, oracles.MomentGraph.dist as graph.dist",
 }
 

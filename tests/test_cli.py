@@ -117,6 +117,19 @@ class TestDistNeighborhood:
         assert rc == 2 and "error" in err
 
 
+@pytest.fixture
+def one_violation_check(monkeypatch):
+    """Registers a check ``x`` that reports one violating pair."""
+    from qkcomin.quantum import Report
+
+    def one_violation(space):
+        rep = Report(str(space), space.equivariant, pairs=1)
+        rep.violations.append("u=1 v=1 got=0")
+        return rep
+
+    monkeypatch.setitem(CHECKS, "x", one_violation)
+
+
 class TestVerify:
     def test_small_equivariant_pass(self, capsys):
         rc, out, _ = run_cli(
@@ -139,15 +152,26 @@ class TestVerify:
         rc, _, err = run_cli(capsys, "verify", "--space", "gr:1,3", "--checks", "sum,")
         assert rc == 2 and "unknown checks: ''" in err
 
-    def test_repeated_check_runs_once(self, capsys, monkeypatch):
-        from qkcomin.quantum import Report
+    def test_empty_check_list_exits_2(self, capsys):
+        rc, out, err = run_cli(capsys, "verify", "--space", "gr:1,3", "--checks", "")
+        assert rc == 2 and out == ""
+        assert "unknown checks: ''" in err
 
-        def one_violation(space):
-            rep = Report(str(space), space.equivariant, pairs=1)
-            rep.violations.append("u=1 v=1 got=0")
-            return rep
+    def test_out_file(self, capsys, tmp_path):
+        path = tmp_path / "v.txt"
+        rc, out, _ = run_cli(capsys, "verify", "--space", "gr:2,4", "--out", str(path))
+        assert rc == 0 and out == ""
+        assert path.read_text() == "PASS pairs=36\n"
 
-        monkeypatch.setitem(CHECKS, "x", one_violation)
+    def test_out_file_holds_violations(self, capsys, tmp_path, one_violation_check):
+        path = tmp_path / "v.txt"
+        rc, out, _ = run_cli(
+            capsys, "verify", "--space", "gr:1,2", "--checks", "x", "--out", str(path)
+        )
+        assert rc == 1 and out == ""
+        assert path.read_text() == "x: u=1 v=1 got=0\nFAIL pairs=1 violations=1\n"
+
+    def test_repeated_check_runs_once(self, capsys, one_violation_check):
         rc, out, _ = run_cli(capsys, "verify", "--space", "gr:1,2", "--checks", "x,x")
         assert rc == 1
         assert out.split("\n") == ["x: u=1 v=1 got=0", "FAIL pairs=1 violations=1", ""]
@@ -406,6 +430,23 @@ GOLDEN_GR24_EQUIVARIANT_CACHE = {
         "237659089b4bf0544ba9876dfc9af673974635b9995c8f89e26bfaf10a37b1ff",
 }
 
+# every full-torus table file of a cold `qk table --space gr:2,5 --equivariant
+# --jobs 1`, the benchmark's space; its Y_1 = Fl(1,3;5) is a two-step flag
+GOLDEN_GR25_EQUIVARIANT_CACHE = {
+    "restrict_49da8ad342101b2a0f3bd14a.json":
+        "f3376307f5d476f5e80ae9b60c08c31e480c3739a7a5cc47755ec997eee2543b",
+    "restrict_6bdab32c13f53f137dd75a40.json":
+        "5feb1e41f8df31e6e80282897dc03ce6dd3eaa763cfb9d174a4e2220b2d9e465",
+    "restrict_734fde44a05a9306eeb48b75.json":
+        "d46f9765968655188e039f4a37368d82746df0824469cd95630dba1f62fb3a17",
+    "restrict_dbe122a56b9f76d5d0a72711.json":
+        "bf26a54b6947cd24a580e4fc97f56e74a563645c4f5bf14f3e07e66e3cb87131",
+    "restrict_e5bd49c540a789285704f58c.json":
+        "f169d9c82c2bcb5c8a7468cb6116fc3f196190c5dea6e42d2d93bd9dbf6673df",
+    "restrict_ed039c10b3e3a1f61e3110a1.json":
+        "50dd54cc507eacb958418a6fc68ae0fde77685ce7955508efa5798518b5e3c03",
+}
+
 # every z-mode table file of a cold `qk verify --space gr:2,5`
 GOLDEN_GR25_Z_CACHE = {
     "restrict_048f261130bb1f586a4bf500.json":
@@ -421,6 +462,13 @@ GOLDEN_GR25_Z_CACHE = {
     "restrict_f7ef6748211dd75114ba9ff3.json":
         "9853848a407bbfc50410f1e979ccbf56bac360eeb1367108516d2aa8fafe1d62",
 }
+
+
+def cache_digests(path) -> dict:
+    """sha256 of every restriction-cache file in the directory, by name."""
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in path.glob("restrict_*.json")
+    }
 
 
 class TestOutputIdentity:
@@ -454,20 +502,17 @@ class TestOutputIdentity:
     def test_equivariant_cache_files(self, capsys, fresh):
         rc, _, _ = run_cli(capsys, "table", "--space", "gr:2,4", "--equivariant", "--jobs", "1")
         assert rc == 0
-        files = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(fresh.glob("restrict_*.json"))
-        }
-        assert files == GOLDEN_GR24_EQUIVARIANT_CACHE
+        assert cache_digests(fresh) == GOLDEN_GR24_EQUIVARIANT_CACHE
+
+    def test_equivariant_cache_files_of_gr25(self, capsys, fresh):
+        rc, _, _ = run_cli(capsys, "table", "--space", "gr:2,5", "--equivariant", "--jobs", "1")
+        assert rc == 0
+        assert cache_digests(fresh) == GOLDEN_GR25_EQUIVARIANT_CACHE
 
     def test_zmode_cache_files(self, capsys, fresh):
         rc, _, _ = run_cli(capsys, "verify", "--space", "gr:2,5")
         assert rc == 0
-        files = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(fresh.glob("restrict_*.json"))
-        }
-        assert files == GOLDEN_GR25_Z_CACHE
+        assert cache_digests(fresh) == GOLDEN_GR25_Z_CACHE
 
 
 def parse(text):

@@ -35,6 +35,7 @@ from reference import (
     preimage_index_plain,
     pullback,
     pushforward,
+    sweep_tables,
 )
 
 
@@ -117,10 +118,8 @@ class TestCalibration:
 
     @pytest.mark.parametrize("chars", [equivariant_chars(4), zspec_chars(4)], ids=["t", "z"])
     def test_one_sweep_builds_both_tables(self, monkeypatch, chars):
-        """On the full torus only the plain sweep exchanges letters, once
-        per point of each row after the first; the opposite table is
-        derived from it.  z mode builds each orientation once, by the
-        subword formula and its w0 translate, and exchanges no letters."""
+        """In both scalar modes each orientation is built once, by the
+        subword formula and its w0 translate, and no letters are exchanged."""
         calls = []
         swap = LaurentElement.swap_letters
 
@@ -140,26 +139,27 @@ class TestCalibration:
         m = KModel(FlagShape((1, 3), 4), chars, use_cache=False)
         m.table(OPPOSITE)
         m.table(PLAIN)
-        if chars.nvars == 1:
-            assert calls == []
-            assert sorted(builds) == [OPPOSITE, PLAIN]
-        else:
-            assert len(calls) == (m.npoints - 1) * m.npoints
+        assert calls == []
+        assert sorted(builds) == [OPPOSITE, PLAIN]
 
     @staticmethod
     def check_specializations(shape):
-        """The z tables, built by the subword formula, are the specialized
-        full-torus sweep tables: two independent builders meet."""
+        """The tables of both scalar modes, built by the subword formula,
+        are the literal full-torus sweep tables of :func:`sweep_tables`:
+        exactly on the full torus, specialized in z mode.  Two independent
+        builders meet."""
         n = shape.n
-        m = KModel(shape, equivariant_chars(n))
+        m = KModel(shape, equivariant_chars(n), use_cache=False)
         mz = KModel(shape, zspec_chars(n), use_cache=False)
+        swept = sweep_tables(m)
         for o in (PLAIN, OPPOSITE):
+            assert m.table(o) == swept[o]
             for w in range(m.npoints):
                 for p in range(m.npoints):
-                    specialized = m.table(o)[w][p].substitute_letters(mz.chars.images, 1)
+                    specialized = swept[o][w][p].substitute_letters(mz.chars.images, 1)
                     assert specialized == mz.table(o)[w][p]
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_zmode_tables_are_specializations(self, n):
         for shape in all_shapes(n):
             self.check_specializations(shape)

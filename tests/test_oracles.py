@@ -11,6 +11,7 @@ from qkcomin.laurent import LaurentElement
 from qkcomin.oracles import MomentGraph
 from qkcomin.weyl import FlagShape, partitions_in_box
 from qkcomin.quantum import Space, quantum_product
+from reference import sweep_tables
 from slow_oracles import (
     givental_p1_product,
     lr_constants_setvalued,
@@ -156,18 +157,19 @@ class TestSubwordFormula:
         ],
     )
     def test_matches_sweep_recursion(self, dims, n):
-        """Every shape with n <= 4, in both scalar modes: the opposite table,
-        derived from the plain sweep by the longest element, against the
-        subword formula, which knows nothing of either."""
+        """Every shape with n <= 4, in both scalar modes: the package's
+        opposite table and the subword oracle against the literal
+        full-torus sweep of :func:`reference.sweep_tables` and its w0
+        translate, specialized in z mode."""
         shape = FlagShape(dims, n)
+        swept = sweep_tables(KModel(shape, equivariant_chars(n), use_cache=False))[OPPOSITE]
         for chars in (equivariant_chars(n), zspec_chars(n)):
-            m = KModel(shape, chars)
+            m = KModel(shape, chars, use_cache=False)
             for w in range(m.npoints):
                 for v in range(m.npoints):
-                    assert (
-                        subword_restriction(shape, m.points[w], m.points[v], chars)
-                        == m.table(OPPOSITE)[w][v]
-                    )
+                    expected = swept[w][v].substitute_letters(chars.images, chars.nvars)
+                    assert m.table(OPPOSITE)[w][v] == expected
+                    assert subword_restriction(shape, m.points[w], m.points[v], chars) == expected
 
     def test_non_minimal_index_rejected(self):
         shape = FlagShape((2,), 4)

@@ -9,7 +9,6 @@ from qkcomin.weyl import (
     coset_minreps,
     dual_index,
     image_index,
-    left_action_on_minrep,
     length,
     min_coset_rep,
     minrep_to_partition,
@@ -24,6 +23,7 @@ from reference import (
     dimension,
     identity,
     inverse,
+    left_action_on_minrep,
     longest_element,
     max_coset_rep,
     parabolic_blocks,
