@@ -21,6 +21,7 @@ from qkcomin import cache as diskcache
 from qkcomin.gkm import OPPOSITE, PLAIN
 from qkcomin.quantum import (
     CHECKS,
+    DEFAULT_CHECKS,
     Space,
     curve_neighborhood_index,
     dist,
@@ -174,14 +175,11 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     space = _parse_space(args.space, args.equivariant, not args.no_cache)
-    if args.checks is None:
-        checks = tuple(CHECKS)
-    else:
-        checks = tuple(dict.fromkeys(args.checks.split(",")))
+    checks = tuple(dict.fromkeys(args.checks.split(",")))
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:
         raise UsageError(f"unknown checks: {','.join(map(repr, unknown))}")
-    report = verify_space(space, checks=checks, oracle=args.oracle)
+    report = verify_space(space, checks=checks)
     if report.passed:
         verdict = f"PASS pairs={report.pairs}"
     else:
@@ -238,8 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity checks")
     _add_common(p)
-    p.add_argument("--checks", default=None, help="comma list of " + ",".join(CHECKS))
-    p.add_argument("--oracle", action="store_true", help="enable moment-graph cross-checks")
+    p.add_argument(
+        "--checks",
+        default=",".join(DEFAULT_CHECKS),
+        help=f"comma list of {','.join(CHECKS)} (default %(default)s)",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cache", help="cache maintenance")

@@ -486,10 +486,8 @@ def load_table_json(doc: dict) -> StructureTable:
 
 @dataclass
 class Report:
-    space_str: str
-    equivariant: bool
-    pairs: int = 0
-    violations: list = field(default_factory=list)
+    pairs: int
+    violations: list
 
     @property
     def passed(self) -> bool:
@@ -501,96 +499,87 @@ def all_pairs(space: Space) -> list:
     return [(u, v) for u in parts for v in parts]
 
 
-def verify_coefficient_sum(space: Space, v_basis: str = OPPOSITE) -> Report:
+def verify_coefficient_sum(space: Space, v_basis: str = OPPOSITE) -> list:
     """Every structure table sums to exactly 1."""
-    report = Report(str(space), space.equivariant)
+    violations = []
     one = space.public_scalar(space.model.one())
     for u, v in all_pairs(space):
-        report.pairs += 1
         total = structure_table(space, u, v, v_basis).sum_check()
         if total != one:
-            report.violations.append(
+            violations.append(
                 f"sum u={format_partition(u)} v={format_partition(v)} got={total}"
             )
-    return report
+    return violations
 
 
-def verify_euler_homomorphism(space: Space) -> Report:
+def verify_euler_homomorphism(space: Space) -> list:
     """chi-hat is multiplicative on all basis pairs (and sends q to 1)."""
-    report = Report(str(space), space.equivariant)
+    violations = []
     one = space.model.one()
     for u, v in all_pairs(space):
-        report.pairs += 1
         total = euler_char_total(space, quantum_product(space, u, v))
         if total != one:
-            report.violations.append(
+            violations.append(
                 f"hom u={format_partition(u)} v={format_partition(v)} got={total}"
             )
-    return report
+    return violations
 
 
-def verify_min_degree(space: Space) -> Report:
+def verify_min_degree(space: Space) -> list:
     """chi_q of every product is exactly q to the curve distance."""
-    report = Report(str(space), space.equivariant)
+    violations = []
     one = space.model.one()
     for u, v in all_pairs(space):
-        report.pairs += 1
         d0 = dist(space, u, v)
         elt = quantum_product(space, u, v)
         chi = euler_char_q(space, elt)
         if chi != {d0: one}:
-            report.violations.append(
+            violations.append(
                 f"mindeg u={format_partition(u)} v={format_partition(v)} "
                 f"expected=q^{d0}"
             )
             continue
         if elt.min_degree() != d0:
-            report.violations.append(
+            violations.append(
                 f"lowest-power u={format_partition(u)} v={format_partition(v)}"
             )
-    return report
+    return violations
 
 
+def verify_neighborhoods_against_graph(space: Space) -> list:
+    """Cross-check every curve neighborhood index and distance against the moment graph."""
+    from qkcomin.oracles import MomentGraph
+
+    violations = []
+    graph = MomentGraph(space.m, space.n)
+    for lam in space.partitions:
+        for d in range(0, diameter(space) + 2):
+            if curve_neighborhood_index(space, lam, d) != graph.neighborhood_partition(lam, d):
+                violations.append(f"neighborhood lam={format_partition(lam)} d={d}")
+    for u, v in all_pairs(space):
+        if dist(space, u, v) != graph.dist(u, v):
+            violations.append(
+                f"dist-oracle u={format_partition(u)} v={format_partition(v)}"
+            )
+    return violations
+
+
+# every check qk verify can run: space -> violation lines
 CHECKS = {
     "sum": verify_coefficient_sum,
     "hom": verify_euler_homomorphism,
     "mindeg": verify_min_degree,
+    "graph": verify_neighborhoods_against_graph,
 }
 
-
-def verify_space(space: Space, checks=tuple(CHECKS), oracle: bool = False) -> Report:
-    """Run the named checks; ``oracle`` adds the moment-graph cross-checks."""
-    merged = Report(str(space), space.equivariant)
-    for name in checks:
-        rep = CHECKS[name](space)
-        merged.pairs = max(merged.pairs, rep.pairs)
-        merged.violations.extend(f"{name}: {v}" for v in rep.violations)
-    if oracle:
-        graph_report = verify_neighborhoods_against_graph(space)
-        merged.violations.extend(graph_report.violations)
-    return merged
+# the checks run when none are named; graph is left out for its cost
+DEFAULT_CHECKS = ("sum", "hom", "mindeg")
 
 
-def verify_neighborhoods_against_graph(space: Space) -> Report:
-    """Cross-check every curve neighborhood index and distance against the moment graph."""
-    from qkcomin.oracles import MomentGraph
-
-    report = Report(str(space), space.equivariant)
-    graph = MomentGraph(space.m, space.n)
-    for lam in space.partitions:
-        for d in range(0, diameter(space) + 2):
-            report.pairs += 1
-            if curve_neighborhood_index(space, lam, d) != graph.neighborhood_partition(lam, d):
-                report.violations.append(
-                    f"neighborhood lam={format_partition(lam)} d={d}"
-                )
-    for u, v in all_pairs(space):
-        report.pairs += 1
-        if dist(space, u, v) != graph.dist(u, v):
-            report.violations.append(
-                f"dist-oracle u={format_partition(u)} v={format_partition(v)}"
-            )
-    return report
+def verify_space(space: Space, checks=DEFAULT_CHECKS) -> Report:
+    """Run the named checks, each violation line prefixed with its check name."""
+    violations = [f"{name}: {line}" for name in checks for line in CHECKS[name](space)]
+    return Report(len(all_pairs(space)), violations)
 
 
 def positivity_sign_report(space: Space, table: StructureTable) -> dict:

@@ -60,8 +60,8 @@ def test_criterion_1_coefficient_sums_are_one():
     for space in configured_spaces():
         t0 = time.perf_counter()
         for basis in (OPPOSITE, PLAIN):
-            rep = verify_coefficient_sum(space, v_basis=basis)
-            violations.extend(f"{space} {basis} {v}" for v in rep.violations)
+            lines = verify_coefficient_sum(space, v_basis=basis)
+            violations.extend(f"{space} {basis} {v}" for v in lines)
         timings.append(f"{space}:{time.perf_counter() - t0:.1f}s")
     report(1, "coefficient-sum identity", violations, " [" + " ".join(timings) + "]")
 
@@ -70,16 +70,15 @@ def test_criterion_2_min_degree_identity_with_oracle():
     violations = []
     for space in configured_spaces():
         # the oracle half checks dist, and every neighborhood, against the moment graph
-        for rep in (verify_min_degree(space), verify_neighborhoods_against_graph(space)):
-            violations.extend(f"{space} {v}" for v in rep.violations)
+        for lines in (verify_min_degree(space), verify_neighborhoods_against_graph(space)):
+            violations.extend(f"{space} {v}" for v in lines)
     report(2, "Euler characteristic is q^dist (oracle-checked)", violations)
 
 
 def test_criterion_3_euler_map_is_ring_homomorphism():
     violations = []
     for space in configured_spaces():
-        rep = verify_euler_homomorphism(space)
-        violations.extend(f"{space} {v}" for v in rep.violations)
+        violations.extend(f"{space} {v}" for v in verify_euler_homomorphism(space))
         q_unit = QKElement(space, {1: {0: space.model.one()}})
         if euler_char_total(space, q_unit) != space.model.one():
             violations.append(f"{space} q does not map to 1")

@@ -3,6 +3,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qkcomin
-from qkcomin.cli import main
+from qkcomin.cli import build_parser, main
 from qkcomin.gkm import KModel, NotInSpanError
 from qkcomin.laurent import NotDivisibleError
 from qkcomin.quantum import CHECKS
@@ -120,20 +121,14 @@ class TestDistNeighborhood:
 @pytest.fixture
 def one_violation_check(monkeypatch):
     """Registers a check ``x`` that reports one violating pair."""
-    from qkcomin.quantum import Report
-
-    def one_violation(space):
-        rep = Report(str(space), space.equivariant, pairs=1)
-        rep.violations.append("u=1 v=1 got=0")
-        return rep
-
-    monkeypatch.setitem(CHECKS, "x", one_violation)
+    monkeypatch.setitem(CHECKS, "x", lambda space: ["u=1 v=1 got=0"])
 
 
 class TestVerify:
     def test_small_equivariant_pass(self, capsys):
         rc, out, _ = run_cli(
-            capsys, "verify", "--space", "gr:2,4", "--equivariant", "--oracle"
+            capsys, "verify", "--space", "gr:2,4", "--equivariant",
+            "--checks", "sum,hom,mindeg,graph",
         )
         assert rc == 0
         assert out.strip() == "PASS pairs=36"
@@ -169,12 +164,21 @@ class TestVerify:
             capsys, "verify", "--space", "gr:1,2", "--checks", "x", "--out", str(path)
         )
         assert rc == 1 and out == ""
-        assert path.read_text() == "x: u=1 v=1 got=0\nFAIL pairs=1 violations=1\n"
+        assert path.read_text() == "x: u=1 v=1 got=0\nFAIL pairs=4 violations=1\n"
 
     def test_repeated_check_runs_once(self, capsys, one_violation_check):
         rc, out, _ = run_cli(capsys, "verify", "--space", "gr:1,2", "--checks", "x,x")
         assert rc == 1
-        assert out.split("\n") == ["x: u=1 v=1 got=0", "FAIL pairs=1 violations=1", ""]
+        assert out.split("\n") == ["x: u=1 v=1 got=0", "FAIL pairs=4 violations=1", ""]
+
+    def test_default_checks_are_sum_hom_mindeg(self, capsys, monkeypatch):
+        # the verify-z-cold benchmark runs this default set
+        ran = []
+        for name in CHECKS:
+            monkeypatch.setitem(CHECKS, name, lambda space, name=name: ran.append(name) or [])
+        rc, out, _ = run_cli(capsys, "verify", "--space", "gr:1,2")
+        assert rc == 0 and out == "PASS pairs=4\n"
+        assert ran == ["sum", "hom", "mindeg"]
 
     @pytest.mark.parametrize("name", list(CHECKS))
     def test_every_registered_check_is_accepted(self, capsys, name):
@@ -207,10 +211,8 @@ class TestVerify:
         from qkcomin import cli
         from qkcomin.quantum import Report
 
-        def fake_verify(space, checks, oracle):
-            rep = Report(str(space), space.equivariant, pairs=4)
-            rep.violations.append("sum u=1 v=1 got=0")
-            return rep
+        def fake_verify(space, checks):
+            return Report(4, ["sum u=1 v=1 got=0"])
 
         monkeypatch.setattr(cli, "verify_space", fake_verify)
         rc, out, _ = run_cli(capsys, "verify", "--space", "gr:1,2")
@@ -626,3 +628,30 @@ class TestSubprocessEntryPoints:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
         assert len(outs[0].strip().split("\n")) == 36
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_lines():
+    """The ``qk`` lines of README's CLI block, ``a|b`` expanded into a line each."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        words = shlex.split(line)
+        if words[:1] == ["qk"]:
+            choices = (word.split("|") for word in words[1:])
+            yield from (list(argv) for argv in itertools.product(*choices))
+
+
+def test_readme_cli_lines_parse():
+    # a flag removed or renamed in the parser cannot leave README stale
+    argvs = list(readme_cli_lines())
+    assert {argv[0] for argv in argvs} == {
+        "product", "dist", "neighborhood", "table", "verify", "cache"
+    }
+    for argv in argvs:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: qk {shlex.join(argv)}")

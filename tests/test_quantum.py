@@ -1,8 +1,10 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
+from qkcomin import cli, quantum
 from qkcomin.gkm import OPPOSITE, PLAIN, KModel
 from qkcomin.laurent import LaurentElement
 from qkcomin.oracles import MomentGraph
@@ -14,6 +16,7 @@ from qkcomin.weyl import (
     partition_to_subset,
 )
 from qkcomin.quantum import (
+    CHECKS,
     QKElement,
     Space,
     StructureTable,
@@ -481,20 +484,49 @@ class TestPipelineAgainstLiteralPushPull:
                 assert projected_class(space, u, v, d) == values, (u, v, d)
 
 
+def _drop_top_degree(monkeypatch):
+    """Every product loses its highest power of q."""
+    product = quantum.quantum_product
+
+    def truncated(space, u, v):
+        coeffs = dict(product(space, u, v).coeffs)
+        del coeffs[max(coeffs)]
+        return QKElement(space, coeffs)
+
+    monkeypatch.setattr(quantum, "quantum_product", truncated)
+
+
+def _fix_line_neighborhoods(monkeypatch):
+    """Every degree-one curve neighborhood index is the index itself."""
+    index = quantum.curve_neighborhood_index
+
+    def fixed(space, lam, d):
+        return tuple(lam) if d == 1 else index(space, lam, d)
+
+    monkeypatch.setattr(quantum, "curve_neighborhood_index", fixed)
+
+
+# violation lines per check of qk verify on Gr(2,4) (z mode) under each mutation
+MUTATIONS = {
+    "drop-top-degree": (_drop_top_degree, {"sum": 34, "hom": 34, "mindeg": 34}),
+    "fixed-line-neighborhood": (_fix_line_neighborhoods, {"mindeg": 15, "graph": 20}),
+}
+
+
 class TestVerifiers:
     def test_small_equivariant_spaces_pass(self):
         for m, n in [(1, 2), (1, 3)]:
-            rep = verify_space(Space(m, n, equivariant=True), oracle=True)
+            rep = verify_space(Space(m, n, equivariant=True), checks=tuple(CHECKS))
             assert rep.passed and rep.pairs == len(Space(m, n).partitions) ** 2
 
     def test_gr24_equivariant_passes(self, gr24eq):
-        rep = verify_space(gr24eq, oracle=True)
+        rep = verify_space(gr24eq, checks=tuple(CHECKS))
         assert rep.passed
 
     @pytest.mark.parametrize("m,n", [(3, 4), (3, 5)])
     def test_dual_grassmannians_pass(self, m, n):
         # the kernel-span dimensions clamp on the other side when m > n-m
-        rep = verify_space(get_space(m, n, equivariant=False), oracle=True)
+        rep = verify_space(get_space(m, n, equivariant=False), checks=tuple(CHECKS))
         assert rep.passed
 
     @pytest.mark.parametrize("m,n,equivariant", [(2, 5, False), (2, 4, True)])
@@ -516,13 +548,23 @@ class TestVerifiers:
         assert verify_space(space).passed
         assert set(calls) == {space.shape}
 
-    def test_violations_are_reported_not_raised(self, gr24):
-        # a fabricated bad table shows up as a violation line
-        from qkcomin.quantum import Report
+    @pytest.mark.parametrize("mutation", list(MUTATIONS))
+    def test_mutation_is_reported(self, capsys, monkeypatch, mutation):
+        # a broken engine makes qk verify exit 1 with named violation lines
+        mutate, expected = MUTATIONS[mutation]
+        mutate(monkeypatch)
+        # a fresh Space, so no memo holds an unmutated product or a mutated
+        # one outlives the test
+        monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+        rc = cli.main(["verify", "--space", "gr:2,4", "--checks", ",".join(CHECKS)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert lines[-1] == f"FAIL pairs=36 violations={sum(expected.values())}"
+        assert Counter(line.split(": ", 1)[0] for line in lines[:-1]) == expected
 
-        rep = Report("gr:2,4", False)
-        rep.violations.append("sum u=1 v=1 got=0")
-        assert not rep.passed
+    def test_every_check_catches_a_mutation(self):
+        caught = {name for _mutate, expected in MUTATIONS.values() for name in expected}
+        assert caught == set(CHECKS)
 
 
 class TestPositivityReport:
