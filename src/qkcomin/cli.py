@@ -18,7 +18,7 @@ import sys
 from itertools import repeat
 
 from qkcomin import cache as diskcache
-from qkcomin.gkm import OPPOSITE, PLAIN
+from qkcomin.gkm import OPPOSITE
 from qkcomin.quantum import (
     CHECKS,
     DEFAULT_CHECKS,
@@ -151,13 +151,13 @@ def cmd_table(args) -> int:
     space = _parse_space(args.space, args.equivariant, not args.no_cache)
     parts = sorted(space.partitions, key=lambda lam: (sum(lam), lam))
     if jobs > 1 and len(parts) ** 2 > 8:
-        # load every table the rows read in the parent, so the forked
-        # workers share them: those of X = Y_0 and of each Y_d that is not
-        # a point, the degrees on which gw_series expands
+        # load everything the rows read in the parent, so the forked workers
+        # share it: the change of basis on X, which reads both its tables,
+        # and the opposite table of X = Y_0 and of each Y_d that is not a
+        # point, the degrees on which gw_series expands
+        space.model.basis_change()
         for d in range(max(space.m, space.n - space.m)):
-            y = space.diagram(d).y
-            y.table(PLAIN)
-            y.table(OPPOSITE)
+            space.diagram(d).y.table(OPPOSITE)
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(

@@ -18,9 +18,9 @@ Restriction tables are memoized per (shape, scalar mode, orientation) and
 mirrored on disk.
 
 Classes are expanded in the opposite Schubert basis by triangular
-elimination (:meth:`KModel.expand_values`); a plain-basis expansion is the
-w0 translate of an opposite-basis one (:meth:`KModel.basis_change`).  With
-the full torus the residuals are Laurent polynomials.  With one parameter
+elimination (:meth:`KModel.expand_values`); the change of basis holds the
+expansions of the plain classes (:meth:`KModel.basis_change`).  With the
+full torus the residuals are Laurent polynomials.  With one parameter
 they are dense polynomials with small coefficients, held Kronecker-packed:
 z^lo * F(z), F a polynomial, is the pair (lo, F(B)) with B = 2**W,
 W = PACK_BITS at first.  An update acc -= c * row[p] is one shift, one
@@ -452,20 +452,7 @@ class KModel:
     # -- basis change -------------------------------------------------------------
 
     def basis_change(self) -> list:
-        """Plain-basis expansion of every opposite class.
-
-        O^v = w0 O_{dual[v]}, so the expansion of O^v is the w0 translate of
-        the opposite-basis expansion of the plain class dual[v]: w0 takes
-        O^x to O_{dual[x]} and acts on each coefficient as in :meth:`_w0_translate`.
-        """
+        """Opposite-basis expansion of every plain class: O_v = sum_x c_x O^x."""
         if self._basis_change is None:
-            plain, dual = self.table(PLAIN), self.dual
-            images, nv = self.chars.w0_images, self.chars.nvars
-            self._basis_change = [
-                {
-                    dual[x]: c.substitute_letters(images, nv)
-                    for x, c in self.expand_values(plain[dual[v]]).items()
-                }
-                for v in range(self.npoints)
-            ]
+            self._basis_change = [self.expand_values(row) for row in self.table(PLAIN)]
         return self._basis_change

@@ -1,6 +1,6 @@
 """The moment graph of Gr(m,n): an independent route to curve neighborhoods.
 
-``qk verify --oracle`` checks the engine's curve-neighborhood index and
+``qk verify --checks graph`` checks the engine's curve-neighborhood index and
 distances against this graph.  Everything here is deliberately naive:
 breadth-first search over fixed points, no memoized algebra.  The check
 rests on this route being independent of the localization engine, so none

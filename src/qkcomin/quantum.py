@@ -3,26 +3,30 @@
 For X = Gr(m,n) and a degree d, curves of degree d through X are encoded by
 an incidence diagram of auxiliary flag varieties: Y_d records the kernel
 and span dimensions a = max(m-d, 0), b = min(m+d, n), and T_d = Fl(a,m,b;n)
-sits over both X and Y_d.  Pulling back to T_d and pushing forward takes a
-Schubert class to a Schubert class, so each space keeps the diagram of one
-degree as maps of Schubert indices (:class:`Diagram`): X to Y_d for the
-opposite and the plain classes, Y_d to X for the opposite classes, and the
-curve neighborhood index lambda(-d) of every opposite class, which is its
-round trip X -> Y_d -> X.  Only opposite classes are moved; the plain map
-is the w0 dual of the opposite one, since the diagram is GL_n-equivariant
-and X_v = w0 X^{w0 v}.  The class of the variety swept out by degree-d
-curves meeting an opposite Schubert variety and a B-stable one is the
-Richardson class on Y_d of the two moved indices, expanded there in the
-opposite basis and moved back to X through these maps; that expansion is
-the only heavy step.  The whole series thus lives in the opposite basis,
-the basis the structure constants are read in.
+sits over both X and Y_d.  Pulling back to T_d and pushing forward takes an
+opposite Schubert class to an opposite Schubert class, so each space keeps
+the diagram of one degree as maps of opposite Schubert indices
+(:class:`Diagram`): X to Y_d, Y_d to X, and the curve neighborhood index
+lambda(-d) of every class, which is its round trip X -> Y_d -> X.
+
+The degree-d class of two classes a and b of X is the product on Y_d of
+the two classes moved there, moved back to X: (T_d -> X)_* (T_d -> Y_d)^*
+(a_d * b_d).  It is bilinear over the scalars (Buch-Mihalcea, "quantum =
+classical"), so it is built for two opposite classes only: their product
+on Y_d is expanded there in the opposite basis, the only heavy step, and
+each basis class is moved back to X through the index map.  The class of
+two opposite classes does not depend on their order, so it is kept once
+per unordered pair.
 
 The generating series of these classes over all degrees is eventually the
 unit class; applying (1 - q * shift), where the shift substitutes each
 opposite Schubert index by its degree-one neighborhood index, telescopes
-the series into the finite quantum product.  Structure tables, the sheaf
-Euler characteristic specializations, and the verification reports are all
-assembled from that product.
+the series into the finite quantum product of two opposite classes.  A
+product with a plain (B-stable) class is, by bilinearity, that product
+applied to the opposite-basis expansion of the plain class on X
+(:meth:`KModel.basis_change`), the one place the plain basis appears.
+Structure tables, the sheaf Euler characteristic specializations, and the
+verification reports are all assembled from these products.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from qkcomin.gkm import (
 from qkcomin.laurent import LaurentElement
 from qkcomin.weyl import (
     FlagShape,
-    bruhat_leq,
     image_index,
     minrep_to_partition,
     partition_contains,
@@ -69,13 +72,13 @@ class Space:
     models: dict = field(default_factory=dict, init=False, repr=False)
     # degree d -> Diagram of Y_d <- T_d -> X
     diagrams: dict = field(default_factory=dict, init=False, repr=False)
-    # (Y_d shape, u index, v index on Y_d) -> opposite-basis coefficients on X
-    # of the projected class, shared across every (u, v, d) that lands there;
-    # empty where u_d is not below v_d in the Bruhat order on Y_d
-    richardson: dict = field(default_factory=dict, init=False, repr=False)
+    # (Y_d shape, a, b) with a <= b, the two opposite indices on Y_d ->
+    # opposite-basis coefficients on X of the projected class, shared across
+    # every (u, v, d) that lands there
+    projected: dict = field(default_factory=dict, init=False, repr=False)
     # (u, v) -> the product with v in the plain basis
     products: dict = field(default_factory=dict, init=False, repr=False)
-    # (u, v) -> the product with v in the opposite basis
+    # {u, v} ordered by (size, partition) -> the product of two opposite classes
     products_opposite: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -165,27 +168,23 @@ def kernel_span_shapes(space: Space, d: int) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Diagram:
-    """The diagram Y_d <- T_d -> X of one degree, on model indices.
+    """The diagram Y_d <- T_d -> X of one degree, on opposite Schubert indices.
 
-    ``to_y_opposite[i]`` and ``to_y_plain[i]`` index on Y_d the opposite and
-    the plain class of X index i moved along the diagram; ``from_y[j]``
-    indexes on X the opposite class of Y_d index j moved the other way;
-    ``neighborhood[i]`` indexes on X the degree-d curve neighborhood of the
-    opposite class i, its round trip; ``top`` indexes on Y_d the plain
-    unit class.
+    ``to_y[i]`` indexes on Y_d the opposite class of X index i moved along
+    the diagram; ``from_y[j]`` indexes on X the opposite class of Y_d index
+    j moved the other way; ``neighborhood[i]`` indexes on X the degree-d
+    curve neighborhood of the class i, its round trip.
 
-    Only opposite classes are moved: pulling back keeps the index, since
-    pullback preserves codimension, and pushing forward takes the image
-    index.  ``to_y_plain`` and ``top`` are the w0 duals of ``to_y_opposite``
-    and of the opposite unit class.
+    Pulling back keeps the index, since pullback preserves codimension, and
+    pushing forward takes the image index.  Plain classes are never moved:
+    by bilinearity a product with one is a combination of products of
+    opposite classes.
     """
 
     y: KModel
-    to_y_opposite: tuple
-    to_y_plain: tuple
+    to_y: tuple
     from_y: tuple
     neighborhood: tuple
-    top: int
 
 
 def _build_diagram(space: Space, d: int) -> Diagram:
@@ -195,16 +194,9 @@ def _build_diagram(space: Space, d: int) -> Diagram:
     def move(src, dst):
         return tuple(dst.idx[image_index(w, t, dst.shape)] for w in src.points)
 
-    to_y_opposite = move(xm, my)
+    to_y = move(xm, my)
     from_y = move(my, xm)
-    return Diagram(
-        y=my,
-        to_y_opposite=to_y_opposite,
-        to_y_plain=tuple(my.dual[to_y_opposite[j]] for j in xm.dual),
-        from_y=from_y,
-        neighborhood=tuple(from_y[j] for j in to_y_opposite),
-        top=my.dual[0],
-    )
+    return Diagram(y=my, to_y=to_y, from_y=from_y, neighborhood=tuple(from_y[j] for j in to_y))
 
 
 def _move(exp: dict, index_map: tuple) -> dict:
@@ -240,31 +232,30 @@ def dist(space: Space, u: tuple, v: tuple) -> int:
 def _gw_coeffs(space: Space, d: int, ui: int, vi: int) -> dict:
     """Opposite-basis coefficients on X of the degree-d projected class.
 
-    The Richardson class of the opposite class of X index ui and the plain
-    class of X index vi, both moved to Y_d, is expanded on Y_d in the
-    opposite basis; each basis class of the expansion is moved back to X.
+    The opposite classes of X indices ui and vi, moved to Y_d, are
+    multiplied there and the product is expanded on Y_d in the opposite
+    basis; each basis class of the expansion is moved back to X.
     """
     dg = space.diagram(d)
     my = dg.y
-    u_d, v_d = dg.to_y_opposite[ui], dg.to_y_plain[vi]
-    key = (my.shape, u_d, v_d)
-    out = space.richardson.get(key)
+    a, b = sorted((dg.to_y[ui], dg.to_y[vi]))
+    key = (my.shape, a, b)
+    out = space.projected.get(key)
     if out is None:
-        out = {}
-        if bruhat_leq(my.points[u_d], my.points[v_d]):
-            rich = my.multiply_values(my.table(OPPOSITE)[u_d], my.table(PLAIN)[v_d])
-            out = _move(my.expand_values(rich), dg.from_y)
-        space.richardson[key] = out
+        opp = my.table(OPPOSITE)
+        out = _move(my.expand_values(my.multiply_values(opp[a], opp[b])), dg.from_y)
+        space.projected[key] = out
     return out
 
 
 def gw_series(space: Space, u: tuple, v: tuple) -> tuple:
-    """Degree series of projected classes, as its heads.
+    """Degree series of the projected classes of two opposite classes, as
+    its heads.
 
     The degree-d class has opposite-basis coefficients heads[d] below
     D = len(heads), and is the unit class from D on; D is minimal.  The
-    class is the unit once u moves to the unit and v to the top index on
-    Y_d, which the index maps show before any expansion.
+    class is the unit once both classes move to the unit class of Y_d,
+    which the index maps show before any expansion.
     """
     ui, vi = space.index_of(u), space.index_of(v)
     unit = {0: space.model.one()}
@@ -272,7 +263,7 @@ def gw_series(space: Space, u: tuple, v: tuple) -> tuple:
     d = 0
     while True:
         dg = space.diagram(d)
-        if dg.y.lengths[dg.to_y_opposite[ui]] == 0 and dg.to_y_plain[vi] == dg.top:
+        if dg.y.lengths[dg.to_y[ui]] == 0 and dg.y.lengths[dg.to_y[vi]] == 0:
             break
         heads.append(_gw_coeffs(space, d, ui, vi))
         d += 1
@@ -318,19 +309,19 @@ class QKElement:
         return min(self.normalized().coeffs, default=None)
 
 
-def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
-    """The product of the opposite class of u and the B-stable class of v.
+def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> QKElement:
+    """The product of two opposite classes.
 
     Applies (1 - q * shift) to the degree series: the degree-d coefficient
     is the class of degree d minus the shifted class of degree d - 1.  The
     shift fixes the unit class, so every degree beyond the D heads of the
     series cancels and the product is a polynomial in q of degree at most D.
     """
-    key = (u, v)
-    hit = space.products.get(key)
+    key = tuple(sorted((u, v), key=lambda lam: (sum(lam), lam)))
+    hit = space.products_opposite.get(key)
     if hit is not None:
         return hit
-    series = gw_series(space, u, v) + ({0: space.model.one()},)
+    series = gw_series(space, *key) + ({0: space.model.one()},)
     coeffs: dict = {}
     for d in range(len(series)):
         cur = dict(series[d])
@@ -342,7 +333,7 @@ def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
         if cur:
             coeffs[d] = cur
     result = QKElement(space, coeffs)
-    space.products[key] = result
+    space.products_opposite[key] = result
     return result
 
 
@@ -356,17 +347,18 @@ def _add_scaled(total: dict, scale: LaurentElement, elt: QKElement, shift: int =
             bucket[w] = prod if acc is None else acc + prod
 
 
-def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> QKElement:
-    """The product of two opposite classes, via the exact change of basis."""
-    memo = space.products_opposite
-    hit = memo.get((u, v))
+def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
+    """The product of the opposite class of u and the B-stable class of v:
+    the products of O^u with the opposite classes of the expansion of O_v."""
+    key = (u, v)
+    hit = space.products.get(key)
     if hit is not None:
         return hit
     total: dict = {}
-    for xidx, gamma in space.model.basis_change()[space.index_of(v)].items():
-        _add_scaled(total, gamma, quantum_product(space, u, space.partition_of(xidx)))
+    for xidx, beta in space.model.basis_change()[space.index_of(v)].items():
+        _add_scaled(total, beta, quantum_product_opposite_v(space, u, space.partition_of(xidx)))
     result = QKElement(space, total).normalized()
-    memo[(u, v)] = result
+    space.products[key] = result
     return result
 
 

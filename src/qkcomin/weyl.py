@@ -16,7 +16,6 @@ within each block.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -59,22 +58,6 @@ def w0_conjugate_value(w: tuple) -> tuple:
     """One-line notation of w0 w, i.e. values x -> n+1-x."""
     n = len(w)
     return tuple(n + 1 - x for x in w)
-
-
-def bruhat_leq(u: tuple, v: tuple) -> bool:
-    """Dominance-of-sorted-prefixes criterion, O(n^2)."""
-    if len(u) != len(v):
-        raise ValueError("ambient sizes differ")
-    n = len(u)
-    su: list = []
-    sv: list = []
-    for k in range(n - 1):
-        insort(su, u[k])
-        insort(sv, v[k])
-        for a, b in zip(su, sv):
-            if a > b:
-                return False
-    return True
 
 
 # -- parabolic subgroups and flag shapes --------------------------------------

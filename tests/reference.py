@@ -1,14 +1,15 @@
 """Literal references that tests compare the engine against.
 
-The engine moves Schubert classes through index maps and expands only in
-the opposite basis; these helpers work on fixed-point values instead, and
-expand in the plain basis by its own elimination.  The engine builds its
-restriction tables by the Hecke subword formula; :func:`sweep_tables`
-builds the full-torus ones by the sweep recursion instead.  Unlike the
-literature oracles of :mod:`slow_oracles` they may call
-:meth:`KModel.expand_values`.
+The engine moves opposite Schubert classes through index maps and expands
+only in the opposite basis; these helpers work on fixed-point values
+instead, and expand in the plain basis by its own elimination.  The
+engine builds its restriction tables by the Hecke subword formula;
+:func:`sweep_tables` builds the full-torus ones by the sweep recursion
+instead.  Unlike the literature oracles of :mod:`slow_oracles` they may
+call :meth:`KModel.expand_values`.
 """
 
+from bisect import insort
 from functools import lru_cache
 
 from qkcomin.gkm import OPPOSITE, PLAIN, KModel, NotInSpanError
@@ -54,6 +55,22 @@ def inverse(w: tuple) -> tuple:
 def compose(u: tuple, v: tuple) -> tuple:
     """(u v)(i) = u(v(i))."""
     return tuple(u[x - 1] for x in v)
+
+
+def bruhat_leq(u: tuple, v: tuple) -> bool:
+    """Dominance-of-sorted-prefixes criterion, O(n^2)."""
+    if len(u) != len(v):
+        raise ValueError("ambient sizes differ")
+    n = len(u)
+    su: list = []
+    sv: list = []
+    for k in range(n - 1):
+        insort(su, u[k])
+        insort(sv, v[k])
+        for a, b in zip(su, sv):
+            if a > b:
+                return False
+    return True
 
 
 def longest_element(n: int) -> tuple:
@@ -292,9 +309,20 @@ def pushforward(values: tuple, src: KModel, dst: KModel, orientation: str = PLAI
 
 
 def projected_class(space: Space, u: tuple, v: tuple, d: int) -> tuple:
-    """Values on X of the class of degree-d curves meeting both varieties."""
-    coeffs = _gw_coeffs(space, d, space.index_of(u), space.index_of(v))
-    return space.model.recombine(coeffs, OPPOSITE)
+    """Values on X of the class of degree-d curves meeting the opposite
+    variety of u and the B-stable variety of v.
+
+    By bilinearity it is the combination, with the coefficients of the
+    opposite-basis expansion of O_v, of the classes the engine builds for
+    two opposite classes.
+    """
+    xm = space.model
+    ui = space.index_of(u)
+    out = xm.zero_values()
+    for x, beta in xm.basis_change()[space.index_of(v)].items():
+        values = xm.recombine(_gw_coeffs(space, d, ui, x), OPPOSITE)
+        out = tuple(acc + beta * c for acc, c in zip(out, values))
+    return out
 
 
 def basis_element(space: Space, lam: tuple, degree: int = 0) -> QKElement:

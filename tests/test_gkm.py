@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from qkcomin.laurent import LaurentElement
 from qkcomin.weyl import (
     FlagShape,
-    bruhat_leq,
     dual_index,
     min_coset_rep,
     minrep_to_partition,
@@ -23,6 +22,7 @@ from qkcomin.gkm import (
 )
 from qkcomin.quantum import Space, kernel_span_shapes
 from reference import (
+    bruhat_leq,
     diag_factor_exps,
     euler_char,
     expand,
@@ -367,15 +367,21 @@ class TestBasisChange:
         top = max(range(m.npoints), key=lambda p: m.lengths[p])
         assert m.expand_values(m.table(PLAIN)[top]) == {0: m.one()}
 
+    @staticmethod
+    def combine(m, coeffs, expansions):
+        """sum_x coeffs[x] * expansions[x], on coefficient dicts."""
+        out = {}
+        for x, c in coeffs.items():
+            for y, d in expansions[x].items():
+                out[y] = out.get(y, m.zero()) + c * d
+        return {y: c for y, c in out.items() if not c.is_zero()}
+
     def test_double_change_is_identity(self):
+        # opposite to plain by the literal elimination, then back to the
+        # opposite basis by the change of basis
         m = model((2,), 4)
-        for w in range(m.npoints):
-            back = {}
-            for x, c in m.expand_values(m.table(PLAIN)[w]).items():
-                for y, d in m.basis_change()[x].items():
-                    back[y] = back.get(y, m.zero()) + c * d
-            back = {y: c for y, c in back.items() if not c.is_zero()}
-            assert back == {w: m.one()}
+        for x, row in enumerate(m.table(OPPOSITE)):
+            assert self.combine(m, expand_plain(m, row), m.basis_change()) == {x: m.one()}
 
     def test_specialized_change_is_box_complement(self):
         # non-equivariantly O_(1) on Gr(2,4) becomes the opposite class of the
@@ -391,11 +397,19 @@ class TestBasisChange:
         assert specialized == {(2, 1): 1}
         assert sum((2, 1)) == 4 - sum((1,))
 
-    @staticmethod
-    def check_w0_duality(m):
-        """The w0 translates of :meth:`KModel.basis_change` are the plain
-        expansions that the reference elimination finds directly."""
-        assert m.basis_change() == [expand_plain(m, row) for row in m.table(OPPOSITE)]
+    @classmethod
+    def check_w0_duality(cls, m):
+        """:meth:`KModel.basis_change` inverts the literal plain elimination
+        of the opposite classes, and is its w0 translate: O_w = w0 O^{dual[w]},
+        and w0 takes O_y to O^{dual[y]}."""
+        change = m.basis_change()
+        plain = [expand_plain(m, row) for row in m.table(OPPOSITE)]
+        images, nv = m.chars.w0_images, m.chars.nvars
+        for w in range(m.npoints):
+            assert cls.combine(m, change[w], plain) == {w: m.one()}
+            assert change[w] == {
+                m.dual[y]: c.substitute_letters(images, nv) for y, c in plain[m.dual[w]].items()
+            }
 
     @pytest.mark.parametrize("chars", [equivariant_chars, zspec_chars], ids=["t", "z"])
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -5,7 +5,6 @@ import pytest
 from qkcomin import weyl
 from qkcomin.weyl import (
     FlagShape,
-    bruhat_leq,
     coset_minreps,
     dual_index,
     image_index,
@@ -19,6 +18,7 @@ from qkcomin.weyl import (
     right_mul_simple,
 )
 from reference import (
+    bruhat_leq,
     compose,
     dimension,
     identity,
