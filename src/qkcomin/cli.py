@@ -18,7 +18,7 @@ import sys
 from itertools import repeat
 
 from qkcomin import cache as diskcache
-from qkcomin.gkm import OPPOSITE
+from qkcomin.gkm import OPPOSITE, PLAIN
 from qkcomin.quantum import (
     CHECKS,
     DEFAULT_CHECKS,
@@ -152,10 +152,11 @@ def cmd_table(args) -> int:
     parts = sorted(space.partitions, key=lambda lam: (sum(lam), lam))
     if jobs > 1 and len(parts) ** 2 > 8:
         # load everything the rows read in the parent, so the forked workers
-        # share it: the change of basis on X, which reads both its tables,
-        # and the opposite table of X = Y_0 and of each Y_d that is not a
-        # point, the degrees on which gw_series expands
-        space.model.basis_change()
+        # share it: with v plain the change of basis on X, which reads both
+        # its tables, and the opposite table of X = Y_0 and of each Y_d that
+        # is not a point, the degrees on which gw_series expands
+        if args.v_basis == PLAIN:
+            space.model.basis_change()
         for d in range(max(space.m, space.n - space.m)):
             space.diagram(d).y.table(OPPOSITE)
         from concurrent.futures import ProcessPoolExecutor

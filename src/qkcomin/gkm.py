@@ -40,6 +40,11 @@ z^d * D(z) is one integer divmod by D(B).
   since H * D and F then both have coefficients below B/2 and agree at B.
 * Otherwise the elimination reruns at width 2W.  The opposite table is
   packed on its first expansion, once per model and width.
+* The product of two opposite classes (:meth:`KModel.expand_product`) is
+  taken packed, point by point: for z^lo_a * F_a and z^lo_b * F_b the lows
+  add, the values multiply, F_a(B) * F_b(B) = (F_a * F_b)(B), and the L1
+  bounds multiply, ||F_a * F_b||_1 <= ||F_a||_1 * ||F_b||_1.  So the
+  elimination starts from packed columns and the two points above hold.
 """
 
 from __future__ import annotations
@@ -353,12 +358,9 @@ class KModel:
         reaches half the digit base.
         """
         if self.chars.nvars == 1:
-            bits = PACK_BITS if self._packed is None else self._packed[0]
-            while True:
-                coeffs = self._eliminate_packed(values, *self._packed_table(bits))
-                if coeffs is not None:
-                    return coeffs
-                bits *= 2
+            return self._expand_packed(
+                lambda bits, _entries: zip(*(kronecker_pack(v, bits) for v in values))
+            )
         residual = [v.copy() for v in values]  # updated in place
         table = self.table(OPPOSITE)
         coeffs: dict = {}
@@ -379,44 +381,77 @@ class KModel:
             raise NotInSpanError("not in the scalar span of Schubert classes")
         return coeffs
 
-    def _packed_table(self, bits: int) -> tuple:
-        """(bits, diagonal, rows) of the opposite table packed at ``bits``-bit
-        digits.
+    def expand_product(self, a: int, b: int) -> dict:
+        """Opposite-basis expansion of the product of the opposite classes of
+        indices a and b.
 
-        ``diagonal[w]`` is the packed (lo, P, l1) of the entry (w, w), and
-        ``rows[w]`` lists (p, lo, P, l1) for the other nonzero entries of
-        row w.  Converted on the first expansion at this width and kept.
+        In one variable the product is taken on the packed table: at each
+        point where both rows are nonzero the lows add, the values multiply
+        and the L1 bounds multiply (module docstring), and the elimination
+        starts from those columns.
         """
-        hit = self._packed
-        if hit is None or hit[0] != bits:
-            table = self.table(OPPOSITE)
-            diagonal = [kronecker_pack(row[w], bits) for w, row in enumerate(table)]
-            rows = [
-                [(p, *kronecker_pack(v, bits)) for p, v in enumerate(row) if v and p != w]
-                for w, row in enumerate(table)
-            ]
-            hit = self._packed = (bits, diagonal, rows)
-        return hit
+        if self.chars.nvars != 1:
+            opp = self.table(OPPOSITE)
+            return self.expand_values(self.multiply_values(opp[a], opp[b]))
+
+        def columns(_bits, entries):
+            lo, acc, bound = [0] * self.npoints, [0] * self.npoints, [0] * self.npoints
+            ea, eb = entries[a], entries[b]
+            if len(ea) > len(eb):
+                ea, eb = eb, ea
+            for p, (alo, aval, al1) in ea.items():
+                hit = eb.get(p)
+                if hit is not None:
+                    lo[p], acc[p], bound[p] = alo + hit[0], aval * hit[1], al1 * hit[2]
+            return lo, acc, bound
+
+        return self._expand_packed(columns)
+
+    def _expand_packed(self, columns) -> dict:
+        """The packed elimination of the columns (lo, acc, bound) that
+        ``columns(bits, entries)`` gives at each width, doubled until the
+        bounds prove the coefficients exact."""
+        bits = PACK_BITS if self._packed is None else self._packed[0]
+        while True:
+            entries = self._packed_table(bits)
+            coeffs = self._eliminate_packed(columns(bits, entries), bits, entries)
+            if coeffs is not None:
+                return coeffs
+            bits *= 2
+
+    def _packed_table(self, bits: int) -> list:
+        """The opposite table packed at ``bits``-bit digits: ``entries[w]``
+        maps each point p of a nonzero entry (w, p) to its packed
+        (lo, P, l1).  Converted on the first expansion at this width and
+        kept.
+        """
+        if self._packed is None or self._packed[0] != bits:
+            self._packed = (bits, [
+                {p: kronecker_pack(v, bits) for p, v in enumerate(row) if v}
+                for row in self.table(OPPOSITE)
+            ])
+        return self._packed[1]
 
     @staticmethod
-    def _eliminate_packed(values, bits, diagonal, rows) -> dict | None:
+    def _eliminate_packed(columns, bits, entries) -> dict | None:
         """The elimination of :meth:`expand_values` on packed residuals.
 
         Residual p is z^lo[p] * F_p(z), held as lo[p] and acc[p] = F_p(B)
-        with B = 2**bits, and bound[p] >= ||F_p||_1.  A nonzero remainder
-        or final residual raises at any width.  The coefficients read are
+        with B = 2**bits, and bound[p] >= ||F_p||_1; ``columns`` gives the
+        three lists, which are updated in place.  A nonzero remainder or
+        final residual raises at any width.  The coefficients read are
         exact when every bound stayed below B/2 (module docstring);
         otherwise this returns None, to be rerun wider.
         """
         half = 1 << (bits - 1)
-        lo, acc, bound = (list(col) for col in zip(*(kronecker_pack(v, bits) for v in values)))
+        lo, acc, bound = map(list, columns)
         coeffs: dict = {}
         peak = 0  # largest |coefficient| bound of a quotient times its divisor
         for widx in range(len(acc)):
             packed = acc[widx]
             if not packed:
                 continue
-            dlo, dpacked, dl1 = diagonal[widx]
+            dlo, dpacked, dl1 = entries[widx][widx]
             q, r = divmod(packed, dpacked)
             if r:
                 raise NotInSpanError("not in the scalar span of Schubert classes")
@@ -425,7 +460,9 @@ class KModel:
             peak = max(peak, cmax * dl1)
             coeffs[widx] = c
             acc[widx] = 0  # F - c * diagonal
-            for p, rlo, rpacked, rl1 in rows[widx]:
+            for p, (rlo, rpacked, rl1) in entries[widx].items():
+                if p == widx:
+                    continue
                 shift = clo + rlo - lo[p]
                 if shift >= 0:
                     acc[p] -= (q * rpacked) << (bits * shift)

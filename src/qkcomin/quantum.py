@@ -13,10 +13,10 @@ The degree-d class of two classes a and b of X is the product on Y_d of
 the two classes moved there, moved back to X: (T_d -> X)_* (T_d -> Y_d)^*
 (a_d * b_d).  It is bilinear over the scalars (Buch-Mihalcea, "quantum =
 classical"), so it is built for two opposite classes only: their product
-on Y_d is expanded there in the opposite basis, the only heavy step, and
-each basis class is moved back to X through the index map.  The class of
-two opposite classes does not depend on their order, so it is kept once
-per unordered pair.
+on Y_d is expanded there in the opposite basis, the only heavy step
+(:meth:`KModel.expand_product`, packed in z mode), and each basis class is
+moved back to X through the index map.  The class of two opposite classes
+does not depend on their order, so it is kept once per unordered pair.
 
 The generating series of these classes over all degrees is eventually the
 unit class; applying (1 - q * shift), where the shift substitutes each
@@ -25,6 +25,11 @@ the series into the finite quantum product of two opposite classes.  A
 product with a plain (B-stable) class is, by bilinearity, that product
 applied to the opposite-basis expansion of the plain class on X
 (:meth:`KModel.basis_change`), the one place the plain basis appears.
+Such sums of scaled products are built in one accumulator (:func:`_combine`).
+In z mode it sums Kronecker-packed coefficients, as the elimination of
+:mod:`qkcomin.gkm` holds its residuals, each with a bound on its L1 norm:
+it starts at ``gkm.PACK_BITS`` bits per digit, reruns at twice the width
+while a bound reaches half the base, and unpacks each coefficient once.
 Structure tables, the sheaf Euler characteristic specializations, and the
 verification reports are all assembled from these products.
 """
@@ -34,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
+from qkcomin import gkm
 from qkcomin.gkm import (
     OPPOSITE,
     PLAIN,
@@ -42,7 +48,7 @@ from qkcomin.gkm import (
     equivariant_chars,
     zspec_chars,
 )
-from qkcomin.laurent import LaurentElement
+from qkcomin.laurent import LaurentElement, kronecker_pack, kronecker_unpack
 from qkcomin.weyl import (
     FlagShape,
     image_index,
@@ -80,6 +86,9 @@ class Space:
     products: dict = field(default_factory=dict, init=False, repr=False)
     # {u, v} ordered by (size, partition) -> the product of two opposite classes
     products_opposite: dict = field(default_factory=dict, init=False, repr=False)
+    # (a, b, bits) with a <= b, two opposite indices on X -> the product of the
+    # two classes with its coefficients packed at bits-bit digits (z mode)
+    products_packed: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.m < self.n:
@@ -135,7 +144,7 @@ class Space:
         """Output form of a scalar: specialized to integers non-equivariantly."""
         if self.equivariant:
             return c
-        return c.substitute_letters(((),), 0)
+        return LaurentElement.integer(0, c.specialize_ones())
 
     def __str__(self):
         return f"gr:{self.m},{self.n}"
@@ -242,8 +251,7 @@ def _gw_coeffs(space: Space, d: int, ui: int, vi: int) -> dict:
     key = (my.shape, a, b)
     out = space.projected.get(key)
     if out is None:
-        opp = my.table(OPPOSITE)
-        out = _move(my.expand_values(my.multiply_values(opp[a], opp[b])), dg.from_y)
+        out = _move(my.expand_product(a, b), dg.from_y)
         space.projected[key] = out
     return out
 
@@ -337,14 +345,88 @@ def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> QKElement:
     return result
 
 
-def _add_scaled(total: dict, scale: LaurentElement, elt: QKElement, shift: int = 0) -> None:
-    """total += scale * q^shift * elt, on degree buckets of opposite coefficients."""
-    for d, exp in elt.coeffs.items():
+def _packed_opposite(space: Space, a: int, b: int, bits: int) -> dict:
+    """The product of the opposite classes of X indices a and b, each
+    coefficient packed (lo, value, l1) at ``bits``-bit digits; kept per width."""
+    key = (min(a, b), max(a, b), bits)
+    hit = space.products_packed.get(key)
+    if hit is None:
+        elt = quantum_product_opposite_v(space, space.partition_of(a), space.partition_of(b))
+        hit = space.products_packed[key] = {
+            d: {w: kronecker_pack(c, bits) for w, c in exp.items()}
+            for d, exp in elt.coeffs.items()
+        }
+    return hit
+
+
+def _add_scaled(total: dict, scale, coeffs: dict, shift: int, bits: int = 0) -> None:
+    """total += scale * q^shift * coeffs, on degree buckets of opposite coefficients.
+
+    With ``bits`` 0 the scalars are LaurentElements.  Otherwise ``scale``,
+    every coefficient and every bucket are packed (lo, value, l1) at
+    ``bits``-bit digits: a product adds the lows and multiplies the values
+    and the bounds, and a sum shifts the value of the higher low up to the
+    lower one, as the packed elimination aligns its residuals, and adds the
+    bounds.  The buckets are exact only while every bound stays below half
+    the digit base; :func:`_combine` reruns the sum wider until they are.
+    """
+    for d, exp in coeffs.items():
         bucket = total.setdefault(d + shift, {})
-        for w, c in exp.items():
+        if not bits:
+            for w, c in exp.items():
+                acc = bucket.get(w)
+                prod = scale * c
+                bucket[w] = prod if acc is None else acc + prod
+            continue
+        slo, sval, sl1 = scale
+        for w, (clo, cval, cl1) in exp.items():
+            lo, val, l1 = slo + clo, sval * cval, sl1 * cl1
             acc = bucket.get(w)
-            prod = scale * c
-            bucket[w] = prod if acc is None else acc + prod
+            if acc is not None:
+                alo, aval, al1 = acc
+                if lo >= alo:
+                    val = aval + (val << (bits * (lo - alo)))
+                    lo = alo
+                else:
+                    val = (aval << (bits * (alo - lo))) + val
+                l1 += al1
+            bucket[w] = (lo, val, l1)
+
+
+def _combine(space: Space, terms: list) -> QKElement:
+    """The sum of scale * q^shift * (O^a star O^b) over the terms
+    (scale, a, b, shift), with a and b opposite indices on X.
+
+    On the full torus the buckets are LaurentElements.  In z mode they are
+    packed (:func:`_add_scaled`): the sum runs at W = ``gkm.PACK_BITS``
+    bits per digit and reruns at 2W while a bucket's L1 bound reaches
+    2^(W-1).  Every bound is then below half the base, so a zero value is
+    the zero polynomial and the balanced digits of a nonzero one are its
+    coefficients (the :mod:`qkcomin.gkm` docstring); each nonzero bucket is
+    unpacked once.
+    """
+    if space.equivariant:
+        total: dict = {}
+        for scale, a, b, shift in terms:
+            elt = quantum_product_opposite_v(space, space.partition_of(a), space.partition_of(b))
+            _add_scaled(total, scale, elt.coeffs, shift)
+        return QKElement(space, total).normalized()
+    bits = gkm.PACK_BITS
+    while True:
+        total = {}
+        for scale, a, b, shift in terms:
+            packed = _packed_opposite(space, a, b, bits)
+            _add_scaled(total, kronecker_pack(scale, bits), packed, shift, bits)
+        half = 1 << (bits - 1)
+        if all(l1 < half for bucket in total.values() for _, _, l1 in bucket.values()):
+            break
+        bits *= 2
+    coeffs: dict = {}
+    for d, bucket in total.items():
+        exp = {w: kronecker_unpack(lo, val, bits)[0] for w, (lo, val, _) in bucket.items() if val}
+        if exp:
+            coeffs[d] = exp
+    return QKElement(space, coeffs)
 
 
 def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
@@ -354,26 +436,22 @@ def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
     hit = space.products.get(key)
     if hit is not None:
         return hit
-    total: dict = {}
-    for xidx, beta in space.model.basis_change()[space.index_of(v)].items():
-        _add_scaled(total, beta, quantum_product_opposite_v(space, u, space.partition_of(xidx)))
-    result = QKElement(space, total).normalized()
+    ui = space.index_of(u)
+    expansion = space.model.basis_change()[space.index_of(v)]
+    result = _combine(space, [(beta, ui, x, 0) for x, beta in expansion.items()])
     space.products[key] = result
     return result
 
 
 def star_elements(space: Space, a: QKElement, b: QKElement) -> QKElement:
     """Bilinear extension of the product to finite q-polynomials."""
-    total: dict = {}
-    for d1, e1 in a.coeffs.items():
-        for x1, c1 in e1.items():
-            for d2, e2 in b.coeffs.items():
-                for x2, c2 in e2.items():
-                    base = quantum_product_opposite_v(
-                        space, space.partition_of(x1), space.partition_of(x2)
-                    )
-                    _add_scaled(total, c1 * c2, base, d1 + d2)
-    return QKElement(space, total).normalized()
+    return _combine(space, [
+        (c1 * c2, x1, x2, d1 + d2)
+        for d1, e1 in a.coeffs.items()
+        for x1, c1 in e1.items()
+        for d2, e2 in b.coeffs.items()
+        for x2, c2 in e2.items()
+    ])
 
 
 # -- Euler characteristic maps -----------------------------------------------------

@@ -224,6 +224,29 @@ class TestMultiply:
         assert got == lr_constants_setvalued((1,), (1,), 2, 4)
 
 
+class TestExpandProduct:
+    """:meth:`KModel.expand_product`, packed in z mode, against the Laurent
+    route: the pointwise product, then the expansion."""
+
+    @pytest.mark.parametrize("equivariant,top", [(False, 6), (True, 5)])
+    def test_matches_expanding_the_pointwise_product(self, equivariant, top):
+        # every pair of classes of X moved to X and to each Y_d, as
+        # _gw_coeffs multiplies them, for every Gr(m,n) with n <= top
+        seen = set()
+        for n in range(2, top + 1):
+            for m in range(1, n):
+                space = Space(m, n, equivariant)
+                for d in range(max(m, n - m) + 1):
+                    dg = space.diagram(d)
+                    my, opp = dg.y, dg.y.table(OPPOSITE)
+                    for a, b in itertools.product(dg.to_y, repeat=2):
+                        if (my.shape, a, b) in seen:
+                            continue
+                        seen.add((my.shape, a, b))
+                        expect = my.expand_values(my.multiply_values(opp[a], opp[b]))
+                        assert my.expand_product(a, b) == expect, (my.shape, a, b)
+
+
 # coefficients a + b*t2 of up to four basis classes, by index mod npoints
 SMALL_COEFFS = st.dictionaries(
     st.integers(0, 5), st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=4

@@ -4,8 +4,9 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qkcomin import cli, quantum
+from qkcomin import cli, gkm, quantum
 from qkcomin.gkm import OPPOSITE, PLAIN, KModel
 from qkcomin.laurent import LaurentElement
 from qkcomin.oracles import MomentGraph
@@ -113,6 +114,23 @@ class TestSpaceState:
             # a trailing zero within m parts, or a list, names the same partition
             padded = [*lam, 0][:m]
             assert space.index_of(padded) == space.index_of(lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=5),
+        st.booleans(),
+    )
+    def test_public_scalar_is_the_specialization(self, gr24, terms, zero_sum):
+        # the integer of the coefficient sum is the substitution z -> 1 into
+        # no variables: the same element, the same bound and the same string
+        if zero_sum and terms:
+            top = max(terms)
+            terms[top] -= sum(terms.values())
+        c = LaurentElement(1, {(e,): k for e, k in terms.items()})
+        got, expect = gr24.public_scalar(c), c.substitute_letters(((),), 0)
+        assert got == expect and got.nvars == expect.nvars == 0
+        assert got._bound == expect._bound == 0
+        assert str(got) == str(expect)
 
     @pytest.mark.parametrize("lam", [(3,), (1, 1, 1), (-1,), (1, 2)])
     def test_index_of_a_partition_outside_the_box_raises(self, gr24, lam):
@@ -438,6 +456,35 @@ class TestRingStructure:
                 gr24, a, star_elements(gr24, b, c)
             )
 
+    def test_associativity_with_narrow_digits(self, gr24, monkeypatch):
+        # the packed sum of star_elements starts at 4-bit digits and must
+        # widen; its products equal those at the default width
+        monkeypatch.setattr(gkm, "PACK_BITS", 4)
+        narrow = Space(2, 4)
+        parts = [(), (1,), (2, 1), (2, 2)]
+        for u, v, w in itertools.product(parts, parts, parts):
+            a, b, c = (basis_element(narrow, x) for x in (u, v, w))
+            ab = star_elements(narrow, a, b)
+            abc = star_elements(narrow, ab, c)
+            assert abc == star_elements(narrow, a, star_elements(narrow, b, c))
+            wide = [basis_element(gr24, x) for x in (u, v, w)]
+            wide_ab = star_elements(gr24, *wide[:2])
+            assert ab.coeffs == wide_ab.coeffs
+            assert abc.coeffs == star_elements(gr24, wide_ab, wide[2]).coeffs
+        assert max(bits for _a, _b, bits in narrow.products_packed) > 4
+
+    def test_packed_sums_past_the_digit_bound(self, monkeypatch):
+        # every summand 2 * 2 is below the 4-bit digits' 8, but the sums in
+        # degrees 1 to 3 reach it: only the summed bound sees them
+        monkeypatch.setattr(gkm, "PACK_BITS", 4)
+        narrow = Space(2, 4)
+        unit, two = narrow.index_of(()), LaurentElement.integer(1, 2)
+        a = QKElement(narrow, {d: {unit: two} for d in range(3)})
+        got = star_elements(narrow, a, a).coeffs
+        sums = (4, 8, 12, 8, 4)
+        assert got == {d: {unit: LaurentElement.integer(1, c)} for d, c in enumerate(sums)}
+        assert max(bits for _a, _b, bits in narrow.products_packed) == 8
+
     def test_star_elements_respects_q_grading(self, gr24):
         a = basis_element(gr24, (1,), degree=1)
         b = basis_element(gr24, (1,), degree=2)
@@ -481,6 +528,11 @@ def literal_space(m, n, equivariant):
     return space, [literal_projected_classes(space, d) for d in range(max(m, n - m) + 2)]
 
 
+def plain_products(space):
+    """The product with v plain of every pair, by pair."""
+    return {(u, v): quantum_product(space, u, v) for u, v in all_pairs(space)}
+
+
 class TestPipelineAgainstLiteralPushPull:
     CONFIGURATIONS = [
         (2, 4, False), (2, 4, True), (2, 5, False), (3, 5, False), (1, 4, True), (2, 5, True)
@@ -501,8 +553,27 @@ class TestPipelineAgainstLiteralPushPull:
         # on X, is the product with v plain that the engine builds from
         # products of two opposite classes
         space, classes = literal_space(m, n, equivariant)
+        self.check_telescoping(space, classes, plain_products(space))
+
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for m, n, equivariant in CONFIGURATIONS if not equivariant]
+    )
+    def test_narrow_digits_widen(self, monkeypatch, m, n):
+        # both packed routes start at 4-bit digits and must widen: the
+        # products on Y_d and the packed sum of the products with v plain
+        monkeypatch.setattr(gkm, "PACK_BITS", 4)
+        space = Space(m, n)
+        narrow = plain_products(space)
+        assert space.diagram(1).y._packed[0] > 4
+        assert max(bits for _a, _b, bits in space.products_packed) > 4
+        self.check_telescoping(space, literal_space(m, n, False)[1], narrow)
+
+    @staticmethod
+    def check_telescoping(space, classes, products):
+        """Each product, by pair, is the literal classes expanded on X and
+        telescoped."""
         xm = space.model
-        for u, v in all_pairs(space):
+        for (u, v), product in products.items():
             coeffs, prev = {}, {}
             for d, by_pair in enumerate(classes):
                 cur = xm.expand_values(by_pair[u, v])
@@ -510,7 +581,7 @@ class TestPipelineAgainstLiteralPushPull:
                 for w, c in shift_expansion(space, prev).items():
                     step[w] = step.get(w, xm.zero()) - c
                 coeffs[d], prev = step, cur
-            assert QKElement(space, coeffs) == quantum_product(space, u, v), (u, v)
+            assert QKElement(space, coeffs) == product, (u, v)
 
 
 def _drop_top_degree(monkeypatch):
