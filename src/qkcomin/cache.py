@@ -1,11 +1,11 @@
 """Disk cache for restriction tables.
 
 One file per (shape, scalar mode, orientation).  Files carry a versioned
-header and a checksum of the canonical payload; a checksum mismatch, or
-rows that are not lists of strings, is treated as a miss, so corrupted
-files are silently recomputed.  Whether the strings make a table of the
-model is checked by the caller (``gkm.KModel``), which treats a misfit as
-a miss too.
+header and a checksum of the canonical payload; JSON that does not parse
+or nests too deep, a checksum mismatch, or rows that are not lists of
+strings, is treated as a miss, so corrupted files are silently
+recomputed.  Whether the strings make a table of the model is checked by
+the caller (``gkm.KModel``), which treats a misfit as a miss too.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def load_rows(key: str) -> list | None:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(doc, dict):  # valid JSON, but not a cache document
         return None

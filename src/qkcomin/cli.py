@@ -105,11 +105,15 @@ def _worker_init(m, n, equivariant, use_cache):
     _WORKER_ARGS = (m, n, equivariant, use_cache)
 
 
-def _worker_row(u, vs, v_basis):
-    """The JSON lines of row ``u``.  One row is one pool task, so every
-    product and memo the row shares lives in one worker."""
-    space = get_space(*_WORKER_ARGS)
+def _row_lines(space: Space, u: tuple, vs, v_basis: str) -> list:
+    """The JSON lines of row ``u``, the pairs (u, v) for v in ``vs``."""
     return [_pair_line(space, u, v, v_basis) for v in vs]
+
+
+def _worker_row(u, vs, v_basis):
+    """The lines of row ``u`` in a pool worker.  One row is one pool task,
+    so every product and memo the row shares lives in one worker."""
+    return _row_lines(get_space(*_WORKER_ARGS), u, vs, v_basis)
 
 
 def _internal_error(exc) -> int:
@@ -167,10 +171,9 @@ def cmd_table(args) -> int:
             initargs=(space.m, space.n, space.equivariant, space.use_cache),
         ) as pool:
             rows = list(pool.map(_worker_row, parts, repeat(parts), repeat(args.v_basis)))
-        lines = [line for row in rows for line in row]
     else:
-        lines = [_pair_line(space, u, v, args.v_basis) for u in parts for v in parts]
-    _write_text("\n".join(lines) + "\n", args.out)
+        rows = [_row_lines(space, u, parts, args.v_basis) for u in parts]
+    _write_text("".join(line + "\n" for row in rows for line in row), args.out)
     return 0
 
 

@@ -21,9 +21,10 @@ does not depend on their order, so it is kept once per unordered pair.
 The generating series of these classes over all degrees is eventually the
 unit class; applying (1 - q * shift), where the shift substitutes each
 opposite Schubert index by its degree-one neighborhood index, telescopes
-the series into the finite quantum product of two opposite classes.  A
-product with a plain (B-stable) class is, by bilinearity, that product
-applied to the opposite-basis expansion of the plain class on X
+the series into the finite quantum product of two opposite classes, the
+one product a space keeps (``Space.products``).  A product with a plain
+(B-stable) class is, by bilinearity, that product applied to the
+opposite-basis expansion of the plain class on X
 (:meth:`KModel.basis_change`), the one place the plain basis appears.
 Such sums of scaled products are built in one accumulator (:func:`_combine`).
 In z mode it sums Kronecker-packed coefficients, as the elimination of
@@ -31,7 +32,7 @@ In z mode it sums Kronecker-packed coefficients, as the elimination of
 it starts at ``gkm.PACK_BITS`` bits per digit, reruns at twice the width
 while a bound reaches half the base, and unpacks each coefficient once.
 Structure tables, the sheaf Euler characteristic specializations, and the
-verification reports are all assembled from these products.
+verification reports, row by row, are all assembled from these products.
 """
 
 from __future__ import annotations
@@ -82,13 +83,10 @@ class Space:
     # opposite-basis coefficients on X of the projected class, shared across
     # every (u, v, d) that lands there
     projected: dict = field(default_factory=dict, init=False, repr=False)
-    # (u, v) -> the product with v in the plain basis
+    # (a, b, bits) with a <= b, two opposite indices on X -> the product of
+    # the two classes by degree: LaurentElement coefficients at bits 0, the
+    # coefficients packed at bits-bit digits otherwise (z mode)
     products: dict = field(default_factory=dict, init=False, repr=False)
-    # {u, v} ordered by (size, partition) -> the product of two opposite classes
-    products_opposite: dict = field(default_factory=dict, init=False, repr=False)
-    # (a, b, bits) with a <= b, two opposite indices on X -> the product of the
-    # two classes with its coefficients packed at bits-bit digits (z mode)
-    products_packed: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.m < self.n:
@@ -106,7 +104,7 @@ class Space:
     def model(self) -> KModel:
         return self.submodel(self.shape)
 
-    @property
+    @cached_property
     def partitions(self) -> tuple:
         return partitions_in_box(self.m, self.n - self.m)
 
@@ -317,59 +315,64 @@ class QKElement:
         return min(self.normalized().coeffs, default=None)
 
 
-def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> QKElement:
-    """The product of two opposite classes.
+def _opposite_product(space: Space, a: int, b: int, bits: int = 0) -> dict:
+    """The product of the opposite classes of X indices a and b, by degree;
+    memoized in ``space.products`` per unordered pair and width.
 
-    Applies (1 - q * shift) to the degree series: the degree-d coefficient
-    is the class of degree d minus the shifted class of degree d - 1.  The
-    shift fixes the unit class, so every degree beyond the D heads of the
-    series cancels and the product is a polynomial in q of degree at most D.
+    With ``bits`` 0 the coefficients are LaurentElements: (1 - q * shift)
+    applied to the degree series, so the degree-d coefficient is the class
+    of degree d minus the shifted class of degree d - 1.  The shift fixes
+    the unit class, so every degree beyond the D heads of the series
+    cancels and the product is a polynomial in q of degree at most D.
+    Otherwise (z mode) it is that product with each coefficient packed
+    (lo, value, l1) at ``bits``-bit digits.
     """
-    key = tuple(sorted((u, v), key=lambda lam: (sum(lam), lam)))
-    hit = space.products_opposite.get(key)
-    if hit is not None:
-        return hit
-    series = gw_series(space, *key) + ({0: space.model.one()},)
-    coeffs: dict = {}
-    for d in range(len(series)):
-        cur = dict(series[d])
-        if d:
-            for w, c in shift_expansion(space, series[d - 1]).items():
-                acc = cur.get(w)
-                cur[w] = -c if acc is None else acc - c
-        cur = {w: c for w, c in cur.items() if not c.is_zero()}
-        if cur:
-            coeffs[d] = cur
-    result = QKElement(space, coeffs)
-    space.products_opposite[key] = result
-    return result
-
-
-def _packed_opposite(space: Space, a: int, b: int, bits: int) -> dict:
-    """The product of the opposite classes of X indices a and b, each
-    coefficient packed (lo, value, l1) at ``bits``-bit digits; kept per width."""
-    key = (min(a, b), max(a, b), bits)
-    hit = space.products_packed.get(key)
+    if b < a:
+        a, b = b, a
+    hit = space.products.get((a, b, bits))
     if hit is None:
-        elt = quantum_product_opposite_v(space, space.partition_of(a), space.partition_of(b))
-        hit = space.products_packed[key] = {
-            d: {w: kronecker_pack(c, bits) for w, c in exp.items()}
-            for d, exp in elt.coeffs.items()
-        }
+        hit = space.products.get((a, b, 0))
+        if hit is None:
+            series = gw_series(space, space.partition_of(a), space.partition_of(b))
+            series += ({0: space.model.one()},)
+            hit = {}
+            for d, cur in enumerate(series):
+                cur = dict(cur)
+                if d:
+                    for w, c in shift_expansion(space, series[d - 1]).items():
+                        acc = cur.get(w)
+                        cur[w] = -c if acc is None else acc - c
+                cur = {w: c for w, c in cur.items() if not c.is_zero()}
+                if cur:
+                    hit[d] = cur
+            space.products[a, b, 0] = hit
+        if bits:
+            hit = space.products[a, b, bits] = {
+                d: {w: kronecker_pack(c, bits) for w, c in exp.items()}
+                for d, exp in hit.items()
+            }
     return hit
 
 
-def _add_scaled(total: dict, scale, coeffs: dict, shift: int, bits: int = 0) -> None:
+def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> QKElement:
+    """The product of two opposite classes."""
+    return QKElement(space, _opposite_product(space, space.index_of(u), space.index_of(v)))
+
+
+def _add_scaled(total: dict, scale: LaurentElement, coeffs: dict, shift: int, bits: int) -> None:
     """total += scale * q^shift * coeffs, on degree buckets of opposite coefficients.
 
-    With ``bits`` 0 the scalars are LaurentElements.  Otherwise ``scale``,
-    every coefficient and every bucket are packed (lo, value, l1) at
-    ``bits``-bit digits: a product adds the lows and multiplies the values
-    and the bounds, and a sum shifts the value of the higher low up to the
-    lower one, as the packed elimination aligns its residuals, and adds the
-    bounds.  The buckets are exact only while every bound stays below half
-    the digit base; :func:`_combine` reruns the sum wider until they are.
+    With ``bits`` 0 the scalars are LaurentElements.  Otherwise every
+    coefficient and every bucket are packed (lo, value, l1) at ``bits``-bit
+    digits, and so is ``scale``, here: a product adds the lows and
+    multiplies the values and the bounds, and a sum shifts the value of the
+    higher low up to the lower one, as the packed elimination aligns its
+    residuals, and adds the bounds.  The buckets are exact only while every
+    bound stays below half the digit base; :func:`_combine` reruns the sum
+    wider until they are.
     """
+    if bits:
+        slo, sval, sl1 = kronecker_pack(scale, bits)
     for d, exp in coeffs.items():
         bucket = total.setdefault(d + shift, {})
         if not bits:
@@ -378,7 +381,6 @@ def _add_scaled(total: dict, scale, coeffs: dict, shift: int, bits: int = 0) -> 
                 prod = scale * c
                 bucket[w] = prod if acc is None else acc + prod
             continue
-        slo, sval, sl1 = scale
         for w, (clo, cval, cl1) in exp.items():
             lo, val, l1 = slo + clo, sval * cval, sl1 * cl1
             acc = bucket.get(w)
@@ -397,26 +399,22 @@ def _combine(space: Space, terms: list) -> QKElement:
     """The sum of scale * q^shift * (O^a star O^b) over the terms
     (scale, a, b, shift), with a and b opposite indices on X.
 
-    On the full torus the buckets are LaurentElements.  In z mode they are
-    packed (:func:`_add_scaled`): the sum runs at W = ``gkm.PACK_BITS``
-    bits per digit and reruns at 2W while a bucket's L1 bound reaches
-    2^(W-1).  Every bound is then below half the base, so a zero value is
-    the zero polynomial and the balanced digits of a nonzero one are its
+    One loop serves both scalar modes (:func:`_add_scaled`).  On the full
+    torus it runs once, at ``bits`` 0, on LaurentElements.  In z mode the
+    buckets are packed: the sum runs at W = ``gkm.PACK_BITS`` bits per
+    digit and reruns at 2W while a bucket's L1 bound reaches 2^(W-1).
+    Every bound is then below half the base, so a zero value is the zero
+    polynomial and the balanced digits of a nonzero one are its
     coefficients (the :mod:`qkcomin.gkm` docstring); each nonzero bucket is
     unpacked once.
     """
-    if space.equivariant:
+    bits = 0 if space.equivariant else gkm.PACK_BITS
+    while True:
         total: dict = {}
         for scale, a, b, shift in terms:
-            elt = quantum_product_opposite_v(space, space.partition_of(a), space.partition_of(b))
-            _add_scaled(total, scale, elt.coeffs, shift)
-        return QKElement(space, total).normalized()
-    bits = gkm.PACK_BITS
-    while True:
-        total = {}
-        for scale, a, b, shift in terms:
-            packed = _packed_opposite(space, a, b, bits)
-            _add_scaled(total, kronecker_pack(scale, bits), packed, shift, bits)
+            _add_scaled(total, scale, _opposite_product(space, a, b, bits), shift, bits)
+        if not bits:
+            return QKElement(space, total).normalized()
         half = 1 << (bits - 1)
         if all(l1 < half for bucket in total.values() for _, _, l1 in bucket.values()):
             break
@@ -432,15 +430,9 @@ def _combine(space: Space, terms: list) -> QKElement:
 def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
     """The product of the opposite class of u and the B-stable class of v:
     the products of O^u with the opposite classes of the expansion of O_v."""
-    key = (u, v)
-    hit = space.products.get(key)
-    if hit is not None:
-        return hit
     ui = space.index_of(u)
     expansion = space.model.basis_change()[space.index_of(v)]
-    result = _combine(space, [(beta, ui, x, 0) for x, beta in expansion.items()])
-    space.products[key] = result
-    return result
+    return _combine(space, [(beta, ui, x, 0) for x, beta in expansion.items()])
 
 
 def star_elements(space: Space, a: QKElement, b: QKElement) -> QKElement:
@@ -461,9 +453,7 @@ def euler_char_q(space: Space, elt: QKElement) -> dict:
     """Coefficient-wise sheaf Euler characteristic; a polynomial in q."""
     out = {}
     for d, exp in elt.coeffs.items():
-        total = space.model.zero()
-        for c in exp.values():
-            total = total + c
+        total = sum(exp.values(), space.model.zero())
         if not total.is_zero():
             out[d] = total
     return out
@@ -471,10 +461,7 @@ def euler_char_q(space: Space, elt: QKElement) -> dict:
 
 def euler_char_total(space: Space, elt: QKElement) -> LaurentElement:
     """Euler characteristic with q set to 1."""
-    total = space.model.zero()
-    for part in euler_char_q(space, elt).values():
-        total = total + part
-    return total
+    return sum(euler_char_q(space, elt).values(), space.model.zero())
 
 
 # -- structure tables ----------------------------------------------------------------
@@ -493,10 +480,7 @@ class StructureTable:
 
     def sum_check(self) -> LaurentElement:
         nvars = self.terms[0][2].nvars if self.terms else 0
-        total = LaurentElement.zero(nvars)
-        for _w, _d, c in self.terms:
-            total = total + c
-        return total
+        return sum((c for _w, _d, c in self.terms), LaurentElement.zero(nvars))
 
     def to_json_dict(self) -> dict:
         return {
@@ -564,44 +548,35 @@ class Report:
         return not self.violations
 
 
-def all_pairs(space: Space) -> list:
-    parts = space.partitions
-    return [(u, v) for u in parts for v in parts]
-
-
-def verify_coefficient_sum(space: Space, v_basis: str = OPPOSITE) -> list:
-    """Every structure table sums to exactly 1."""
+def verify_coefficient_sum(space: Space, u: tuple, products: dict, v_basis: str = OPPOSITE) -> list:
+    """Every structure table of row u sums to exactly 1."""
     violations = []
     one = space.public_scalar(space.model.one())
-    for u, v in all_pairs(space):
+    for v in space.partitions:
         total = structure_table(space, u, v, v_basis).sum_check()
         if total != one:
-            violations.append(
-                f"sum u={format_partition(u)} v={format_partition(v)} got={total}"
-            )
+            violations.append(f"sum u={format_partition(u)} v={format_partition(v)} got={total}")
     return violations
 
 
-def verify_euler_homomorphism(space: Space) -> list:
-    """chi-hat is multiplicative on all basis pairs (and sends q to 1)."""
+def verify_euler_homomorphism(space: Space, u: tuple, products: dict) -> list:
+    """chi-hat is multiplicative on the basis pairs of row u (and sends q to 1)."""
     violations = []
     one = space.model.one()
-    for u, v in all_pairs(space):
-        total = euler_char_total(space, quantum_product(space, u, v))
+    for v in space.partitions:
+        total = euler_char_total(space, products[v])
         if total != one:
-            violations.append(
-                f"hom u={format_partition(u)} v={format_partition(v)} got={total}"
-            )
+            violations.append(f"hom u={format_partition(u)} v={format_partition(v)} got={total}")
     return violations
 
 
-def verify_min_degree(space: Space) -> list:
-    """chi_q of every product is exactly q to the curve distance."""
+def verify_min_degree(space: Space, u: tuple, products: dict) -> list:
+    """chi_q of every product of row u is exactly q to the curve distance."""
     violations = []
     one = space.model.one()
-    for u, v in all_pairs(space):
+    for v in space.partitions:
         d0 = dist(space, u, v)
-        elt = quantum_product(space, u, v)
+        elt = products[v]
         chi = euler_char_q(space, elt)
         if chi != {d0: one}:
             violations.append(
@@ -610,31 +585,30 @@ def verify_min_degree(space: Space) -> list:
             )
             continue
         if elt.min_degree() != d0:
-            violations.append(
-                f"lowest-power u={format_partition(u)} v={format_partition(v)}"
-            )
+            violations.append(f"lowest-power u={format_partition(u)} v={format_partition(v)}")
     return violations
 
 
-def verify_neighborhoods_against_graph(space: Space) -> list:
-    """Cross-check every curve neighborhood index and distance against the moment graph."""
+def verify_neighborhoods_against_graph(space: Space, u: tuple, products: dict) -> list:
+    """Cross-check the distances of row u against the moment graph, and in
+    the first row (u empty) every curve neighborhood index too, so that all
+    neighborhood lines come before any distance line."""
     from qkcomin.oracles import MomentGraph
 
     violations = []
     graph = MomentGraph(space.m, space.n)
-    for lam in space.partitions:
-        for d in range(0, diameter(space) + 2):
-            if curve_neighborhood_index(space, lam, d) != graph.neighborhood_partition(lam, d):
-                violations.append(f"neighborhood lam={format_partition(lam)} d={d}")
-    for u, v in all_pairs(space):
+    if not u:
+        for lam in space.partitions:
+            for d in range(0, diameter(space) + 2):
+                if curve_neighborhood_index(space, lam, d) != graph.neighborhood_partition(lam, d):
+                    violations.append(f"neighborhood lam={format_partition(lam)} d={d}")
+    for v in space.partitions:
         if dist(space, u, v) != graph.dist(u, v):
-            violations.append(
-                f"dist-oracle u={format_partition(u)} v={format_partition(v)}"
-            )
+            violations.append(f"dist-oracle u={format_partition(u)} v={format_partition(v)}")
     return violations
 
 
-# every check qk verify can run: space -> violation lines
+# every check qk verify can run: (space, u, products of row u) -> violation lines
 CHECKS = {
     "sum": verify_coefficient_sum,
     "hom": verify_euler_homomorphism,
@@ -646,10 +620,29 @@ CHECKS = {
 DEFAULT_CHECKS = ("sum", "hom", "mindeg")
 
 
+class _Row(dict):
+    """The products with v plain of one row u, by v, each built on first read."""
+
+    def __init__(self, space: Space, u: tuple):
+        self.space, self.u = space, u
+
+    def __missing__(self, v):
+        product = self[v] = quantum_product(self.space, self.u, v)
+        return product
+
+
 def verify_space(space: Space, checks=DEFAULT_CHECKS) -> Report:
-    """Run the named checks, each violation line prefixed with its check name."""
-    violations = [f"{name}: {line}" for name in checks for line in CHECKS[name](space)]
-    return Report(len(all_pairs(space)), violations)
+    """Run the named checks, each violation line prefixed with its check name.
+
+    The one loop over pairs, by row: the checks of row u share its products
+    with v plain, dropped with the row, and each keeps its own lines."""
+    lines = {name: [] for name in checks}
+    for u in space.partitions:
+        products = _Row(space, u)
+        for name, out in lines.items():
+            out.extend(CHECKS[name](space, u, products))
+    violations = [f"{name}: {line}" for name, out in lines.items() for line in out]
+    return Report(len(space.partitions) ** 2, violations)
 
 
 def positivity_sign_report(space: Space, table: StructureTable) -> dict:

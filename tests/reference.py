@@ -327,3 +327,9 @@ def projected_class(space: Space, u: tuple, v: tuple, d: int) -> tuple:
 
 def basis_element(space: Space, lam: tuple, degree: int = 0) -> QKElement:
     return QKElement(space, {degree: {space.index_of(lam): space.model.one()}})
+
+
+def all_pairs(space: Space) -> list:
+    """Every pair (u, v) of partitions in the box, row by row."""
+    parts = space.partitions
+    return [(u, v) for u in parts for v in parts]

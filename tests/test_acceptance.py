@@ -18,7 +18,7 @@ from qkcomin.weyl import FlagShape
 from qkcomin.quantum import (
     QKElement,
     Space,
-    all_pairs,
+    _Row,
     curve_neighborhood_index,
     diameter,
     dist,
@@ -34,7 +34,9 @@ from qkcomin.quantum import (
     verify_min_degree,
     verify_neighborhoods_against_graph,
 )
-from reference import basis_element, bruhat_leq, diag_factor_exps, euler_char, gkm_check
+from reference import (
+    all_pairs, basis_element, bruhat_leq, diag_factor_exps, euler_char, gkm_check,
+)
 from slow_oracles import givental_p1_product, lr_constants_setvalued
 
 EQUIVARIANT_SPACES = [(1, 2), (1, 3), (2, 4)]
@@ -46,6 +48,11 @@ def configured_spaces():
         yield get_space(m, n, equivariant=True)
     for m, n in NONEQUIVARIANT_SPACES:
         yield get_space(m, n, equivariant=False)
+
+
+def row_by_row(space, check, **kwargs):
+    """The lines of one check over every row of a space, as verify_space runs it."""
+    return [line for u in space.partitions for line in check(space, u, _Row(space, u), **kwargs)]
 
 
 def report(num, name, violations, extra=""):
@@ -60,7 +67,7 @@ def test_criterion_1_coefficient_sums_are_one():
     for space in configured_spaces():
         t0 = time.perf_counter()
         for basis in (OPPOSITE, PLAIN):
-            lines = verify_coefficient_sum(space, v_basis=basis)
+            lines = row_by_row(space, verify_coefficient_sum, v_basis=basis)
             violations.extend(f"{space} {basis} {v}" for v in lines)
         timings.append(f"{space}:{time.perf_counter() - t0:.1f}s")
     report(1, "coefficient-sum identity", violations, " [" + " ".join(timings) + "]")
@@ -70,7 +77,8 @@ def test_criterion_2_min_degree_identity_with_oracle():
     violations = []
     for space in configured_spaces():
         # the oracle half checks dist, and every neighborhood, against the moment graph
-        for lines in (verify_min_degree(space), verify_neighborhoods_against_graph(space)):
+        for check in (verify_min_degree, verify_neighborhoods_against_graph):
+            lines = row_by_row(space, check)
             violations.extend(f"{space} {v}" for v in lines)
     report(2, "Euler characteristic is q^dist (oracle-checked)", violations)
 
@@ -78,7 +86,7 @@ def test_criterion_2_min_degree_identity_with_oracle():
 def test_criterion_3_euler_map_is_ring_homomorphism():
     violations = []
     for space in configured_spaces():
-        violations.extend(f"{space} {v}" for v in verify_euler_homomorphism(space))
+        violations.extend(f"{space} {v}" for v in row_by_row(space, verify_euler_homomorphism))
         q_unit = QKElement(space, {1: {0: space.model.one()}})
         if euler_char_total(space, q_unit) != space.model.one():
             violations.append(f"{space} q does not map to 1")
@@ -150,8 +158,9 @@ def test_criterion_6_localization_calibration():
                     violations.append(f"{shape} {orientation} w={w} edge condition")
     # edge condition on every product of two opposite classes on Y_d that
     # the products of each configured space produce, and on its projected
-    # class recombined on X; the products are computed here (memoized, if
-    # earlier criteria ran), so the recheck does not depend on test order
+    # class recombined on X; the products are computed here (their projected
+    # classes memoized, if earlier criteria ran), so the recheck does not
+    # depend on test order
     checked = 0
     for space in configured_spaces():
         for u, v in all_pairs(space):

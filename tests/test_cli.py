@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -123,8 +124,10 @@ class TestDistNeighborhood:
 
 @pytest.fixture
 def one_violation_check(monkeypatch):
-    """Registers a check ``x`` that reports one violating pair."""
-    monkeypatch.setitem(CHECKS, "x", lambda space: ["u=1 v=1 got=0"])
+    """Registers a check ``x`` that reports one violating pair, in row u = 1."""
+    monkeypatch.setitem(
+        CHECKS, "x", lambda space, u, products: ["u=1 v=1 got=0"] if u == (1,) else []
+    )
 
 
 class TestVerify:
@@ -175,13 +178,13 @@ class TestVerify:
         assert out.split("\n") == ["x: u=1 v=1 got=0", "FAIL pairs=4 violations=1", ""]
 
     def test_default_checks_are_sum_hom_mindeg(self, capsys, monkeypatch):
-        # the verify-z-cold benchmark runs this default set
+        # the verify-z-cold benchmark runs this default set, once per row
         ran = []
         for name in CHECKS:
-            monkeypatch.setitem(CHECKS, name, lambda space, name=name: ran.append(name) or [])
+            monkeypatch.setitem(CHECKS, name, lambda *args, name=name: ran.append(name) or [])
         rc, out, _ = run_cli(capsys, "verify", "--space", "gr:1,2")
         assert rc == 0 and out == "PASS pairs=4\n"
-        assert ran == ["sum", "hom", "mindeg"]
+        assert ran == ["sum", "hom", "mindeg"] * 2
 
     @pytest.mark.parametrize("name", list(CHECKS))
     def test_every_registered_check_is_accepted(self, capsys, name):
@@ -561,6 +564,24 @@ class TestCache:
         assert run_cli(capsys, *argv) == (0, fresh, "")
         assert [p.read_bytes() for p in files] == written
 
+    def test_deeply_nested_files_are_recomputed(self, capsys, tmp_path, monkeypatch):
+        """A cache file of JSON nested too deep for the parser is a miss, not
+        an internal error: verify rebuilds the tables and rewrites the files."""
+        from qkcomin import cli
+        from qkcomin.quantum import get_space
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+        argv = ("verify", "--space", "gr:1,3")
+        assert run_cli(capsys, *argv) == (0, "PASS pairs=9\n", "")
+        files = sorted(tmp_path.glob("restrict_*.json"))
+        assert files
+        written = [p.read_bytes() for p in files]
+        for p in files:
+            p.write_text("[" * 200000 + "]" * 200000)
+        assert run_cli(capsys, *argv) == (0, "PASS pairs=9\n", "")
+        assert [p.read_bytes() for p in files] == written
+
     @pytest.mark.parametrize("damage", ["bad-entry", "short-rows"])
     def test_misfit_rows_are_recomputed(self, capsys, tmp_path, monkeypatch, damage):
         """A cache document with a valid checksum whose rows do not make a
@@ -687,3 +708,21 @@ def test_docstring_cli_literals_name_real_flags():
                 choices = CHECKS
             if choices is not None:
                 assert value is not None and set(value.split(",")) <= set(choices), where
+
+
+def test_readme_names_every_memo_of_space():
+    # the README's list of the state a Space owns cannot go stale: its
+    # backticked names, other than classes, functions and properties, are
+    # exactly the fields a Space fills itself
+    from qkcomin import quantum
+    from qkcomin.quantum import Space
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (paragraph,) = (p for p in readme.split("\n\n") if "Each `Space` owns all state" in p)
+    fields = dataclasses.fields(Space)
+    named = {
+        name for name in re.findall(r"`(\w+)`", paragraph)
+        if not hasattr(quantum, name)
+        and (name in {f.name for f in fields} or not hasattr(Space, name))
+    }
+    assert named == {f.name for f in fields if not f.init}

@@ -8,14 +8,13 @@ from qkcomin.gkm import OPPOSITE, PLAIN, KModel, equivariant_chars
 from qkcomin.laurent import LaurentElement
 from qkcomin.weyl import FlagShape
 from qkcomin.quantum import (
-    all_pairs,
     dist,
     get_space,
     gw_series,
     quantum_product,
     shift_expansion,
 )
-from reference import euler_char, gkm_check, is_unit, projected_class, variable
+from reference import all_pairs, euler_char, gkm_check, is_unit, projected_class, variable
 
 
 @pytest.fixture(scope="module")

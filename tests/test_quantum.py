@@ -22,7 +22,6 @@ from qkcomin.quantum import (
     QKElement,
     Space,
     StructureTable,
-    all_pairs,
     curve_neighborhood_index,
     diameter,
     dist,
@@ -41,6 +40,7 @@ from qkcomin.quantum import (
     verify_space,
 )
 from reference import (
+    all_pairs,
     basis_element,
     euler_char,
     gkm_check,
@@ -471,7 +471,7 @@ class TestRingStructure:
             wide_ab = star_elements(gr24, *wide[:2])
             assert ab.coeffs == wide_ab.coeffs
             assert abc.coeffs == star_elements(gr24, wide_ab, wide[2]).coeffs
-        assert max(bits for _a, _b, bits in narrow.products_packed) > 4
+        assert max(bits for _a, _b, bits in narrow.products) > 4
 
     def test_packed_sums_past_the_digit_bound(self, monkeypatch):
         # every summand 2 * 2 is below the 4-bit digits' 8, but the sums in
@@ -483,7 +483,7 @@ class TestRingStructure:
         got = star_elements(narrow, a, a).coeffs
         sums = (4, 8, 12, 8, 4)
         assert got == {d: {unit: LaurentElement.integer(1, c)} for d, c in enumerate(sums)}
-        assert max(bits for _a, _b, bits in narrow.products_packed) == 8
+        assert max(bits for _a, _b, bits in narrow.products) == 8
 
     def test_star_elements_respects_q_grading(self, gr24):
         a = basis_element(gr24, (1,), degree=1)
@@ -565,7 +565,7 @@ class TestPipelineAgainstLiteralPushPull:
         space = Space(m, n)
         narrow = plain_products(space)
         assert space.diagram(1).y._packed[0] > 4
-        assert max(bits for _a, _b, bits in space.products_packed) > 4
+        assert max(bits for _a, _b, bits in space.products) > 4
         self.check_telescoping(space, literal_space(m, n, False)[1], narrow)
 
     @staticmethod
@@ -586,15 +586,15 @@ class TestPipelineAgainstLiteralPushPull:
 
 def _drop_top_degree(monkeypatch):
     """Every product of two opposite classes, and so every product, loses
-    its highest power of q."""
-    product = quantum.quantum_product_opposite_v
+    its highest power of q, in both the Laurent and the packed form."""
+    product = quantum._opposite_product
 
-    def truncated(space, u, v):
-        coeffs = dict(product(space, u, v).coeffs)
+    def truncated(space, a, b, bits=0):
+        coeffs = dict(product(space, a, b, bits))
         del coeffs[max(coeffs)]
-        return QKElement(space, coeffs)
+        return coeffs
 
-    monkeypatch.setattr(quantum, "quantum_product_opposite_v", truncated)
+    monkeypatch.setattr(quantum, "_opposite_product", truncated)
 
 
 def _fix_line_neighborhoods(monkeypatch):
@@ -648,6 +648,26 @@ class TestVerifiers:
         assert calls == []
         assert verify_space(space, checks=("hom", "mindeg")).passed
         assert set(calls) == {space.shape}
+
+    def test_each_plain_product_is_built_once(self, monkeypatch):
+        # hom and mindeg share the plain products of a row, and no plain
+        # product outlives its row: the memo holds products of two
+        # opposite classes only
+        calls = []
+        product = quantum.quantum_product
+
+        def counting(space, u, v):
+            calls.append((u, v))
+            return product(space, u, v)
+
+        monkeypatch.setattr(quantum, "quantum_product", counting)
+        space = Space(2, 4)
+        assert verify_space(space, checks=("hom", "mindeg")).passed
+        assert sorted(calls) == sorted(all_pairs(space))  # 36, one per pair
+        assert space.products and all(
+            len(key) == 3 and all(type(x) is int for x in key) and key[0] <= key[1]
+            for key in space.products
+        )
 
     @pytest.mark.parametrize("mutation", list(MUTATIONS))
     def test_mutation_is_reported(self, capsys, monkeypatch, mutation):
