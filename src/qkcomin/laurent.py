@@ -26,8 +26,8 @@ elements built from exponent vectors or parsed, the sum of the factors'
 bounds for a product.  Construction, :meth:`LaurentElement.parse`,
 :meth:`LaurentElement.substitute_letters` and every product check it
 against the limit and raise :class:`ExponentRangeError` instead of letting
-two monomials alias; swapping or permuting letters moves digits and keeps
-them in range.
+two monomials alias; swapping letters moves digits and keeps them in
+range.
 
 >>> a = LaurentElement.parse("1 - t1*t2^-1", 2)
 >>> b = LaurentElement.parse("1 + t1*t2^-1", 2)

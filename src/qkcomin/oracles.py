@@ -4,7 +4,7 @@
 distances against this graph.  Everything here is deliberately naive:
 breadth-first search over fixed points, no memoized algebra.  The check
 rests on this route being independent of the localization engine, so none
-of this code may call into the recursion-based tables.
+of this code may call into its restriction tables or index maps.
 
 The moment-graph model uses degree-1 one-dimensional torus orbits only,
 which is exact for type-A Grassmannians; revisit if other types are added.

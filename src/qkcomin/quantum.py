@@ -31,8 +31,12 @@ In z mode it sums Kronecker-packed coefficients, as the elimination of
 :mod:`qkcomin.gkm` holds its residuals, each with a bound on its L1 norm:
 it starts at ``gkm.PACK_BITS`` bits per digit, reruns at twice the width
 while a bound reaches half the base, and unpacks each coefficient once.
-Structure tables, the sheaf Euler characteristic specializations, and the
-verification reports, row by row, are all assembled from these products.
+
+A product is handed out as its structure constants, ``{d: {w: c}}``: w an
+opposite index on X and c a scalar, with no zero scalar and no empty
+degree.  Structure tables and the sheaf Euler characteristic
+specializations read that dict, and a verify is the list of the violation
+lines its checks find, row by row.
 """
 
 from __future__ import annotations
@@ -218,13 +222,12 @@ def _move(exp: dict, index_map: tuple) -> dict:
 
 def curve_neighborhood_index(space: Space, lam: tuple, d: int) -> tuple:
     """The index lam(-d) of the degree-d neighborhood of an opposite variety."""
-    if not partition_contains(lam, ((space.n - space.m),) * space.m):
-        raise ValueError("partition leaves the box")
     return space.partition_of(space.diagram(d).neighborhood[space.index_of(lam)])
 
 
 def dist(space: Space, u: tuple, v: tuple) -> int:
     """Smallest degree whose curve neighborhood of one variety meets the other."""
+    space.index_of(v)  # raises for a v outside the box, as for u
     d = 0
     while not partition_contains(curve_neighborhood_index(space, u, d), v):
         d += 1
@@ -288,33 +291,6 @@ def shift_expansion(space: Space, exp: dict) -> dict:
     return _move(exp, space.diagram(1).neighborhood)
 
 
-@dataclass(frozen=True, eq=False)
-class QKElement:
-    """A finite q-polynomial with opposite-basis coefficients."""
-
-    space: Space
-    coeffs: dict  # degree -> {opposite index -> scalar}
-
-    def normalized(self) -> "QKElement":
-        out = {}
-        for d, exp in self.coeffs.items():
-            exp = {w: c for w, c in exp.items() if not c.is_zero()}
-            if exp:
-                out[d] = exp
-        return QKElement(self.space, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, QKElement):
-            return NotImplemented
-        return (
-            self.space is other.space
-            and self.normalized().coeffs == other.normalized().coeffs
-        )
-
-    def min_degree(self):
-        return min(self.normalized().coeffs, default=None)
-
-
 def _opposite_product(space: Space, a: int, b: int, bits: int = 0) -> dict:
     """The product of the opposite classes of X indices a and b, by degree;
     memoized in ``space.products`` per unordered pair and width.
@@ -354,9 +330,10 @@ def _opposite_product(space: Space, a: int, b: int, bits: int = 0) -> dict:
     return hit
 
 
-def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> QKElement:
-    """The product of two opposite classes."""
-    return QKElement(space, _opposite_product(space, space.index_of(u), space.index_of(v)))
+def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> dict:
+    """The product of two opposite classes: its shared entry of
+    ``space.products``, to be read, never changed."""
+    return _opposite_product(space, space.index_of(u), space.index_of(v))
 
 
 def _add_scaled(total: dict, scale: LaurentElement, coeffs: dict, shift: int, bits: int) -> None:
@@ -395,7 +372,7 @@ def _add_scaled(total: dict, scale: LaurentElement, coeffs: dict, shift: int, bi
             bucket[w] = (lo, val, l1)
 
 
-def _combine(space: Space, terms: list) -> QKElement:
+def _combine(space: Space, terms: list) -> dict:
     """The sum of scale * q^shift * (O^a star O^b) over the terms
     (scale, a, b, shift), with a and b opposite indices on X.
 
@@ -406,28 +383,33 @@ def _combine(space: Space, terms: list) -> QKElement:
     Every bound is then below half the base, so a zero value is the zero
     polynomial and the balanced digits of a nonzero one are its
     coefficients (the :mod:`qkcomin.gkm` docstring); each nonzero bucket is
-    unpacked once.
+    unpacked once.  Zero coefficients and empty degrees are dropped in
+    both modes.
     """
     bits = 0 if space.equivariant else gkm.PACK_BITS
     while True:
         total: dict = {}
         for scale, a, b, shift in terms:
             _add_scaled(total, scale, _opposite_product(space, a, b, bits), shift, bits)
-        if not bits:
-            return QKElement(space, total).normalized()
-        half = 1 << (bits - 1)
-        if all(l1 < half for bucket in total.values() for _, _, l1 in bucket.values()):
+        if not bits or all(
+            l1 < 1 << (bits - 1) for bucket in total.values() for _, _, l1 in bucket.values()
+        ):
             break
         bits *= 2
     coeffs: dict = {}
     for d, bucket in total.items():
-        exp = {w: kronecker_unpack(lo, val, bits)[0] for w, (lo, val, _) in bucket.items() if val}
+        if bits:
+            exp = {
+                w: kronecker_unpack(lo, val, bits)[0] for w, (lo, val, _) in bucket.items() if val
+            }
+        else:
+            exp = {w: c for w, c in bucket.items() if not c.is_zero()}
         if exp:
             coeffs[d] = exp
-    return QKElement(space, coeffs)
+    return coeffs
 
 
-def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
+def quantum_product(space: Space, u: tuple, v: tuple) -> dict:
     """The product of the opposite class of u and the B-stable class of v:
     the products of O^u with the opposite classes of the expansion of O_v."""
     ui = space.index_of(u)
@@ -435,13 +417,13 @@ def quantum_product(space: Space, u: tuple, v: tuple) -> QKElement:
     return _combine(space, [(beta, ui, x, 0) for x, beta in expansion.items()])
 
 
-def star_elements(space: Space, a: QKElement, b: QKElement) -> QKElement:
+def star_elements(space: Space, a: dict, b: dict) -> dict:
     """Bilinear extension of the product to finite q-polynomials."""
     return _combine(space, [
         (c1 * c2, x1, x2, d1 + d2)
-        for d1, e1 in a.coeffs.items()
+        for d1, e1 in a.items()
         for x1, c1 in e1.items()
-        for d2, e2 in b.coeffs.items()
+        for d2, e2 in b.items()
         for x2, c2 in e2.items()
     ])
 
@@ -449,19 +431,19 @@ def star_elements(space: Space, a: QKElement, b: QKElement) -> QKElement:
 # -- Euler characteristic maps -----------------------------------------------------
 
 
-def euler_char_q(space: Space, elt: QKElement) -> dict:
+def euler_char_q(space: Space, product: dict) -> dict:
     """Coefficient-wise sheaf Euler characteristic; a polynomial in q."""
     out = {}
-    for d, exp in elt.coeffs.items():
+    for d, exp in product.items():
         total = sum(exp.values(), space.model.zero())
         if not total.is_zero():
             out[d] = total
     return out
 
 
-def euler_char_total(space: Space, elt: QKElement) -> LaurentElement:
+def euler_char_total(space: Space, product: dict) -> LaurentElement:
     """Euler characteristic with q set to 1."""
-    return sum(euler_char_q(space, elt).values(), space.model.zero())
+    return sum(euler_char_q(space, product).values(), space.model.zero())
 
 
 # -- structure tables ----------------------------------------------------------------
@@ -500,13 +482,13 @@ class StructureTable:
 def structure_table(space: Space, u: tuple, v: tuple, v_basis: str = PLAIN) -> StructureTable:
     """Structure constants of a product, always reported in the opposite basis."""
     if v_basis == PLAIN:
-        elt = quantum_product(space, u, v)
+        product = quantum_product(space, u, v)
     elif v_basis == OPPOSITE:
-        elt = quantum_product_opposite_v(space, u, v)
+        product = quantum_product_opposite_v(space, u, v)
     else:
         raise ValueError(f"unknown basis {v_basis!r}")
     terms = []
-    for d, exp in elt.coeffs.items():
+    for d, exp in product.items():
         for widx, c in exp.items():
             pub = space.public_scalar(c)
             if not pub.is_zero():
@@ -535,25 +517,15 @@ def load_table_json(doc: dict) -> StructureTable:
     return table
 
 
-# -- verification reports ---------------------------------------------------------------
+# -- verification ---------------------------------------------------------------------
 
 
-@dataclass
-class Report:
-    pairs: int
-    violations: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def verify_coefficient_sum(space: Space, u: tuple, products: dict, v_basis: str = OPPOSITE) -> list:
-    """Every structure table of row u sums to exactly 1."""
+def verify_coefficient_sum(space: Space, u: tuple, products: dict) -> list:
+    """Every structure table of row u, v opposite, sums to exactly 1."""
     violations = []
     one = space.public_scalar(space.model.one())
     for v in space.partitions:
-        total = structure_table(space, u, v, v_basis).sum_check()
+        total = structure_table(space, u, v, OPPOSITE).sum_check()
         if total != one:
             violations.append(f"sum u={format_partition(u)} v={format_partition(v)} got={total}")
     return violations
@@ -576,15 +548,15 @@ def verify_min_degree(space: Space, u: tuple, products: dict) -> list:
     one = space.model.one()
     for v in space.partitions:
         d0 = dist(space, u, v)
-        elt = products[v]
-        chi = euler_char_q(space, elt)
+        product = products[v]
+        chi = euler_char_q(space, product)
         if chi != {d0: one}:
             violations.append(
                 f"mindeg u={format_partition(u)} v={format_partition(v)} "
                 f"expected=q^{d0}"
             )
             continue
-        if elt.min_degree() != d0:
+        if min(product, default=None) != d0:
             violations.append(f"lowest-power u={format_partition(u)} v={format_partition(v)}")
     return violations
 
@@ -631,8 +603,8 @@ class _Row(dict):
         return product
 
 
-def verify_space(space: Space, checks=DEFAULT_CHECKS) -> Report:
-    """Run the named checks, each violation line prefixed with its check name.
+def verify_space(space: Space, checks=DEFAULT_CHECKS) -> list:
+    """The violation lines of the named checks, each prefixed with its check name.
 
     The one loop over pairs, by row: the checks of row u share its products
     with v plain, dropped with the row, and each keeps its own lines."""
@@ -641,8 +613,7 @@ def verify_space(space: Space, checks=DEFAULT_CHECKS) -> Report:
         products = _Row(space, u)
         for name, out in lines.items():
             out.extend(CHECKS[name](space, u, products))
-    violations = [f"{name}: {line}" for name, out in lines.items() for line in out]
-    return Report(len(space.partitions) ** 2, violations)
+    return [f"{name}: {line}" for name, out in lines.items() for line in out]
 
 
 def positivity_sign_report(space: Space, table: StructureTable) -> dict:

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from qkcomin.gkm import OPPOSITE, PLAIN, KModel, NotInSpanError
 from qkcomin.laurent import LaurentElement, NotDivisibleError, _unpack
-from qkcomin.quantum import QKElement, Space, _gw_coeffs
+from qkcomin.quantum import Space, _gw_coeffs
 from qkcomin.weyl import FlagShape, image_index, length, min_coset_rep
 
 
@@ -325,8 +325,9 @@ def projected_class(space: Space, u: tuple, v: tuple, d: int) -> tuple:
     return out
 
 
-def basis_element(space: Space, lam: tuple, degree: int = 0) -> QKElement:
-    return QKElement(space, {degree: {space.index_of(lam): space.model.one()}})
+def basis_element(space: Space, lam: tuple, degree: int = 0) -> dict:
+    """q^degree times the opposite class of lam, in the form of a product."""
+    return {degree: {space.index_of(lam): space.model.one()}}
 
 
 def all_pairs(space: Space) -> list:

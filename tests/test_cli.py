@@ -2,6 +2,7 @@ import argparse
 import ast
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import multiprocessing
@@ -191,6 +192,11 @@ class TestVerify:
         rc, out, _ = run_cli(capsys, "verify", "--space", "gr:1,3", "--checks", name)
         assert rc == 0 and out.strip() == "PASS pairs=9"
 
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_every_registered_check_takes_a_row(self, name):
+        # verify_space calls every check alike, so none may add a parameter
+        assert list(inspect.signature(CHECKS[name]).parameters) == ["space", "u", "products"]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -215,10 +221,9 @@ class TestVerify:
 
     def test_failure_path_exits_1(self, capsys, monkeypatch):
         from qkcomin import cli
-        from qkcomin.quantum import Report
 
         def fake_verify(space, checks):
-            return Report(4, ["sum u=1 v=1 got=0"])
+            return ["sum u=1 v=1 got=0"]
 
         monkeypatch.setattr(cli, "verify_space", fake_verify)
         rc, out, _ = run_cli(capsys, "verify", "--space", "gr:1,2")
@@ -726,3 +731,11 @@ def test_readme_names_every_memo_of_space():
         and (name in {f.name for f in fields} or not hasattr(Space, name))
     }
     assert named == {f.name for f in fields if not f.init}
+
+
+def test_readme_names_every_export():
+    # the README's sentence on the package's exports cannot go stale
+    readme = README.read_text(encoding="utf-8")
+    (sentence,) = re.findall(r"The package exports (.*?)\.\s", readme, re.S)
+    named = re.findall(r"`(\w+)`", sentence)
+    assert sorted(named) == sorted(set(qkcomin.__all__) - {"__version__"})

@@ -584,7 +584,7 @@ class TestDiskCache:
 
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
         cold = Space(m, n, equivariant)
-        assert verify_space(cold).passed
+        assert verify_space(cold) == []
         for model in cold.models.values():
             model.table(PLAIN), model.table(OPPOSITE)
         warm = Space(m, n, equivariant)
@@ -598,7 +598,7 @@ class TestDiskCache:
                             assert by_text.setdefault(str(v), v) is v
         for model in warm.models.values():
             model.basis_change()
-        assert verify_space(warm).passed
+        assert verify_space(warm) == []
         for shape, model in warm.models.items():
             fresh = KModel(shape, model.chars, use_cache=False)
             for orientation in (PLAIN, OPPOSITE):

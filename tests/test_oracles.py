@@ -126,7 +126,7 @@ class TestGivental:
         star = quantum_product(space, (1,), ())
         got = {
             d: {space.partition_of(w): c.specialize_ones() for w, c in exp.items()}
-            for d, exp in star.coeffs.items()
+            for d, exp in star.items()
         }
         assert got == givental_p1_product()
 

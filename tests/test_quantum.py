@@ -19,7 +19,6 @@ from qkcomin.weyl import (
 )
 from qkcomin.quantum import (
     CHECKS,
-    QKElement,
     Space,
     StructureTable,
     curve_neighborhood_index,
@@ -221,6 +220,15 @@ class TestCurveNeighborhood:
 
 
 class TestDist:
+    @pytest.mark.parametrize("lam", [(5,), (1, 1, 1), (2, -1)])
+    def test_either_partition_outside_the_box_raises(self, gr24, lam):
+        with pytest.raises(ValueError) as want:
+            gr24.index_of(lam)
+        for u, v in [(lam, (1,)), ((1,), lam)]:
+            with pytest.raises(ValueError) as got:
+                dist(gr24, u, v)
+            assert str(got.value) == str(want.value)
+
     def test_zero_iff_contained(self, gr24):
         assert dist(gr24, (1,), (2, 1)) == 0
         assert dist(gr24, (), ()) == 0
@@ -300,7 +308,7 @@ class TestSeries:
         space = Space(1, 2, equivariant=False)
         one, z = space.model.one(), variable(1, 1)
         assert gw_series(space, (1,), (1,)) == ({1: one - z},)
-        assert quantum_product_opposite_v(space, (1,), (1,)).coeffs == {
+        assert quantum_product_opposite_v(space, (1,), (1,)) == {
             0: {1: one - z}, 1: {0: z}
         }
 
@@ -332,20 +340,20 @@ class TestQuantumProduct:
     def test_unit_law(self, gr24):
         for v in gr24.partitions:
             m = gr24.model
-            expect = QKElement(gr24, {0: m.expand_values(m.table(PLAIN)[gr24.index_of(v)])})
+            expect = {0: m.expand_values(m.table(PLAIN)[gr24.index_of(v)])}
             assert quantum_product(gr24, (), v) == expect
 
     def test_p1_point_times_point(self, p1):
         star = quantum_product(p1, (1,), ())
-        assert star.coeffs == {1: {0: p1.model.one()}}
-        assert star.min_degree() == dist(p1, (1,), ()) == 1
+        assert star == {1: {0: p1.model.one()}}
+        assert min(star) == dist(p1, (1,), ()) == 1
 
     def test_p1_matches_first_principles_oracle(self):
         space = Space(1, 2, equivariant=False)
         star = quantum_product(space, (1,), ())
         got = {
             d: {space.partition_of(w): c.specialize_ones() for w, c in exp.items()}
-            for d, exp in star.coeffs.items()
+            for d, exp in star.items()
         }
         assert got == givental_p1_product() == {1: {(): 1}}
 
@@ -377,7 +385,31 @@ class TestQuantumProduct:
     def test_coefficients_below_dist_vanish(self, gr24):
         for u, v in all_pairs(gr24):
             star = quantum_product(gr24, u, v)
-            assert star.min_degree() == dist(gr24, u, v)
+            assert min(star) == dist(gr24, u, v)
+
+    @pytest.mark.parametrize("m,n,equivariant", [(2, 4, False), (2, 5, False), (2, 4, True)])
+    def test_products_are_degree_dicts(self, m, n, equivariant):
+        # a product is {d: {w: c}}, with no empty degree and no zero scalar;
+        # with v opposite it is the memo entry itself
+        space = Space(m, n, equivariant)
+
+        def check_form(product):
+            assert type(product) is dict
+            for d, exp in product.items():
+                assert type(d) is int and type(exp) is dict and exp, d
+                for w, c in exp.items():
+                    assert type(w) is int and type(c) is LaurentElement and not c.is_zero()
+
+        for u, v in all_pairs(space):
+            check_form(quantum_product(space, u, v))
+            opposite = quantum_product_opposite_v(space, u, v)
+            check_form(opposite)
+            assert opposite is space.products[(*sorted(map(space.index_of, (u, v))), 0)]
+        sample = space.partitions[:4]
+        for u, v in itertools.product(sample, sample):
+            a, b = quantum_product(space, u, v), quantum_product_opposite_v(space, v, u)
+            check_form(star_elements(space, a, b))
+            check_form(star_elements(space, a, {1: {space.index_of(v): -space.model.one()}}))
 
 
 class TestStructureTables:
@@ -426,7 +458,7 @@ class TestStructureTables:
 
 class TestEulerMaps:
     def test_chi_hat_of_q_is_one(self, gr24):
-        q_unit = QKElement(gr24, {1: {0: gr24.model.one()}})
+        q_unit = {1: {0: gr24.model.one()}}
         assert euler_char_total(gr24, q_unit) == gr24.model.one()
 
     def test_chi_q_of_star_is_q_dist(self, gr24):
@@ -469,8 +501,8 @@ class TestRingStructure:
             assert abc == star_elements(narrow, a, star_elements(narrow, b, c))
             wide = [basis_element(gr24, x) for x in (u, v, w)]
             wide_ab = star_elements(gr24, *wide[:2])
-            assert ab.coeffs == wide_ab.coeffs
-            assert abc.coeffs == star_elements(gr24, wide_ab, wide[2]).coeffs
+            assert ab == wide_ab
+            assert abc == star_elements(gr24, wide_ab, wide[2])
         assert max(bits for _a, _b, bits in narrow.products) > 4
 
     def test_packed_sums_past_the_digit_bound(self, monkeypatch):
@@ -479,8 +511,8 @@ class TestRingStructure:
         monkeypatch.setattr(gkm, "PACK_BITS", 4)
         narrow = Space(2, 4)
         unit, two = narrow.index_of(()), LaurentElement.integer(1, 2)
-        a = QKElement(narrow, {d: {unit: two} for d in range(3)})
-        got = star_elements(narrow, a, a).coeffs
+        a = {d: {unit: two} for d in range(3)}
+        got = star_elements(narrow, a, a)
         sums = (4, 8, 12, 8, 4)
         assert got == {d: {unit: LaurentElement.integer(1, c)} for d, c in enumerate(sums)}
         assert max(bits for _a, _b, bits in narrow.products) == 8
@@ -490,7 +522,7 @@ class TestRingStructure:
         b = basis_element(gr24, (1,), degree=2)
         prod = star_elements(gr24, a, b)
         base = quantum_product_opposite_v(gr24, (1,), (1,))
-        assert prod.coeffs == {d + 3: exp for d, exp in base.coeffs.items()}
+        assert prod == {d + 3: exp for d, exp in base.items()}
 
 
 def literal_projected_classes(space, d):
@@ -580,8 +612,11 @@ class TestPipelineAgainstLiteralPushPull:
                 step = dict(cur)
                 for w, c in shift_expansion(space, prev).items():
                     step[w] = step.get(w, xm.zero()) - c
-                coeffs[d], prev = step, cur
-            assert QKElement(space, coeffs) == product, (u, v)
+                step = {w: c for w, c in step.items() if not c.is_zero()}
+                if step:
+                    coeffs[d] = step
+                prev = cur
+            assert coeffs == product, (u, v)
 
 
 def _drop_top_degree(monkeypatch):
@@ -615,20 +650,19 @@ MUTATIONS = {
 
 
 class TestVerifiers:
-    def test_small_equivariant_spaces_pass(self):
+    def test_small_equivariant_spaces_pass(self, capsys):
         for m, n in [(1, 2), (1, 3)]:
-            rep = verify_space(Space(m, n, equivariant=True), checks=tuple(CHECKS))
-            assert rep.passed and rep.pairs == len(Space(m, n).partitions) ** 2
+            argv = ["verify", "--space", f"gr:{m},{n}", "--equivariant"]
+            assert cli.main(argv + ["--checks", ",".join(CHECKS)]) == 0
+            assert capsys.readouterr().out == f"PASS pairs={len(Space(m, n).partitions) ** 2}\n"
 
     def test_gr24_equivariant_passes(self, gr24eq):
-        rep = verify_space(gr24eq, checks=tuple(CHECKS))
-        assert rep.passed
+        assert verify_space(gr24eq, checks=tuple(CHECKS)) == []
 
     @pytest.mark.parametrize("m,n", [(3, 4), (3, 5)])
     def test_dual_grassmannians_pass(self, m, n):
         # the kernel-span dimensions clamp on the other side when m > n-m
-        rep = verify_space(get_space(m, n, equivariant=False), checks=tuple(CHECKS))
-        assert rep.passed
+        assert verify_space(get_space(m, n, equivariant=False), checks=tuple(CHECKS)) == []
 
     @pytest.mark.parametrize("m,n,equivariant", [(2, 5, False), (2, 4, True)])
     def test_change_of_basis_only_for_plain_v_on_x(self, monkeypatch, m, n, equivariant):
@@ -644,9 +678,9 @@ class TestVerifiers:
 
         monkeypatch.setattr(KModel, "basis_change", recording)
         space = Space(m, n, equivariant=equivariant)
-        assert verify_space(space, checks=("sum",)).passed
+        assert verify_space(space, checks=("sum",)) == []
         assert calls == []
-        assert verify_space(space, checks=("hom", "mindeg")).passed
+        assert verify_space(space, checks=("hom", "mindeg")) == []
         assert set(calls) == {space.shape}
 
     def test_each_plain_product_is_built_once(self, monkeypatch):
@@ -662,7 +696,7 @@ class TestVerifiers:
 
         monkeypatch.setattr(quantum, "quantum_product", counting)
         space = Space(2, 4)
-        assert verify_space(space, checks=("hom", "mindeg")).passed
+        assert verify_space(space, checks=("hom", "mindeg")) == []
         assert sorted(calls) == sorted(all_pairs(space))  # 36, one per pair
         assert space.products and all(
             len(key) == 3 and all(type(x) is int for x in key) and key[0] <= key[1]
