@@ -23,9 +23,11 @@ from qkcomin.quantum import (
     CHECKS,
     DEFAULT_CHECKS,
     Space,
+    _gw_coeffs,
     curve_neighborhood_index,
     dist,
     get_space,
+    projected_tasks,
     structure_table,
     verify_space,
 )
@@ -110,10 +112,19 @@ def _row_lines(space: Space, u: tuple, vs, v_basis: str) -> list:
     return [_pair_line(space, u, v, v_basis) for v in vs]
 
 
-def _worker_row(u, vs, v_basis):
-    """The lines of row ``u`` in a pool worker.  One row is one pool task,
-    so every product and memo the row shares lives in one worker."""
-    return _row_lines(get_space(*_WORKER_ARGS), u, vs, v_basis)
+def _worker_expand(tasks):
+    """The projected classes of ``tasks`` (see :func:`projected_tasks`),
+    expanded in a pool worker."""
+    space = get_space(*_WORKER_ARGS)
+    return [_gw_coeffs(space, d, ui, vi) for _key, d, ui, vi in tasks]
+
+
+def _worker_rows(us, vs, v_basis, projected):
+    """The lines of the rows ``us`` in a pool worker, each row a list, from
+    the full memo of projected classes, so no class is expanded here."""
+    space = get_space(*_WORKER_ARGS)
+    space.projected.update(projected)
+    return [_row_lines(space, u, vs, v_basis) for u in us]
 
 
 def _internal_error(exc) -> int:
@@ -155,22 +166,35 @@ def cmd_table(args) -> int:
     space = _parse_space(args.space, args.equivariant, not args.no_cache)
     parts = space.partitions  # by (|u|, u), as partitions_in_box lists them
     if jobs > 1 and len(parts) ** 2 > 8:
-        # load everything the rows read in the parent, so the forked workers
+        # load everything the pool reads in the parent, so the forked workers
         # share it: with v plain the change of basis on X, which reads both
         # its tables, and the opposite table of X = Y_0 and of each Y_d that
-        # is not a point, the degrees on which gw_series expands
+        # is not a point, the degrees on which projected classes are expanded
         if args.v_basis == PLAIN:
             space.model.basis_change()
         for d in range(max(space.m, space.n - space.m)):
             space.diagram(d).y.table(OPPOSITE)
+        tasks = projected_tasks(space)
         from concurrent.futures import ProcessPoolExecutor
 
+        k = min(jobs, len(parts))
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(parts)),
+            max_workers=k,
             initializer=_worker_init,
             initargs=(space.m, space.n, space.equivariant, space.use_cache),
         ) as pool:
-            rows = list(pool.map(_worker_row, parts, repeat(parts), repeat(args.v_basis)))
+            # round 1: rows share most projected classes, so each class the
+            # table reads and the memo lacks is expanded in exactly one worker
+            shares = [tasks[i::k] for i in range(k)]
+            for share, classes in zip(shares, pool.map(_worker_expand, shares)):
+                for (key, *_), exp in zip(share, classes):
+                    space.projected[key] = exp
+            # round 2: the rows, in k blocks, each with the full memo
+            blocks = list(pool.map(
+                _worker_rows, [parts[i::k] for i in range(k)], repeat(parts),
+                repeat(args.v_basis), repeat(space.projected),
+            ))
+        rows = [blocks[r % k][r // k] for r in range(len(parts))]
     else:
         rows = [_row_lines(space, u, parts, args.v_basis) for u in parts]
     _write_text("".join(line + "\n" for row in rows for line in row), args.out)

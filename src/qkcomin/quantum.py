@@ -257,30 +257,54 @@ def _gw_coeffs(space: Space, d: int, ui: int, vi: int) -> dict:
     return out
 
 
+def _series_degrees(space: Space, ui: int, vi: int):
+    """The degrees of the series of the opposite classes of X indices ui
+    and vi, each as (d, key) with key the ``space.projected`` key of its
+    class, (Y_d shape, a, b).
+
+    The walk stops at the first degree where both classes move to the unit
+    class of Y_d, from which on the projected class is the unit; the index
+    maps show it before any expansion.
+    """
+    d = 0
+    while True:
+        dg = space.diagram(d)
+        a, b = sorted((dg.to_y[ui], dg.to_y[vi]))
+        if dg.y.lengths[a] == 0 and dg.y.lengths[b] == 0:
+            return
+        yield d, (dg.y.shape, a, b)
+        d += 1
+        if d > max(space.m, space.n - space.m) + 1:
+            raise AssertionError("series did not stabilize")
+
+
 def gw_series(space: Space, u: tuple, v: tuple) -> tuple:
     """Degree series of the projected classes of two opposite classes, as
     its heads.
 
     The degree-d class has opposite-basis coefficients heads[d] below
-    D = len(heads), and is the unit class from D on; D is minimal.  The
-    class is the unit once both classes move to the unit class of Y_d,
-    which the index maps show before any expansion.
+    D = len(heads), and is the unit class from D on; D is minimal.
     """
     ui, vi = space.index_of(u), space.index_of(v)
     unit = {0: space.model.one()}
-    heads = []
-    d = 0
-    while True:
-        dg = space.diagram(d)
-        if dg.y.lengths[dg.to_y[ui]] == 0 and dg.y.lengths[dg.to_y[vi]] == 0:
-            break
-        heads.append(_gw_coeffs(space, d, ui, vi))
-        d += 1
-        if d > max(space.m, space.n - space.m) + 1:
-            raise AssertionError("series did not stabilize")
+    heads = [_gw_coeffs(space, d, ui, vi) for d, _key in _series_degrees(space, ui, vi)]
     while heads and heads[-1] == unit:
         heads.pop()
     return tuple(heads)
+
+
+def projected_tasks(space: Space) -> list:
+    """Every projected class the products of the space read and
+    ``space.projected`` lacks, once per key, as (key, d, ui, vi): the class
+    of degree d of the X indices ui and vi, over all unordered pairs."""
+    tasks: dict = {}
+    npoints = len(space.partitions)
+    for ui in range(npoints):
+        for vi in range(ui, npoints):
+            for d, key in _series_degrees(space, ui, vi):
+                if key not in space.projected and key not in tasks:
+                    tasks[key] = (key, d, ui, vi)
+    return list(tasks.values())
 
 
 # -- the shift endomorphism and the product ----------------------------------------

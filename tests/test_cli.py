@@ -30,9 +30,9 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Replaces the process pool of ``qk table`` by one that runs every row
-    in this process, so no process starts.  Each hook in the returned list
-    is called with ``max_workers`` when the pool is made."""
+    """Replaces the process pool of ``qk table`` by one that runs every task
+    of both rounds in this process, so no process starts.  Each hook in the
+    returned list is called with ``max_workers`` when the pool is made."""
     import concurrent.futures
 
     from qkcomin import cli
@@ -390,17 +390,61 @@ class TestTable:
         multiprocessing.get_all_start_methods()[0] != "fork",
         reason="the workers must inherit the patched module",
     )
-    def test_worker_crash_exits_4(self, capsys, monkeypatch):
-        """A row worker that dies is an internal error: two forked workers
-        for the three rows of Gr(1,3), each exiting on its first pair."""
+    @pytest.mark.parametrize("round_", ["expand", "rows"])
+    def test_worker_crash_exits_4(self, capsys, monkeypatch, round_):
+        """A pool worker that dies is an internal error: two forked workers
+        for the three rows of Gr(1,3), each exiting on its first projected
+        class (on a fresh space, so the first round has work) or on its
+        first pair."""
         from qkcomin import cli
+        from qkcomin.quantum import get_space
 
-        monkeypatch.setattr(cli, "_pair_line", lambda *args: os._exit(1))
+        if round_ == "expand":
+            monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+            monkeypatch.setattr(KModel, "expand_product", lambda *args: os._exit(1))
+        else:
+            monkeypatch.setattr(cli, "_pair_line", lambda *args: os._exit(1))
         rc, out, err = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", "2")
         assert rc == 4
         assert out == ""
         assert err.startswith("internal error: BrokenProcessPool: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(
+        multiprocessing.get_all_start_methods()[0] != "fork",
+        reason="the workers must inherit the patched method",
+    )
+    @pytest.mark.parametrize("space,equivariant", [("gr:2,4", True), ("gr:2,5", False)])
+    @pytest.mark.parametrize("v_basis", ["plain", "opposite"])
+    def test_each_projected_class_is_expanded_once(
+        self, capsys, monkeypatch, tmp_path, space, equivariant, v_basis
+    ):
+        """Across the parent and its workers, --jobs 2 expands each projected
+        class of a fresh space once, as many as --jobs 1 does."""
+        from qkcomin import cli
+        from qkcomin.quantum import Space, get_space, projected_tasks
+
+        log = tmp_path / "expansions"
+        expand_product = KModel.expand_product
+
+        def logged(model, a, b):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{model.shape} {a} {b}\n")
+            return expand_product(model, a, b)
+
+        monkeypatch.setattr(KModel, "expand_product", logged)
+        monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+        flags = ["--v-basis", v_basis, *(["--equivariant"] if equivariant else [])]
+        counts = {}
+        for jobs in ("1", "2"):
+            log.write_text("")
+            rc, _, _ = run_cli(capsys, "table", "--space", space, "--jobs", jobs, *flags)
+            assert rc == 0
+            lines = log.read_text().splitlines()
+            assert len(set(lines)) == len(lines)
+            counts[jobs] = len(lines)
+        assert counts["2"] == counts["1"]
+        assert counts["1"] == len(projected_tasks(Space(*parse(space[3:]), equivariant)))
 
     def test_ingestion_recomputes_sum_check(self, capsys):
         from qkcomin.quantum import load_table_json

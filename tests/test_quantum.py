@@ -31,6 +31,7 @@ from qkcomin.quantum import (
     kernel_span_shapes,
     load_table_json,
     positivity_sign_report,
+    projected_tasks,
     quantum_product,
     quantum_product_opposite_v,
     shift_expansion,
@@ -311,6 +312,20 @@ class TestSeries:
         assert quantum_product_opposite_v(space, (1,), (1,)) == {
             0: {1: one - z}, 1: {0: z}
         }
+
+    @pytest.mark.parametrize("m,n,equivariant", [(2, 5, False), (3, 5, False), (2, 4, True)])
+    @pytest.mark.parametrize("v_basis", [PLAIN, OPPOSITE])
+    def test_projected_tasks_are_the_classes_a_table_reads(self, m, n, equivariant, v_basis):
+        """Each key once, exactly the keys a serial table fills, and none
+        left once the memo holds them."""
+        space = Space(m, n, equivariant)
+        keys = [key for key, _d, _ui, _vi in projected_tasks(space)]
+        assert len(set(keys)) == len(keys)
+        for u in space.partitions:
+            for v in space.partitions:
+                structure_table(space, u, v, v_basis)
+        assert set(keys) == set(space.projected)
+        assert projected_tasks(space) == []
 
 
 class TestShift:
