@@ -11,7 +11,6 @@ from qkcomin.laurent import LaurentElement, NotDivisibleError
 from qkcomin.weyl import FlagShape
 from qkcomin.quantum import (
     Space,
-    StructureTable,
     get_space,
     quantum_product,
     structure_table,
@@ -25,7 +24,6 @@ __all__ = [
     "NotDivisibleError",
     "FlagShape",
     "Space",
-    "StructureTable",
     "get_space",
     "quantum_product",
     "structure_table",

@@ -91,12 +91,22 @@ def _write_text(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _pair_doc(space: Space, u: tuple, v: tuple, v_basis: str) -> dict:
-    return structure_table(space, u, v, v_basis).to_json_dict()
-
-
 def _pair_line(space: Space, u: tuple, v: tuple, v_basis: str) -> str:
-    return json.dumps(_pair_doc(space, u, v, v_basis), separators=(",", ":"))
+    """The JSON object of the pair (u, v), as ``qk product`` prints it and
+    ``qk table`` prints each line: the terms of its structure table and
+    their sum, ``sum_check``, which the identity makes 1."""
+    terms = structure_table(space, u, v, v_basis)
+    total = sum((c for _w, _d, c in terms), space.public_scalar(space.model.zero()))
+    doc = {
+        "space": str(space),
+        "equivariant": space.equivariant,
+        "u": format_partition(u),
+        "v": format_partition(v),
+        "v_basis": v_basis,
+        "terms": [{"w": format_partition(w), "d": d, "N": str(c)} for w, d, c in terms],
+        "sum_check": str(total),
+    }
+    return json.dumps(doc, separators=(",", ":"))
 
 
 _WORKER_ARGS = None
@@ -137,7 +147,7 @@ def cmd_product(args) -> int:
     space = _parse_space(args.space, args.equivariant, not args.no_cache)
     u = _parse_box_partition(space, args.u, "u")
     v = _parse_box_partition(space, args.v, "v")
-    _emit(_pair_doc(space, u, v, args.v_basis), args.out)
+    _write_text(_pair_line(space, u, v, args.v_basis) + "\n", args.out)
     return 0
 
 

@@ -34,9 +34,10 @@ while a bound reaches half the base, and unpacks each coefficient once.
 
 A product is handed out as its structure constants, ``{d: {w: c}}``: w an
 opposite index on X and c a scalar, with no zero scalar and no empty
-degree.  Structure tables and the sheaf Euler characteristic
-specializations read that dict, and a verify is the list of the violation
-lines its checks find, row by row.
+degree.  A structure table reads that dict as its sorted terms ``(w, d, c)``
+with public scalars, and the sheaf Euler characteristic specializations
+read it as it is; a verify is the list of the violation lines its checks
+find, row by row.
 """
 
 from __future__ import annotations
@@ -473,38 +474,10 @@ def euler_char_total(space: Space, product: dict) -> LaurentElement:
 # -- structure tables ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureTable:
-    """All nonzero coefficients of one product of Schubert classes."""
-
-    space_str: str
-    equivariant: bool
-    u: tuple
-    v: tuple
-    v_basis: str
-    terms: tuple  # ((partition, degree, LaurentElement public scalar), ...)
-
-    def sum_check(self) -> LaurentElement:
-        nvars = self.terms[0][2].nvars if self.terms else 0
-        return sum((c for _w, _d, c in self.terms), LaurentElement.zero(nvars))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "space": self.space_str,
-            "equivariant": self.equivariant,
-            "u": format_partition(self.u),
-            "v": format_partition(self.v),
-            "v_basis": self.v_basis,
-            "terms": [
-                {"w": format_partition(w), "d": d, "N": str(c)}
-                for w, d, c in self.terms
-            ],
-            "sum_check": str(self.sum_check()),
-        }
-
-
-def structure_table(space: Space, u: tuple, v: tuple, v_basis: str = PLAIN) -> StructureTable:
-    """Structure constants of a product, always reported in the opposite basis."""
+def structure_table(space: Space, u: tuple, v: tuple, v_basis: str = PLAIN) -> tuple:
+    """The structure constants of one product as terms ``(w, d, c)``: w a
+    partition, d a power of q and c the nonzero public scalar, always in
+    the opposite basis, sorted by (d, w)."""
     if v_basis == PLAIN:
         product = quantum_product(space, u, v)
     elif v_basis == OPPOSITE:
@@ -518,38 +491,20 @@ def structure_table(space: Space, u: tuple, v: tuple, v_basis: str = PLAIN) -> S
             if not pub.is_zero():
                 terms.append((space.partition_of(widx), d, pub))
     terms.sort(key=lambda t: (t[1], t[0]))
-    return StructureTable(str(space), space.equivariant, u, v, v_basis, tuple(terms))
-
-
-def load_table_json(doc: dict) -> StructureTable:
-    """Rebuild a table from its JSON form, recomputing the checksum field."""
-    from qkcomin.weyl import parse_partition
-
-    nvars = 0
-    if doc["equivariant"]:
-        nvars = int(doc["space"].split(",")[1])
-    terms = tuple(
-        (parse_partition(t["w"]), int(t["d"]), LaurentElement.parse(t["N"], nvars))
-        for t in doc["terms"]
-    )
-    table = StructureTable(
-        doc["space"], bool(doc["equivariant"]), parse_partition(doc["u"]),
-        parse_partition(doc["v"]), doc["v_basis"], terms,
-    )
-    if str(table.sum_check()) != doc["sum_check"]:
-        raise ValueError("sum_check mismatch on ingestion")
-    return table
+    return tuple(terms)
 
 
 # -- verification ---------------------------------------------------------------------
 
 
 def verify_coefficient_sum(space: Space, u: tuple, products: dict) -> list:
-    """Every structure table of row u, v opposite, sums to exactly 1."""
+    """The terms of every structure table of row u, v opposite, sum to
+    exactly 1: the number ``qk table`` prints as ``sum_check``."""
     violations = []
+    zero = space.public_scalar(space.model.zero())
     one = space.public_scalar(space.model.one())
     for v in space.partitions:
-        total = structure_table(space, u, v, OPPOSITE).sum_check()
+        total = sum((c for _w, _d, c in structure_table(space, u, v, OPPOSITE)), zero)
         if total != one:
             violations.append(f"sum u={format_partition(u)} v={format_partition(v)} got={total}")
     return violations
@@ -640,8 +595,10 @@ def verify_space(space: Space, checks=DEFAULT_CHECKS) -> list:
     return [f"{name}: {line}" for name, out in lines.items() for line in out]
 
 
-def positivity_sign_report(space: Space, table: StructureTable) -> dict:
-    """Diagnostic sign-alternation report for a non-equivariant table.
+def positivity_sign_report(space: Space, u: tuple, v: tuple, terms: tuple) -> dict:
+    """Diagnostic sign-alternation report for the terms of one
+    non-equivariant table of two opposite classes u and v, as
+    :func:`structure_table` returns them with ``v_basis`` opposite.
 
     Convention (stated here and in the header field): the entry at (w, d)
     is expected to carry sign (-1)^(l(u)+l(v)-l(w)-d*n), with lengths taken
@@ -649,9 +606,9 @@ def positivity_sign_report(space: Space, table: StructureTable) -> dict:
     by the anticanonical degree n of a line.  Purely diagnostic.
     """
     convention = "(-1)^(l(u)+l(v)-l(w)-d*n)"
-    lu, lv = sum(table.u), sum(table.v)
+    lu, lv = sum(u), sum(v)
     flagged = []
-    for w, d, c in table.terms:
+    for w, d, c in terms:
         val = c.specialize_ones()
         if val == 0:
             continue
@@ -660,6 +617,6 @@ def positivity_sign_report(space: Space, table: StructureTable) -> dict:
             flagged.append({"w": format_partition(w), "d": d, "N": str(val)})
     return {
         "convention": convention,
-        "checked": len(table.terms),
+        "checked": len(terms),
         "flagged": flagged,
     }

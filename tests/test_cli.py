@@ -87,6 +87,27 @@ class TestProduct:
         assert rc == 2
         assert not out and "error" in err
 
+    def test_product_prints_its_table_line(self, capsys):
+        """qk product --u U --v V prints the (U, V) line of qk table, and
+        README's example is what it prints."""
+        for flags in ([], ["--equivariant"]):
+            for v_basis in ("plain", "opposite"):
+                argv = ["--space", "gr:2,4", "--v-basis", v_basis, *flags]
+                rc, out, _ = run_cli(capsys, "table", *argv, "--jobs", "1")
+                assert rc == 0
+                lines = out.splitlines()
+                assert len(lines) == 36
+                for line in lines:
+                    doc = json.loads(line)
+                    rc, product, _ = run_cli(
+                        capsys, "product", *argv, "--u", doc["u"], "--v", doc["v"]
+                    )
+                    assert rc == 0 and product == line + "\n"
+        example = README.read_text(encoding="utf-8").split("### Output formats", 1)[1]
+        example = example.split("```json\n", 1)[1].split("```", 1)[0]
+        rc, out, _ = run_cli(capsys, "product", "--space", "gr:1,2", "--u", "1", "--v", "")
+        assert rc == 0 and out == example
+
     def test_equivariant_product(self, capsys):
         rc, out, _ = run_cli(
             capsys, "product", "--space", "gr:1,2", "--equivariant",
@@ -446,13 +467,27 @@ class TestTable:
         assert counts["2"] == counts["1"]
         assert counts["1"] == len(projected_tasks(Space(*parse(space[3:]), equivariant)))
 
-    def test_ingestion_recomputes_sum_check(self, capsys):
-        from qkcomin.quantum import load_table_json
+    @pytest.mark.parametrize("space,flags", [("gr:1,3", []), ("gr:2,4", ["--equivariant"])])
+    @pytest.mark.parametrize("v_basis", ["plain", "opposite"])
+    def test_lines_reparse_and_carry_their_sum(self, capsys, space, flags, v_basis):
+        """Every line has the fixed key order, every N parses back into a
+        scalar that prints as itself, the terms are sorted by (d, w), and
+        sum_check prints the sum of the parsed Ns."""
+        from qkcomin.laurent import LaurentElement
 
-        rc, out, _ = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", "1")
+        nvars = parse(space[3:])[1] if flags else 0
+        argv = ["table", "--space", space, "--v-basis", v_basis, "--jobs", "1", *flags]
+        rc, out, _ = run_cli(capsys, *argv)
         assert rc == 0
-        for line in out.strip().split("\n"):
-            load_table_json(json.loads(line))
+        for line in out.splitlines():
+            doc = json.loads(line)
+            assert list(doc) == ["space", "equivariant", "u", "v", "v_basis", "terms", "sum_check"]
+            assert all(list(t) == ["w", "d", "N"] for t in doc["terms"])
+            ns = [LaurentElement.parse(t["N"], nvars) for t in doc["terms"]]
+            assert [str(c) for c in ns] == [t["N"] for t in doc["terms"]]
+            keys = [(t["d"], parse(t["w"])) for t in doc["terms"]]
+            assert keys == sorted(keys)
+            assert doc["sum_check"] == str(sum(ns, LaurentElement.zero(nvars)))
 
 
 # sha256 of the stdout of `qk table ... --jobs 1` (and `--jobs 2`), and of each restriction-cache
