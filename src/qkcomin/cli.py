@@ -34,7 +34,7 @@ from qkcomin.quantum import (
 from qkcomin.weyl import format_partition, parse_partition
 
 DEFAULT_CEILING_NONEQUIVARIANT = 8
-DEFAULT_CEILING_EQUIVARIANT = 5
+DEFAULT_CEILING_EQUIVARIANT = 6
 
 _SPACE_RE = re.compile(r"^gr:(\d+),(\d+)$")
 
@@ -184,7 +184,7 @@ def cmd_table(args) -> int:
             space.model.basis_change()
         for d in range(max(space.m, space.n - space.m)):
             space.diagram(d).y.table(OPPOSITE)
-        tasks = projected_tasks(space)
+        tasks = sorted(projected_tasks(space), key=lambda task: task[1])
         from concurrent.futures import ProcessPoolExecutor
 
         k = min(jobs, len(parts))
@@ -193,8 +193,8 @@ def cmd_table(args) -> int:
             initializer=_worker_init,
             initargs=(space.m, space.n, space.equivariant, space.use_cache),
         ) as pool:
-            # round 1: rows share most projected classes, so each class the
-            # table reads and the memo lacks is expanded in exactly one worker
+            # round 1: rows share most projected classes, so each is expanded in
+            # one worker; sorted by degree, every share gets its part of each Y_d
             shares = [tasks[i::k] for i in range(k)]
             for share, classes in zip(shares, pool.map(_worker_expand, shares)):
                 for (key, *_), exp in zip(share, classes):

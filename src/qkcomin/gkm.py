@@ -140,6 +140,7 @@ class KModel:
         self._tables: dict = {}
         self._basis_change: list | None = None
         self._packed: tuple | None = None
+        self._diag_exps: list | None = None
 
     # -- scalars ------------------------------------------------------------
 
@@ -324,23 +325,17 @@ class KModel:
     def diag_factor_exps(self, widx: int) -> tuple:
         """Binomial factors 1 - t^e of the opposite class's diagonal restriction
         at the index: the cross-block inversions (the normal directions of
-        the opposite cell).
+        the opposite cell).  Memoized per model.
         """
-        w = self.points[widx]
-        blocks = self.shape.blocks
-        exps = []
-        for bi in range(len(blocks)):
-            for bj in range(bi + 1, len(blocks)):
-                for i in blocks[bi]:
-                    for j in blocks[bj]:
-                        if w[i - 1] > w[j - 1]:
-                            exps.append(self.chars.root_exp(w[i - 1], w[j - 1]))
-        return tuple(exps)
-
-    def _divide_diag(self, val: LaurentElement, widx: int):
-        for mexp in self.diag_factor_exps(widx):
-            val = val.divide_exact_one_minus(mexp)
-        return val
+        if self._diag_exps is None:
+            blocks = self.shape.blocks
+            cross = [(i - 1, j - 1) for bi, block in enumerate(blocks)
+                     for later in blocks[bi + 1:] for i in block for j in later]
+            self._diag_exps = [
+                tuple(self.chars.root_exp(w[i], w[j]) for i, j in cross if w[i] > w[j])
+                for w in self.points
+            ]
+        return self._diag_exps[widx]
 
     # -- triangular basis expansion ---------------------------------------------
 
@@ -351,8 +346,10 @@ class KModel:
         and so extends the Bruhat order: at each index the residual is
         divided by the diagonal restriction and the coefficient times the
         basis class is subtracted; every division is exact for classes in
-        the span.  Full-torus residuals are Laurent polynomials, divided
-        factor by factor.  One-variable residuals are Kronecker-packed
+        the span.  Full-torus residuals are Laurent polynomials, each divided
+        by its whole diagonal, the product of the binomials of
+        :meth:`diag_factor_exps`, in one pass; the pivot's residual is then
+        zero.  One-variable residuals are Kronecker-packed
         integers (see the module docstring and :meth:`_eliminate_packed`);
         the elimination restarts at twice the digit width whenever a bound
         reaches half the digit base.
@@ -369,14 +366,14 @@ class KModel:
             if val.is_zero():
                 continue
             try:
-                c = self._divide_diag(val, widx)
+                c = val.divide_exact_one_minus(*self.diag_factor_exps(widx))
             except NotDivisibleError as exc:
                 raise NotInSpanError("not in the scalar span of Schubert classes") from exc
-            if c is val:  # no diagonal factor; val is about to be updated
-                c = val.copy()
             coeffs[widx] = c
-            for acc, rv in zip(residual, table[widx]):
-                subtract_product_into(acc, c, rv)
+            residual[widx] = self.zero()  # val - c * diagonal
+            for p, rv in enumerate(table[widx]):
+                if rv.terms and p != widx:
+                    subtract_product_into(residual[p], c, rv)
         if any(not v.is_zero() for v in residual):
             raise NotInSpanError("not in the scalar span of Schubert classes")
         return coeffs

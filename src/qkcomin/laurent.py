@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import re
 import struct
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 
 
@@ -102,6 +102,16 @@ def _substitution(images: tuple, new_nvars: int) -> tuple:
     keys = tuple(_pack(img, new_nvars) for img in images)
     norm = max((sum(abs(img[j]) for img in images) for j in range(new_nvars)), default=0)
     return keys, norm
+
+
+@lru_cache(maxsize=None)
+def _divisor(nvars: int, mexps: tuple) -> tuple:
+    """(lead key, lead coefficient, the other terms with negated
+    coefficients, least key) of the product of the binomials 1 - t^m."""
+    one = LaurentElement.one(nvars)
+    d = reduce(mul, (one - LaurentElement.monomial(nvars, m) for m in mexps), one)
+    lead, low = max(d.terms), min(d.terms)
+    return lead, d.terms[lead], tuple((k, -c) for k, c in d.terms.items() if k != lead), low
 
 
 def _element(nvars: int, terms: dict, bound: int) -> "LaurentElement":
@@ -288,64 +298,57 @@ class LaurentElement:
             out[e + (((u >> lo) & _MASK) - ((u >> hi) & _MASK)) * step] = c
         return _element(n, out, self._bound)
 
-    # -- division by 1 - monomial -------------------------------------------
+    # -- division by products of 1 - monomial ---------------------------------
 
-    def divide_exact_one_minus(self, mexp: tuple) -> "LaurentElement":
-        """Exact quotient by ``1 - t^mexp`` for a nonzero exponent vector.
+    def divide_exact_one_minus(self, *mexps: tuple) -> "LaurentElement":
+        """Exact quotient by D = (1 - t^m_1)...(1 - t^m_k) for nonzero exponent
+        vectors m_i, in one pass; with no factor, an equal new element.
 
-        Solves h*(1 - M) = f by the ladder recursion h[e] = f[e] + h[e - M]
-        within each residue class of exponents modulo M.  Raises
-        :class:`NotDivisibleError` when no exact quotient exists.
+        Leading-term division from the largest key down.  Keys are ordered as
+        their exponent vectors lexicographically, a group order, so
+        LT(q*D) = LT(q)*LT(D), and LC(D) = +-1.  Each step divides the
+        remainder's largest term by LT(D) for the next quotient term and
+        subtracts that term times D.  It raises :class:`NotDivisibleError`
+        as soon as a quotient key falls below min(f) - min(D), the least key
+        of any exact quotient, or a quotient exponent goes past f's bound.
 
-        The pivot p is a letter where |M_p| is largest.  A term e has the
-        ladder step j = e_p // M_p and the residue key e - j*M, computed on
-        packed ints; two terms share the key iff they differ by a multiple
-        of M, and within a class the packed ints are monotone in j, so they
-        are sorted directly.  Digit-range argument: with |e_k|, |M_k| <= L
-        and |j| <= L/|M_p| + 1, each digit of a residue vector is at most
-        L + (L/|M_p| + 1)|M_k| <= 3L in size, so two residue vectors differ
-        by less than 6L < B in every digit and pack to the same int only if
-        they are equal.  With one letter the key is the exponent itself, of
-        any size, so j = e // M is read with no digit mask and the residue
-        key is e mod M.  The quotient's monomials lie between those of f
-        along each ladder, so they keep f's bound.
+        Neither rule rejects a true quotient q: Newt(f) = Newt(q) + Newt(D),
+        and Newt(D), the sum of the segments [0, m_i], holds 0, so Newt(q)
+        lies in Newt(f), within f's bound.  So every key the remainder holds
+        is a vector with digits at most f's bound plus D's, each <= B/8
+        with two or more letters, where the packing is injective and keeps
+        the order: an empty remainder proves f = q*D.  Checked at every
+        step, the bound also ends a failing pass before the remainder
+        spreads.  With one letter the key is the exponent itself, of any
+        size.
         """
-        terms = self.terms
         n = self.nvars
-        if not terms:
-            return _element(n, {}, 0)
-        mexp = tuple(mexp)
-        if not any(mexp):
+        mexps = tuple(map(tuple, mexps))
+        if not all(map(any, mexps)):
             raise ValueError("binomial divisor must be 1 minus a nontrivial monomial")
-        km = _pack(mexp, n)
-        p = max(range(n), key=lambda k: abs(mexp[k]))
-        mp = mexp[p]
-        _, shifts, offset, _ = _layout(n)
-        shift = shifts[p]
-        mask = _MASK if n > 1 else -1  # one letter: the key is the exponent
-        groups: dict = {}
-        for e in terms:
-            j = ((((e + offset) >> shift) & mask) - _BIAS) // mp
-            groups.setdefault(e - j * km, []).append(e)
-        descending = km < 0
+        terms = self.terms
+        if not terms or not mexps:
+            return _element(n, dict(terms), self._bound)
+        lead, sign, rest, low = _divisor(n, mexps)
+        floor = min(terms) - low
+        bound = self._bound
+        rem = dict(terms)
+        get = rem.get
         out: dict = {}
-        for keys in groups.values():
-            keys.sort(reverse=descending)
-            carry = 0
-            for e in keys:
-                c = terms[e]
-                if carry:
-                    for q in range(pos + km, e, km):
-                        out[q] = carry
-                    carry += c
-                else:
-                    carry = c
-                if carry:
-                    out[e] = carry
-                pos = e
-            if carry:
+        while rem:
+            e = max(rem)
+            q = e - lead
+            if q < floor or max(map(abs, _unpack(q, n))) > bound:
                 raise NotDivisibleError("not divisible")
-        return _element(n, out, self._bound)
+            c = out[q] = rem.pop(e) * sign
+            for k, dc in rest:  # the terms of D below the lead, negated
+                k += q
+                s = get(k, 0) + c * dc
+                if s:
+                    rem[k] = s
+                else:
+                    del rem[k]
+        return _element(n, out, bound)
 
     # -- grammar -------------------------------------------------------------
 

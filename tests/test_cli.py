@@ -303,7 +303,7 @@ class TestVerify:
         assert rc == 2 and "ceiling" in err
 
     def test_equivariant_ceiling(self, capsys):
-        rc, _, err = run_cli(capsys, "verify", "--space", "gr:2,6", "--equivariant")
+        rc, _, err = run_cli(capsys, "verify", "--space", "gr:2,7", "--equivariant")
         assert rc == 2 and "ceiling" in err
 
     def test_malformed_ceiling_exits_2(self, capsys, monkeypatch):
@@ -406,6 +406,36 @@ class TestTable:
             loaded[0].get(shape) == ({PLAIN, OPPOSITE} if shape == space.shape else {OPPOSITE})
             for shape in read
         )
+
+    @pytest.mark.parametrize("space,flags", [("gr:2,5", ["--equivariant"]), ("gr:3,6", [])])
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    def test_first_round_shares_split_every_degree(
+        self, capsys, monkeypatch, inline_pool, space, flags, jobs
+    ):
+        """The classes of each degree d, expanded on Y_d, are dealt out
+        evenly: per degree, the counts of the shares differ by at most 1."""
+        from collections import Counter
+
+        from qkcomin import cli
+        from qkcomin.quantum import Space
+
+        fresh = Space(*parse(space[3:]), bool(flags))
+        monkeypatch.setattr(cli, "get_space", lambda *args: fresh)
+        shares = []
+        expand = cli._worker_expand
+
+        def counted(tasks):
+            shares.append(Counter(d for _key, d, _ui, _vi in tasks))
+            return expand(tasks)
+
+        monkeypatch.setattr(cli, "_worker_expand", counted)
+        rc, _, _ = run_cli(capsys, "table", "--space", space, "--jobs", jobs, *flags)
+        assert rc == 0 and len(shares) == int(jobs)
+        degrees = set().union(*shares)
+        assert len(degrees) == 3
+        for d in degrees:
+            counts = [share[d] for share in shares]
+            assert max(counts) - min(counts) <= 1, (d, counts)
 
     @pytest.mark.skipif(
         multiprocessing.get_all_start_methods()[0] != "fork",

@@ -20,7 +20,7 @@ from qkcomin.gkm import (
     equivariant_chars,
     zspec_chars,
 )
-from qkcomin.quantum import Space, kernel_span_shapes
+from qkcomin.quantum import Space, _gw_coeffs, kernel_span_shapes, projected_tasks
 from reference import (
     bruhat_leq,
     diag_factor_exps,
@@ -66,9 +66,15 @@ class TestCalibration:
                         inside = bruhat_leq(m.points[lo], m.points[hi])
                         assert tab[w][p].is_zero() == (not inside)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_diagonal_values_factor(self, n):
-        for shape in all_shapes(n):
+        """At n = 5 the shapes are X and the Y_d of Gr(2,5): the full-torus
+        elimination zeroes each pivot's residual on the strength of this."""
+        if n < 5:
+            shapes = all_shapes(n)
+        else:
+            shapes = {kernel_span_shapes(Space(2, 5), d)[0] for d in range(3)}
+        for shape in shapes:
             m = KModel(shape, equivariant_chars(n))
             for o in (PLAIN, OPPOSITE):
                 for w in range(m.npoints):
@@ -245,6 +251,32 @@ class TestExpandProduct:
                         seen.add((my.shape, a, b))
                         expect = my.expand_values(my.multiply_values(opp[a], opp[b]))
                         assert my.expand_product(a, b) == expect, (my.shape, a, b)
+
+    def test_one_division_per_pivot(self, monkeypatch):
+        """On the full torus each pivot is divided by its whole diagonal in
+        one call: on a fresh equivariant Gr(2,5) the calls number the
+        coefficients of all expansions."""
+        divide, expand = LaurentElement.divide_exact_one_minus, KModel.expand_values
+        calls, pivots = [], []
+
+        def counted_divide(f, *mexps):
+            calls.append(mexps)
+            return divide(f, *mexps)
+
+        def counted_expand(model, values):
+            coeffs = expand(model, values)
+            pivots.append(len(coeffs))
+            return coeffs
+
+        monkeypatch.setattr(LaurentElement, "divide_exact_one_minus", counted_divide)
+        monkeypatch.setattr(KModel, "expand_values", counted_expand)
+        space = Space(2, 5, True, use_cache=False)
+        space.model.basis_change()
+        tasks = projected_tasks(space)
+        for _key, d, ui, vi in tasks:
+            _gw_coeffs(space, d, ui, vi)
+        assert len(pivots) == space.model.npoints + len(tasks)
+        assert len(calls) == sum(pivots)
 
 
 # coefficients a + b*t2 of up to four basis classes, by index mod npoints

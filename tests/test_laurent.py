@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qkcomin
 from qkcomin.laurent import (
     EXPONENT_LIMIT,
     ExponentRangeError,
@@ -220,6 +225,67 @@ class TestOneVariableFastPath:
             (f + 1).divide_exact_one_minus((k,))
 
 
+# (variable count, f, binomial exponents) with f not divisible by the product
+NOT_DIVISIBLE = (
+    (2, "1 + t1", ((0, 1),)),
+    (2, "t1^40 + t2^-40", ((1, -1), (0, 1), (1, 1))),
+    (2, f"t1 + t2^{EXPONENT_LIMIT}", ((0, 1), (0, -1))),
+    (3, "1 + t1*t3^-1", ((0, 1, 0), (0, 0, 1))),
+    (3, "t1^30*t2^-30 + t3^30 - 1", ((1, -1, 0), (0, 1, -1), (1, 0, 1), (0, 0, 1))),
+    (3, f"t1 - t2^{EXPONENT_LIMIT}", ((0, 0, 1), (0, 1, -1))),
+)
+
+
+class TestDivisionByProducts:
+    """One pass by a product of binomials."""
+
+    def test_not_divisible_stops_under_a_memory_cap(self):
+        """Every pass raises, in a child process with its address space
+        capped at 256 MB: a pass that wandered through the lower digits of
+        the keys would fail there instead of filling the machine."""
+        pytest.importorskip("resource")
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "from qkcomin.laurent import LaurentElement, NotDivisibleError\n"
+            f"for n, text, ms in {NOT_DIVISIBLE!r}:\n"
+            "    try:\n"
+            "        LaurentElement.parse(text, n).divide_exact_one_minus(*ms)\n"
+            "    except NotDivisibleError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'divided {text}')\n"
+        )
+        package_root = Path(qkcomin.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("ks", [(70000, -70000), (3, -70000)])
+    def test_two_factors_beyond_sixteen_bit_exponents(self, ks):
+        h = L("-t1^-33000 + 7*t1^5 + 2*t1^40000", 1)
+        ms = [(k,) for k in ks]
+        f = h
+        for m in ms:
+            f = f * (LaurentElement.one(1) - LaurentElement.monomial(1, m))
+        assert f.divide_exact_one_minus(*ms) == h
+        with pytest.raises(NotDivisibleError):
+            (f + 1).divide_exact_one_minus(*ms)
+
+    def test_zero_exponent_is_rejected(self):
+        for f in (L("1 - t1*t2^-1"), LaurentElement.zero(2)):
+            for ms in (((0, 0),), ((1, -1), (0, 0))):
+                with pytest.raises(ValueError):
+                    f.divide_exact_one_minus(*ms)
+
+    def test_no_factor_gives_a_new_equal_element(self):
+        for f in (L("3 - t1*t2^-1"), LaurentElement.zero(2), L("t1^-70000", 1)):
+            g = f.divide_exact_one_minus()
+            assert g == f and g is not f and g.terms is not f.terms
+            assert g._bound == f._bound
+
+
 class TestKronecker:
     """Packing at 2**bits is a ring map, and reads back below 2**(bits-1)."""
 
@@ -362,6 +428,39 @@ class TestAgainstTupleReference:
                 LaurentElement(n, f).divide_exact_one_minus(m)
         else:
             assert agrees(LaurentElement(n, f).divide_exact_one_minus(m), want)
+            if exact:
+                assert want == h
+
+    @settings(max_examples=150, deadline=None)
+    @given(ref_elements(2), st.data(), st.booleans())
+    def test_division_by_products(self, data, draw, exact):
+        """One pass by 0 to 4 binomials agrees with one division per
+        binomial, on the packed elements and on the reference."""
+        n, (h, noise) = data
+        ms = draw.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n).filter(any), max_size=4))
+        f = h
+        for m in ms:
+            f = ref_mul(f, {(0,) * n: 1, m: -1})
+        if not exact:
+            f = ref_add(f, noise)
+        x = LaurentElement(n, f)
+
+        def one_by_one(y):
+            for m in ms:
+                y = y.divide_exact_one_minus(m)
+            return y
+
+        try:
+            want = f
+            for m in ms:
+                want = ref_div(want, m)
+        except NotDivisibleError:
+            for divide in (lambda: x.divide_exact_one_minus(*ms), lambda: one_by_one(x)):
+                with pytest.raises(NotDivisibleError):
+                    divide()
+        else:
+            got = x.divide_exact_one_minus(*ms)
+            assert agrees(got, want) and got == one_by_one(x)
             if exact:
                 assert want == h
 
