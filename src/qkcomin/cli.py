@@ -15,10 +15,9 @@ import json
 import os
 import re
 import sys
-from itertools import repeat
 
 from qkcomin import cache as diskcache
-from qkcomin.gkm import OPPOSITE, PLAIN
+from qkcomin.gkm import OPPOSITE
 from qkcomin.quantum import (
     CHECKS,
     DEFAULT_CHECKS,
@@ -117,24 +116,11 @@ def _worker_init(m, n, equivariant, use_cache):
     _WORKER_ARGS = (m, n, equivariant, use_cache)
 
 
-def _row_lines(space: Space, u: tuple, vs, v_basis: str) -> list:
-    """The JSON lines of row ``u``, the pairs (u, v) for v in ``vs``."""
-    return [_pair_line(space, u, v, v_basis) for v in vs]
-
-
 def _worker_expand(tasks):
     """The projected classes of ``tasks`` (see :func:`projected_tasks`),
     expanded in a pool worker."""
     space = get_space(*_WORKER_ARGS)
     return [_gw_coeffs(space, d, ui, vi) for _key, d, ui, vi in tasks]
-
-
-def _worker_rows(us, vs, v_basis, projected):
-    """The lines of the rows ``us`` in a pool worker, each row a list, from
-    the full memo of projected classes, so no class is expanded here."""
-    space = get_space(*_WORKER_ARGS)
-    space.projected.update(projected)
-    return [_row_lines(space, u, vs, v_basis) for u in us]
 
 
 def _internal_error(exc) -> int:
@@ -170,44 +156,32 @@ def cmd_neighborhood(args) -> int:
 
 
 def cmd_table(args) -> int:
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    if jobs < 1:
+    if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     space = _parse_space(args.space, args.equivariant, not args.no_cache)
     parts = space.partitions  # by (|u|, u), as partitions_in_box lists them
-    if jobs > 1 and len(parts) ** 2 > 8:
-        # load everything the pool reads in the parent, so the forked workers
-        # share it: with v plain the change of basis on X, which reads both
-        # its tables, and the opposite table of X = Y_0 and of each Y_d that
-        # is not a point, the degrees on which projected classes are expanded
-        if args.v_basis == PLAIN:
-            space.model.basis_change()
+    # rows share most projected classes, so the pool expands each in one
+    # worker; sorted by degree, every share gets its part of each Y_d
+    tasks = sorted(projected_tasks(space), key=lambda task: task[1]) if args.jobs > 1 else []
+    k = min(args.jobs, len(parts), len(tasks))
+    if k > 1:
+        # load the opposite table of X = Y_0 and of each Y_d that is not a
+        # point in the parent, so the forked workers share them
         for d in range(max(space.m, space.n - space.m)):
             space.diagram(d).y.table(OPPOSITE)
-        tasks = sorted(projected_tasks(space), key=lambda task: task[1])
         from concurrent.futures import ProcessPoolExecutor
 
-        k = min(jobs, len(parts))
         with ProcessPoolExecutor(
             max_workers=k,
             initializer=_worker_init,
             initargs=(space.m, space.n, space.equivariant, space.use_cache),
         ) as pool:
-            # round 1: rows share most projected classes, so each is expanded in
-            # one worker; sorted by degree, every share gets its part of each Y_d
             shares = [tasks[i::k] for i in range(k)]
             for share, classes in zip(shares, pool.map(_worker_expand, shares)):
                 for (key, *_), exp in zip(share, classes):
                     space.projected[key] = exp
-            # round 2: the rows, in k blocks, each with the full memo
-            blocks = list(pool.map(
-                _worker_rows, [parts[i::k] for i in range(k)], repeat(parts),
-                repeat(args.v_basis), repeat(space.projected),
-            ))
-        rows = [blocks[r % k][r // k] for r in range(len(parts))]
-    else:
-        rows = [_row_lines(space, u, parts, args.v_basis) for u in parts]
-    _write_text("".join(line + "\n" for row in rows for line in row), args.out)
+    lines = (_pair_line(space, u, v, args.v_basis) + "\n" for u in parts for v in parts)
+    _write_text("".join(lines), args.out)
     return 0
 
 
@@ -270,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="tables for all pairs")
     _add_common(p)
     p.add_argument("--v-basis", choices=("plain", "opposite"), default="plain")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run the identity checks")

@@ -1,4 +1,5 @@
-"""Every function, method and class of the package modules has a caller in the package."""
+"""Every function, method and class of the package modules has a caller in the
+package, and every name a package module imports is read there."""
 
 import ast
 from collections import Counter
@@ -128,3 +129,33 @@ def test_shared_names_are_listed():
         if counts[node.name] > 1 and not is_dunder(node.name) and node.name not in ALLOWED
     }
     assert shared == set(SHARED_NAMES)
+
+
+def unused_imports(tree) -> list:
+    """The names the module imports and never reads as a variable, with the
+    line of their import."""
+    reads = Counter(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        unused += [f"{name} (line {node.lineno})" for name in names if not reads[name]]
+    return unused
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+)
+def test_every_import_is_read(module):
+    """``__init__.py`` imports to re-export, so it is not checked."""
+    unused = unused_imports(package_trees()[module])
+    assert not unused, f"imported in {module} and never read: {unused}"
+
+
+def test_unused_import_is_flagged():
+    tree = ast.parse("import os\nimport a.b\nfrom x import y as z, w\nos.sep\nw()\n")
+    assert unused_imports(tree) == ["a (line 2)", "z (line 3)"]

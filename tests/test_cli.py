@@ -30,8 +30,8 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Replaces the process pool of ``qk table`` by one that runs every task
-    of both rounds in this process, so no process starts.  Each hook in the
+    """Replaces the process pool of ``qk table`` by one that expands every
+    projected class in this process, so no process starts.  Each hook in the
     returned list is called with ``max_workers`` when the pool is made."""
     import concurrent.futures
 
@@ -374,8 +374,14 @@ class TestTable:
         assert rc == 2 and out == ""
         assert err == "error: --jobs must be at least 1\n"
 
-    def test_pool_size_is_bounded_by_rows(self, capsys, inline_pool):
-        """--jobs 1000 on the 3 rows of Gr(1,3) asks for 3 workers."""
+    def test_pool_size_is_bounded_by_rows(self, capsys, monkeypatch, inline_pool):
+        """--jobs 1000 on the 3 rows and 7 projected classes of a fresh
+        Gr(1,3) asks for 3 workers."""
+        from qkcomin import cli
+        from qkcomin.quantum import Space
+
+        space = Space(1, 3)
+        monkeypatch.setattr(cli, "get_space", lambda *args: space)
         sizes = []
         inline_pool.append(sizes.append)
         rc, pooled, _ = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", "1000")
@@ -384,12 +390,11 @@ class TestTable:
         assert rc == 0 and pooled == serial
 
     def test_pool_starts_with_every_table_loaded(self, capsys, monkeypatch, inline_pool):
-        """Before the pool starts, the parent holds every table the rows
-        read, both tables of X and the opposite table of each Y_d, so the
-        forked workers share them instead of each parsing the cache files
-        again."""
+        """Before the pool starts, the parent holds every table the workers
+        read, the opposite table of X and of each Y_d, so the forked workers
+        share them instead of each parsing the cache files again."""
         from qkcomin import cli
-        from qkcomin.gkm import OPPOSITE, PLAIN
+        from qkcomin.gkm import OPPOSITE
         from qkcomin.quantum import Space
 
         space = Space(2, 5)
@@ -402,10 +407,52 @@ class TestTable:
         assert rc == 0 and len(loaded) == 1
         read = [shape for shape, model in space.models.items() if model._tables]
         assert len(read) == 3  # X = Y_0, Y_1 and Y_2
-        assert all(
-            loaded[0].get(shape) == ({PLAIN, OPPOSITE} if shape == space.shape else {OPPOSITE})
-            for shape in read
-        )
+        assert all(loaded[0].get(shape) == {OPPOSITE} for shape in read)
+
+    def test_full_memo_starts_no_pool(self, capsys, monkeypatch, inline_pool):
+        """A second --jobs 2 table on the same space finds every projected
+        class in its memo, so it starts no pool and prints the same bytes."""
+        from qkcomin import cli
+        from qkcomin.quantum import Space
+
+        space = Space(2, 4, True)
+        monkeypatch.setattr(cli, "get_space", lambda *args: space)
+        starts = []
+        inline_pool.append(starts.append)
+        argv = ("table", "--space", "gr:2,4", "--equivariant", "--jobs", "2")
+        rc, first, _ = run_cli(capsys, *argv)
+        assert rc == 0 and starts == [2]
+        rc, second, _ = run_cli(capsys, *argv)
+        assert rc == 0 and starts == [2] and second == first
+
+    def test_default_starts_no_pool(self, capsys, monkeypatch, inline_pool):
+        """Without --jobs a fresh space's table runs in this process."""
+        from qkcomin import cli
+        from qkcomin.quantum import Space
+
+        space = Space(2, 4)
+        monkeypatch.setattr(cli, "get_space", lambda *args: space)
+        starts = []
+        inline_pool.append(starts.append)
+        rc, out, _ = run_cli(capsys, "table", "--space", "gr:2,4")
+        assert rc == 0 and len(out.splitlines()) == 36 and starts == []
+
+    def test_no_cache_pool_writes_no_cache(self, capsys, monkeypatch, tmp_path):
+        """--no-cache --jobs 2 on a fresh space prints the bytes of --jobs 1,
+        and neither the parent nor a worker writes a cache file."""
+        from qkcomin import cli
+        from qkcomin.quantum import get_space
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+        outs = []
+        for jobs in ("1", "2"):
+            argv = ["table", "--space", "gr:2,4", "--no-cache", "--jobs", jobs]
+            rc, out, _ = run_cli(capsys, *argv)
+            assert rc == 0
+            outs.append(out)
+        assert outs[0] == outs[1] and len(outs[0].splitlines()) == 36
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("space,flags", [("gr:2,5", ["--equivariant"]), ("gr:3,6", [])])
     @pytest.mark.parametrize("jobs", ["2", "3"])
@@ -441,20 +488,15 @@ class TestTable:
         multiprocessing.get_all_start_methods()[0] != "fork",
         reason="the workers must inherit the patched module",
     )
-    @pytest.mark.parametrize("round_", ["expand", "rows"])
-    def test_worker_crash_exits_4(self, capsys, monkeypatch, round_):
+    def test_worker_crash_exits_4(self, capsys, monkeypatch):
         """A pool worker that dies is an internal error: two forked workers
         for the three rows of Gr(1,3), each exiting on its first projected
-        class (on a fresh space, so the first round has work) or on its
-        first pair."""
+        class (on a fresh space, so the pool has work)."""
         from qkcomin import cli
         from qkcomin.quantum import get_space
 
-        if round_ == "expand":
-            monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
-            monkeypatch.setattr(KModel, "expand_product", lambda *args: os._exit(1))
-        else:
-            monkeypatch.setattr(cli, "_pair_line", lambda *args: os._exit(1))
+        monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+        monkeypatch.setattr(KModel, "expand_product", lambda *args: os._exit(1))
         rc, out, err = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", "2")
         assert rc == 4
         assert out == ""
