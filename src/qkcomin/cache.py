@@ -1,11 +1,22 @@
-"""Disk cache for restriction tables.
+"""Disk cache for restriction tables and projected classes.
 
-One file per (shape, scalar mode, orientation).  Files carry a versioned
-header and a checksum of the canonical payload; JSON that does not parse
-or nests too deep, a checksum mismatch, or rows that are not lists of
-strings, is treated as a miss, so corrupted files are silently
-recomputed.  Whether the strings make a table of the model is checked by
-the caller (``gkm.KModel``), which treats a misfit as a miss too.
+Two kinds of document, each one checksummed file:
+
+* ``restrict_<digest>.json``, one per (shape, scalar mode, orientation):
+  the rows of a restriction table as grammar strings;
+* ``projected_<digest>.json``, one per (space, scalar mode): the projected
+  classes of ``Space.projected``, each entry ``[dims, a, b, [[w, N], ...]]``
+  with dims those of Y_d, a <= b two opposite indices on Y_d, w an
+  opposite index on X and N its coefficient in the grammar.
+
+A file carries a versioned header, its key and a checksum of the canonical
+payload; JSON that does not parse or nests too deep, a wrong format or key,
+or a checksum mismatch is treated as a miss, so corrupted files are
+silently recomputed, and so are table rows that are not lists of strings.
+Whether table rows fit a model is checked by the caller (``gkm.KModel``);
+projected classes are checked here against the sizes the caller passes
+(:func:`load_classes`).  A misfit is a miss too.  Writes are atomic (temp
+file and rename) and best-effort.
 """
 
 from __future__ import annotations
@@ -18,7 +29,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+from qkcomin.laurent import ExponentRangeError, LaurentElement
+
 FORMAT = "qk-restrict/1"
+PROJECTED_FORMAT = "qk-projected/1"
+# the file name prefix of each kind of document
+PREFIXES = ("restrict_", "projected_")
 
 
 def cache_dir() -> Path:
@@ -32,19 +48,27 @@ def cache_dir() -> Path:
     return base / "qk-comin"
 
 
-def _path_for(key: str) -> Path:
+def _path(prefix: str, key: str) -> Path:
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    return cache_dir() / f"restrict_{digest}.json"
+    return cache_dir() / f"{prefix}{digest}.json"
 
 
-def _payload_hash(rows: list) -> str:
-    blob = json.dumps(rows, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+def _path_for(key: str) -> Path:
+    return _path("restrict_", key)
 
 
-def load_rows(key: str) -> list | None:
-    """Return the cached rows of grammar strings, or None on miss/corruption."""
-    path = _path_for(key)
+def _encode(payload) -> str:
+    return json.dumps(payload, separators=(",", ":"))
+
+
+def _payload_hash(payload: list) -> str:
+    return hashlib.sha256(_encode(payload).encode()).hexdigest()
+
+
+def _load_doc(path: Path, fmt: str, key: str, field: str) -> list | None:
+    """The checksummed list ``field`` of the document at ``path``, or None
+    if the file is missing, does not parse, or has the wrong format, key
+    or checksum."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -52,32 +76,35 @@ def load_rows(key: str) -> list | None:
         return None
     if not isinstance(doc, dict):  # valid JSON, but not a cache document
         return None
-    if doc.get("format") != FORMAT or doc.get("key") != key:
+    if doc.get("format") != fmt or doc.get("key") != key:
         return None
-    rows = doc.get("rows")
-    if not isinstance(rows, list) or doc.get("sha256") != _payload_hash(rows):
+    payload = doc.get(field)
+    if not isinstance(payload, list) or doc.get("sha256") != _payload_hash(payload):
         return None
-    if not all(type(row) is list and all(type(s) is str for s in row) for row in rows):
-        return None
-    return rows
+    return payload
 
 
-def store_rows(key: str, rows: list) -> None:
-    path = _path_for(key)
-    doc = {
-        "format": FORMAT,
-        "key": key,
-        "sha256": _payload_hash(rows),
-        "rows": rows,
-    }
+def _store_doc(prefix: str, fmt: str, key: str, field: str, payload: list) -> None:
+    """Write the document atomically; an OSError leaves no file behind.
+
+    The payload is encoded once, for its checksum and for the file, which
+    holds the bytes ``json.dumps`` gives the whole document with compact
+    separators (all ASCII, as ``json.dumps`` escapes the rest).
+    """
+    path = _path(prefix, key)
+    blob = _encode(payload).encode()
+    digest = hashlib.sha256(blob).hexdigest()
+    head = f'{{"format":{_encode(fmt)},"key":{_encode(key)},"sha256":"{digest}","{field}":'
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix="restrict_", suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix, suffix=".tmp")
     except OSError:
         return  # caching is best-effort
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, separators=(",", ":"))
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(head.encode())
+            fh.write(blob)
+            fh.write(b"}")
         os.replace(tmp, path)
     except BaseException as exc:
         # never leave the partial temp file behind; only OSError is absorbed
@@ -87,26 +114,115 @@ def store_rows(key: str, rows: list) -> None:
             raise
 
 
+def load_rows(key: str) -> list | None:
+    """Return the cached rows of grammar strings, or None on miss/corruption."""
+    rows = _load_doc(_path_for(key), FORMAT, key, "rows")
+    if rows is None:
+        return None
+    if not all(type(row) is list and all(type(s) is str for s in row) for row in rows):
+        return None
+    return rows
+
+
+def store_rows(key: str, rows: list) -> None:
+    _store_doc("restrict_", FORMAT, key, "rows", rows)
+
+
+def load_classes(key: str, ys: dict, npoints: int, nvars: int) -> dict | None:
+    """The cached projected classes, ``{(Y_d shape, a, b): {w: c}}``, or
+    None on a miss, corruption or a misfit.
+
+    ``ys`` maps the dims of each Y_d of the space to its shape and number
+    of points, ``npoints`` is the number of points of X and ``nvars`` the
+    number of variables of the scalars.  A misfit is an entry whose dims
+    are not in ``ys``, with a > b, an index outside Y_d or X, a repeated
+    key or index, or an N that does not parse or is zero.  Equal strings
+    become one shared element, which is safe because projected classes
+    are never mutated.
+    """
+    raw = _load_doc(_path("projected_", key), PROJECTED_FORMAT, key, "classes")
+    if raw is None:
+        return None
+    elements: dict = {}
+    classes: dict = {}
+    for entry in raw:
+        if type(entry) is not list or len(entry) != 4:
+            return None
+        dims, a, b, terms = entry
+        if type(dims) is not list or not all(type(x) is int for x in dims):
+            return None
+        hit = ys.get(tuple(dims))
+        if hit is None or type(a) is not int or type(b) is not int or type(terms) is not list:
+            return None
+        y, ny = hit
+        if not 0 <= a <= b < ny or (y, a, b) in classes:
+            return None
+        exp = classes[y, a, b] = {}
+        for term in terms:
+            if type(term) is not list or len(term) != 2:
+                return None
+            w, text = term
+            if type(w) is not int or not 0 <= w < npoints or w in exp or type(text) is not str:
+                return None
+            c = elements.get(text)
+            if c is None:
+                try:
+                    c = elements[text] = LaurentElement.parse(text, nvars)
+                except (ValueError, ExponentRangeError):
+                    return None
+            if c.is_zero():
+                return None
+            exp[w] = c
+    return classes
+
+
+def store_classes(key: str, classes: dict) -> None:
+    """Write the projected classes of :func:`load_classes`.  Entries are
+    sorted by (dims, a, b) and terms by index, so equal memos give equal
+    bytes.  Each coefficient object is formatted once, and the classes
+    loaded from a file share one object per distinct string."""
+    text: dict = {}  # id of a coefficient -> its grammar string
+    entries = []
+    for (y, a, b), exp in sorted(classes.items(), key=_entry_order):
+        terms = []
+        for w, c in sorted(exp.items()):
+            s = text.get(id(c))
+            if s is None:
+                s = text[id(c)] = str(c)
+            terms.append((w, s))
+        entries.append((y.dims, a, b, terms))
+    _store_doc("projected_", PROJECTED_FORMAT, key, "classes", entries)
+
+
+def _entry_order(item) -> tuple:
+    (y, a, b), _exp = item
+    return y.dims, a, b
+
+
+def _files(suffix: str) -> list:
+    d = cache_dir()
+    if not d.is_dir():
+        return []
+    return sorted(p for prefix in PREFIXES for p in d.glob(f"{prefix}*{suffix}"))
+
+
 def clear() -> int:
     """Delete all cache files, and the temp files of writers killed before
     their rename; returns the number removed."""
-    d = cache_dir()
     removed = 0
-    if d.is_dir():
-        for p in [*d.glob("restrict_*.json"), *d.glob("restrict_*.tmp")]:
-            try:
-                p.unlink()
-                removed += 1
-            except OSError:
-                pass
+    for p in [*_files(".json"), *_files(".tmp")]:
+        try:
+            p.unlink()
+            removed += 1
+        except OSError:
+            pass
     return removed
 
 
 def stats() -> dict:
-    d = cache_dir()
-    files = sorted(d.glob("restrict_*.json")) if d.is_dir() else []
+    files = _files(".json")
     return {
-        "path": str(d),
+        "path": str(cache_dir()),
         "files": len(files),
         "bytes": sum(p.stat().st_size for p in files),
     }

@@ -26,7 +26,9 @@ from qkcomin.quantum import (
     curve_neighborhood_index,
     dist,
     get_space,
+    load_projected,
     projected_tasks,
+    store_projected,
     structure_table,
     verify_space,
 )
@@ -159,6 +161,7 @@ def cmd_table(args) -> int:
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
     space = _parse_space(args.space, args.equivariant, not args.no_cache)
+    known = load_projected(space)  # a complete file leaves no task for a pool
     parts = space.partitions  # by (|u|, u), as partitions_in_box lists them
     # rows share most projected classes, so the pool expands each in one
     # worker; sorted by degree, every share gets its part of each Y_d
@@ -180,8 +183,9 @@ def cmd_table(args) -> int:
             for share, classes in zip(shares, pool.map(_worker_expand, shares)):
                 for (key, *_), exp in zip(share, classes):
                     space.projected[key] = exp
-    lines = (_pair_line(space, u, v, args.v_basis) + "\n" for u in parts for v in parts)
-    _write_text("".join(lines), args.out)
+    text = "".join(_pair_line(space, u, v, args.v_basis) + "\n" for u in parts for v in parts)
+    store_projected(space, known)
+    _write_text(text, args.out)
     return 0
 
 
@@ -191,7 +195,9 @@ def cmd_verify(args) -> int:
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:
         raise UsageError(f"unknown checks: {','.join(map(repr, unknown))}")
+    known = load_projected(space)
     violations = verify_space(space, checks=checks)
+    store_projected(space, known)
     pairs = len(space.partitions) ** 2
     if violations:
         verdict = f"FAIL pairs={pairs} violations={len(violations)}"

@@ -353,33 +353,36 @@ class LaurentElement:
     # -- grammar -------------------------------------------------------------
 
     def __str__(self) -> str:
-        """The canonical grammar; sorting the keys sorts the exponent vectors."""
+        """The canonical grammar; sorting the keys sorts the exponent vectors.
+
+        The text of each monomial is memoized per variable count and key
+        (:data:`_MONOMIAL_TEXT`)."""
         terms = self.terms
         if not terms:
             return "0"
         n = self.nvars
-        names = [f"t{k + 1}" for k in range(n)]
+        texts = _MONOMIAL_TEXT.get(n)
+        if texts is None:
+            texts = _MONOMIAL_TEXT[n] = {}
         parts = []
         for e in sorted(terms):
             c = terms[e]
-            vars_ = "*".join(
-                name if x == 1 else f"{name}^{x}"
-                for name, x in zip(names, _unpack(e, n))
-                if x
-            )
-            mag = abs(c)
-            if not vars_:
-                body = str(mag)
-            elif mag == 1:
-                body = vars_
+            mono = texts.get(e)
+            if mono is None:
+                mono = texts[e] = _monomial_text(e, n)
+            if c < 0:
+                parts.append(" - ")
+                c = -c
             else:
-                body = f"{mag}*{vars_}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, body = parts[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+                parts.append(" + ")
+            if not mono:
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            else:
+                parts.append(f"{c}*{mono}")
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"LaurentElement({self.nvars}, {self})"
@@ -455,6 +458,33 @@ def _parse_term(raw: str, nvars: int) -> tuple:
     return key, sign * coeff, bound
 
 
+# nvars -> packed key -> the text of the monomial, "" for the constant one
+_MONOMIAL_TEXT: dict = {}
+
+
+def _monomial_text(key: int, nvars: int) -> str:
+    return "*".join(
+        f"t{k}" if x == 1 else f"t{k}^{x}"
+        for k, x in enumerate(_unpack(key, nvars), start=1)
+        if x
+    )
+
+
+def sum_elements(nvars: int, elements) -> LaurentElement:
+    """The sum of the elements, added into one term dict."""
+    acc: dict = {}
+    get = acc.get
+    bound = 0
+    for f in elements:
+        if f.nvars != nvars:
+            raise ValueError("variable counts differ")
+        for e, c in f.terms.items():
+            acc[e] = get(e, 0) + c
+        if f._bound > bound:
+            bound = f._bound
+    return _element(nvars, {e: c for e, c in acc.items() if c}, bound)
+
+
 def subtract_product_into(acc: LaurentElement, a: LaurentElement, b: LaurentElement) -> None:
     """``acc -= a * b`` in place, without building the product or a new sum.
 
@@ -503,8 +533,26 @@ def kronecker_pack(f: LaurentElement, bits: int) -> tuple:
     if not terms:
         return 0, 0, 0
     lo = min(terms)
-    packed = sum(c << (bits * (e - lo)) for e, c in terms.items())
+    if len(terms) == 1:
+        c = terms[lo]
+        return lo, c, abs(c)
+    packed = 0
+    for e, c in terms.items():
+        packed += c << (bits * (e - lo))
     return lo, packed, sum(map(abs, terms.values()))
+
+
+_HALF_WORD = 1 << 63
+
+
+@lru_cache(maxsize=None)
+def _word_reader(ndigits: int) -> tuple:
+    """(offset, words) for ``ndigits`` balanced 64-bit digits: adding
+    offset, 2**63 at every digit, takes each digit d to d + 2**63 in
+    [0, 2**64) with no carry, and ``words`` reads those from the
+    little-endian bytes."""
+    offset = sum(_HALF_WORD << (64 * k) for k in range(ndigits))
+    return offset, struct.Struct(f"<{ndigits}Q").unpack
 
 
 def kronecker_unpack(lo: int, packed: int, bits: int) -> tuple:
@@ -514,19 +562,33 @@ def kronecker_unpack(lo: int, packed: int, bits: int) -> tuple:
     Every integer has exactly one such expansion, so this is the F of the
     packing whenever that F had all its coefficients below 2**(bits - 1)
     in size; the caller proves that bound.
+
+    At 64 bits, the width every packing starts at, the digits are read at
+    once (:func:`_word_reader`); other widths peel them off one by one.
     """
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    terms: dict = {}
-    e = lo
-    while packed:
-        d = packed & mask
-        if d >= half:
-            d -= mask + 1
-        if d:
-            terms[e] = d
-        packed = (packed - d) >> bits
-        e += 1
+    if bits == 64:
+        # a nonzero balanced expansion with k digits exceeds 2**(64(k-1) - 2)
+        # in size, so it has at most bit_length // 64 + 2 digits
+        ndigits = packed.bit_length() // 64 + 2
+        offset, words = _word_reader(ndigits)
+        raw = words((packed + offset).to_bytes(8 * ndigits, "little"))
+        terms = {e: u - _HALF_WORD for e, u in enumerate(raw, lo) if u != _HALF_WORD}
+    else:
+        mask = (1 << bits) - 1
+        half = 1 << (bits - 1)
+        terms = {}
+        e = lo
+        while packed:
+            d = packed & mask
+            if d >= half:
+                d -= mask + 1
+            if d:
+                terms[e] = d
+            packed = (packed - d) >> bits
+            e += 1
+    if not terms:
+        return _element(1, terms, 0), 0, 0
     sizes = list(map(abs, terms.values()))
-    bound = max(map(abs, terms), default=0)
-    return _element(1, terms, bound), max(sizes, default=0), sum(sizes)
+    # the exponents ascend, so the largest |exponent| is at an end
+    bound = max(abs(next(iter(terms))), abs(next(reversed(terms))))
+    return _element(1, terms, bound), max(sizes), sum(sizes)

@@ -16,7 +16,9 @@ classical"), so it is built for two opposite classes only: their product
 on Y_d is expanded there in the opposite basis, the only heavy step
 (:meth:`KModel.expand_product`, packed in z mode), and each basis class is
 moved back to X through the index map.  The class of two opposite classes
-does not depend on their order, so it is kept once per unordered pair.
+does not depend on their order, so it is kept once per unordered pair,
+and mirrored on disk in one file per space and scalar mode
+(:func:`load_projected`, :func:`store_projected`).
 
 The generating series of these classes over all degrees is eventually the
 unit class; applying (1 - q * shift), where the shift substitutes each
@@ -45,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
+from qkcomin import cache as diskcache
 from qkcomin import gkm
 from qkcomin.gkm import (
     OPPOSITE,
@@ -54,7 +57,12 @@ from qkcomin.gkm import (
     equivariant_chars,
     zspec_chars,
 )
-from qkcomin.laurent import LaurentElement, kronecker_pack, kronecker_unpack
+from qkcomin.laurent import (
+    LaurentElement,
+    kronecker_pack,
+    kronecker_unpack,
+    sum_elements,
+)
 from qkcomin.weyl import (
     FlagShape,
     image_index,
@@ -308,6 +316,40 @@ def projected_tasks(space: Space) -> list:
     return list(tasks.values())
 
 
+# -- projected classes on disk ------------------------------------------------------
+
+
+def _projected_key(space: Space) -> str:
+    return f"space={space.m};{space.n}|chars={space.chars.key}"
+
+
+def load_projected(space: Space) -> int:
+    """Add the projected classes of the space's disk file to
+    ``space.projected``; the number of classes the file holds, 0 when it is
+    missing, corrupt or a misfit (or the space keeps no disk cache)."""
+    if not space.use_cache:
+        return 0
+    ys = {}  # the dims of each Y_d -> (its shape, its number of points)
+    for d in range(max(space.m, space.n - space.m) + 2):
+        y = kernel_span_shapes(space, d)[0]
+        ys[y.dims] = (y, space.submodel(y).npoints)
+    classes = diskcache.load_classes(
+        _projected_key(space), ys, space.model.npoints, space.chars.nvars
+    )
+    if classes is None:
+        return 0
+    for key, exp in classes.items():
+        space.projected.setdefault(key, exp)
+    return len(classes)
+
+
+def store_projected(space: Space, known: int) -> None:
+    """Write ``space.projected`` to the space's disk file if it holds more
+    classes than ``known``, the count :func:`load_projected` returned."""
+    if space.use_cache and len(space.projected) > known:
+        diskcache.store_classes(_projected_key(space), space.projected)
+
+
 # -- the shift endomorphism and the product ----------------------------------------
 
 
@@ -458,9 +500,10 @@ def star_elements(space: Space, a: dict, b: dict) -> dict:
 
 def euler_char_q(space: Space, product: dict) -> dict:
     """Coefficient-wise sheaf Euler characteristic; a polynomial in q."""
+    nv = space.chars.nvars
     out = {}
     for d, exp in product.items():
-        total = sum(exp.values(), space.model.zero())
+        total = sum_elements(nv, exp.values())
         if not total.is_zero():
             out[d] = total
     return out
@@ -468,7 +511,7 @@ def euler_char_q(space: Space, product: dict) -> dict:
 
 def euler_char_total(space: Space, product: dict) -> LaurentElement:
     """Euler characteristic with q set to 1."""
-    return sum(euler_char_q(space, product).values(), space.model.zero())
+    return sum_elements(space.chars.nvars, euler_char_q(space, product).values())
 
 
 # -- structure tables ----------------------------------------------------------------

@@ -60,6 +60,16 @@ def inline_pool(monkeypatch):
     return on_start
 
 
+@pytest.fixture
+def private_cache(monkeypatch, tmp_path):
+    """An empty cache directory of the test's own, for tests that need an
+    empty memo of projected classes or that patch the engine, so that they
+    neither read nor write the projected file of the session cache."""
+    path = tmp_path / "cache"
+    monkeypatch.setenv("QK_CACHE_DIR", str(path))
+    return path
+
+
 class TestProduct:
     def test_p1_point_product(self, capsys):
         rc, out, _ = run_cli(capsys, "product", "--space", "gr:1,2", "--u", "1", "--v", "")
@@ -258,7 +268,7 @@ class TestVerify:
         [NotInSpanError, NotDivisibleError, AssertionError, ValueError, KeyError, TypeError],
         ids=lambda t: t.__name__,
     )
-    def test_internal_error_exits_4(self, capsys, monkeypatch, exc_type):
+    def test_internal_error_exits_4(self, capsys, monkeypatch, private_cache, exc_type):
         """Any error of the engine is internal, whatever its type: not a
         usage error (2), not a verify failure (1), not a traceback."""
         from qkcomin import cli
@@ -374,7 +384,7 @@ class TestTable:
         assert rc == 2 and out == ""
         assert err == "error: --jobs must be at least 1\n"
 
-    def test_pool_size_is_bounded_by_rows(self, capsys, monkeypatch, inline_pool):
+    def test_pool_size_is_bounded_by_rows(self, capsys, monkeypatch, inline_pool, private_cache):
         """--jobs 1000 on the 3 rows and 7 projected classes of a fresh
         Gr(1,3) asks for 3 workers."""
         from qkcomin import cli
@@ -389,7 +399,9 @@ class TestTable:
         rc, serial, _ = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", "1")
         assert rc == 0 and pooled == serial
 
-    def test_pool_starts_with_every_table_loaded(self, capsys, monkeypatch, inline_pool):
+    def test_pool_starts_with_every_table_loaded(
+        self, capsys, monkeypatch, inline_pool, private_cache
+    ):
         """Before the pool starts, the parent holds every table the workers
         read, the opposite table of X and of each Y_d, so the forked workers
         share them instead of each parsing the cache files again."""
@@ -409,7 +421,7 @@ class TestTable:
         assert len(read) == 3  # X = Y_0, Y_1 and Y_2
         assert all(loaded[0].get(shape) == {OPPOSITE} for shape in read)
 
-    def test_full_memo_starts_no_pool(self, capsys, monkeypatch, inline_pool):
+    def test_full_memo_starts_no_pool(self, capsys, monkeypatch, inline_pool, private_cache):
         """A second --jobs 2 table on the same space finds every projected
         class in its memo, so it starts no pool and prints the same bytes."""
         from qkcomin import cli
@@ -422,6 +434,27 @@ class TestTable:
         argv = ("table", "--space", "gr:2,4", "--equivariant", "--jobs", "2")
         rc, first, _ = run_cli(capsys, *argv)
         assert rc == 0 and starts == [2]
+        rc, second, _ = run_cli(capsys, *argv)
+        assert rc == 0 and starts == [2] and second == first
+
+    def test_complete_projected_file_starts_no_pool(
+        self, capsys, monkeypatch, inline_pool, private_cache
+    ):
+        """A fresh space whose projected file holds every class the table
+        reads loads it before it plans the pool, so it starts none, expands
+        nothing and prints the same bytes."""
+        from qkcomin import cli
+        from qkcomin.quantum import get_space
+
+        monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+        starts = []
+        inline_pool.append(starts.append)
+        argv = ("table", "--space", "gr:2,4", "--equivariant", "--v-basis", "opposite",
+                "--jobs", "2")
+        rc, first, _ = run_cli(capsys, *argv)
+        assert rc == 0 and starts == [2]
+        assert len(list(private_cache.glob("projected_*.json"))) == 1
+        monkeypatch.setattr(KModel, "expand_product", None)
         rc, second, _ = run_cli(capsys, *argv)
         assert rc == 0 and starts == [2] and second == first
 
@@ -454,10 +487,21 @@ class TestTable:
         assert outs[0] == outs[1] and len(outs[0].splitlines()) == 36
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [[], ["--equivariant"]])
+    def test_no_cache_verify_writes_no_cache(self, capsys, monkeypatch, tmp_path, flags):
+        from qkcomin import cli
+        from qkcomin.quantum import get_space
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+        rc, out, _ = run_cli(capsys, "verify", "--space", "gr:2,4", "--no-cache", *flags)
+        assert rc == 0 and out == "PASS pairs=36\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("space,flags", [("gr:2,5", ["--equivariant"]), ("gr:3,6", [])])
     @pytest.mark.parametrize("jobs", ["2", "3"])
     def test_first_round_shares_split_every_degree(
-        self, capsys, monkeypatch, inline_pool, space, flags, jobs
+        self, capsys, monkeypatch, inline_pool, private_cache, space, flags, jobs
     ):
         """The classes of each degree d, expanded on Y_d, are dealt out
         evenly: per degree, the counts of the shares differ by at most 1."""
@@ -488,7 +532,7 @@ class TestTable:
         multiprocessing.get_all_start_methods()[0] != "fork",
         reason="the workers must inherit the patched module",
     )
-    def test_worker_crash_exits_4(self, capsys, monkeypatch):
+    def test_worker_crash_exits_4(self, capsys, monkeypatch, private_cache):
         """A pool worker that dies is an internal error: two forked workers
         for the three rows of Gr(1,3), each exiting on its first projected
         class (on a fresh space, so the pool has work)."""
@@ -530,6 +574,8 @@ class TestTable:
         flags = ["--v-basis", v_basis, *(["--equivariant"] if equivariant else [])]
         counts = {}
         for jobs in ("1", "2"):
+            # each run from an empty cache, so no projected file is read
+            monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path / f"cache{jobs}"))
             log.write_text("")
             rc, _, _ = run_cli(capsys, "table", "--space", space, "--jobs", jobs, *flags)
             assert rc == 0
@@ -625,10 +671,23 @@ GOLDEN_GR25_Z_CACHE = {
 }
 
 
-def cache_digests(path) -> dict:
-    """sha256 of every restriction-cache file in the directory, by name."""
+# the projected-class file of each of the two commands above: a cold
+# `qk table --space gr:2,4 --equivariant --jobs 1` and a cold
+# `qk verify --space gr:2,5`
+GOLDEN_GR24_EQUIVARIANT_PROJECTED = {
+    "projected_202159f63ec5267438eebadd.json":
+        "4a8b477cd596f5345f3b7b7c1c90dc5faf0f8fc5a90f56a407e6b31a420a9982",
+}
+GOLDEN_GR25_Z_PROJECTED = {
+    "projected_3f5dfc4284b5181ed4dabee0.json":
+        "59781612c8144cc2c2b1e3ec7736f436ada9011185147aa76c87dd5ea949bb54",
+}
+
+
+def cache_digests(path, prefix="restrict_") -> dict:
+    """sha256 of every cache file of one kind in the directory, by name."""
     return {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in path.glob("restrict_*.json")
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in path.glob(f"{prefix}*.json")
     }
 
 
@@ -652,18 +711,24 @@ class TestOutputIdentity:
             for key in GOLDEN_TABLES
         ],
     )
-    def test_table_digest(self, capsys, fresh, space, equivariant, v_basis, jobs):
-        """Both the serial path and the process pool give the pinned bytes."""
+    def test_table_digest(self, capsys, monkeypatch, fresh, space, equivariant, v_basis, jobs):
+        """Both the serial path and the process pool give the pinned bytes,
+        from an empty cache and again, on a new space, from the projected
+        file the first run wrote, with no class expanded."""
         argv = ["table", "--space", space, "--v-basis", v_basis, "--jobs", jobs]
-        rc, out, _ = run_cli(capsys, *argv, *(["--equivariant"] if equivariant else []))
-        assert rc == 0
-        digest = hashlib.sha256(out.encode()).hexdigest()
-        assert digest == GOLDEN_TABLES[(space, equivariant, v_basis)]
+        argv += ["--equivariant"] if equivariant else []
+        for phase in ("cold", "warm"):
+            rc, out, _ = run_cli(capsys, *argv)
+            assert rc == 0, phase
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == GOLDEN_TABLES[(space, equivariant, v_basis)], phase
+            monkeypatch.setattr(KModel, "expand_product", None)
 
     def test_equivariant_cache_files(self, capsys, fresh):
         rc, _, _ = run_cli(capsys, "table", "--space", "gr:2,4", "--equivariant", "--jobs", "1")
         assert rc == 0
         assert cache_digests(fresh) == GOLDEN_GR24_EQUIVARIANT_CACHE
+        assert cache_digests(fresh, "projected_") == GOLDEN_GR24_EQUIVARIANT_PROJECTED
 
     def test_equivariant_cache_files_of_gr25(self, capsys, fresh):
         rc, _, _ = run_cli(capsys, "table", "--space", "gr:2,5", "--equivariant", "--jobs", "1")
@@ -674,6 +739,7 @@ class TestOutputIdentity:
         rc, _, _ = run_cli(capsys, "verify", "--space", "gr:2,5")
         assert rc == 0
         assert cache_digests(fresh) == GOLDEN_GR25_Z_CACHE
+        assert cache_digests(fresh, "projected_") == GOLDEN_GR25_Z_PROJECTED
 
 
 def parse(text):
@@ -722,7 +788,8 @@ class TestCache:
 
     def test_deeply_nested_files_are_recomputed(self, capsys, tmp_path, monkeypatch):
         """A cache file of JSON nested too deep for the parser is a miss, not
-        an internal error: verify rebuilds the tables and rewrites the files."""
+        an internal error: verify rebuilds the tables and the projected
+        classes and rewrites the files."""
         from qkcomin import cli
         from qkcomin.quantum import get_space
 
@@ -730,8 +797,9 @@ class TestCache:
         monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
         argv = ("verify", "--space", "gr:1,3")
         assert run_cli(capsys, *argv) == (0, "PASS pairs=9\n", "")
-        files = sorted(tmp_path.glob("restrict_*.json"))
-        assert files
+        files = sorted(tmp_path.glob("*.json"))
+        assert len(files) == 4  # both tables of X, the opposite table of Y_1, the classes
+        assert len(list(tmp_path.glob("projected_*.json"))) == 1
         written = [p.read_bytes() for p in files]
         for p in files:
             p.write_text("[" * 200000 + "]" * 200000)
@@ -764,6 +832,76 @@ class TestCache:
             p.write_text(json.dumps(doc))
         assert run_cli(capsys, *argv) == (0, fresh, "")
         assert [p.read_bytes() for p in files] == written
+
+
+# misfits of the first entry of the projected file of z-mode Gr(2,4),
+# [[1, 3], 0, 1, [[0, "1"]]]: Y_1 = Fl(1,3;4) and X have 12 and 6 points
+PROJECTED_MISFITS = {
+    "unknown-dims": (0, [2, 3]),  # no Y_d of Gr(2,4)
+    "a-above-b": (slice(1, 3), [1, 0]),
+    "a-outside-y": (1, -1),
+    "b-outside-y": (2, 12),
+    "w-outside-x": (3, [[6, "1"]]),
+    "bad-n": (3, [[0, "t1^1"]]),
+    "zero-n": (3, [[0, "0"]]),
+    "repeated-w": (3, [[0, "1"], [0, "1"]]),
+}
+
+
+@pytest.mark.parametrize("damage", ["bad-checksum", "truncated", *PROJECTED_MISFITS])
+def test_damaged_projected_file_is_recomputed(capsys, tmp_path, monkeypatch, damage):
+    """A projected-class file with a bad checksum, truncated JSON, or
+    entries that do not fit the space under a valid checksum is a miss:
+    verify expands every class again and rewrites the file byte for byte."""
+    from qkcomin import cache as diskcache
+    from qkcomin import cli
+    from qkcomin.quantum import get_space
+
+    monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+    argv = ("verify", "--space", "gr:2,4")
+    assert run_cli(capsys, *argv) == (0, "PASS pairs=36\n", "")
+    (path,) = tmp_path.glob("projected_*.json")
+    written = path.read_bytes()
+    doc = json.loads(written)
+    assert doc["classes"][0] == [[1, 3], 0, 1, [[0, "1"]]]
+    if damage == "truncated":
+        path.write_bytes(written[: len(written) // 2])
+    elif damage == "bad-checksum":
+        doc["sha256"] = "0" * 64
+        path.write_text(json.dumps(doc))
+    else:
+        where, value = PROJECTED_MISFITS[damage]
+        doc["classes"][0][where] = value
+        doc["sha256"] = diskcache._payload_hash(doc["classes"])
+        path.write_text(json.dumps(doc))
+    expanded = []
+    expand_product = KModel.expand_product
+    monkeypatch.setattr(
+        KModel, "expand_product", lambda *args: expanded.append(args) or expand_product(*args)
+    )
+    assert run_cli(capsys, *argv) == (0, "PASS pairs=36\n", "")
+    assert expanded
+    assert path.read_bytes() == written
+
+
+def test_cache_stats_and_clear_count_projected_files(capsys, tmp_path, monkeypatch):
+    from qkcomin import cli
+    from qkcomin.quantum import get_space
+
+    monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+    assert run_cli(capsys, "verify", "--space", "gr:2,4")[0] == 0
+    (tmp_path / "projected_killed.tmp").write_text("{")
+    files = sorted(tmp_path.glob("*.json"))
+    assert len(files) == 4  # 3 tables and the projected classes
+    rc, out, _ = run_cli(capsys, "cache", "stats")
+    assert rc == 0
+    assert json.loads(out)["files"] == 4
+    assert json.loads(out)["bytes"] == sum(p.stat().st_size for p in files)
+    rc, out, _ = run_cli(capsys, "cache", "clear")
+    assert rc == 0 and json.loads(out) == {"removed": 5}
+    assert list(tmp_path.iterdir()) == []
 
 
 def child_env(cache_dir):

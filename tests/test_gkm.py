@@ -607,6 +607,37 @@ class TestDiskCache:
         assert diskcache.clear() == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_projected_roundtrip_stats_and_clear(self, tmp_path, monkeypatch):
+        """Projected-class documents load back, count in stats, and clear
+        removes them with the temp file of a writer killed before its rename."""
+        from qkcomin import cache as diskcache
+
+        def refuse(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        y = FlagShape((1, 3), 4)
+        ys = {y.dims: (y, 12)}
+        z = LaurentElement.parse("t1", 1)
+        classes = {(y, 0, 2): {1: z, 0: 1 - z}, (y, 0, 0): {}}
+        diskcache.store_classes("probe", classes)
+        assert diskcache.load_classes("probe", ys, 6, 1) == classes
+        assert diskcache.load_classes("other", ys, 6, 1) is None
+        assert diskcache.load_classes("probe", ys, 1, 1) is None  # index 1 outside X
+        assert diskcache.load_classes("probe", {}, 6, 1) is None  # no such Y_d
+        assert diskcache.load_rows("probe") is None  # a table key is another file
+        (path,) = tmp_path.glob("projected_*.json")
+        assert '"classes":[[[1,3],0,0,[]],[[1,3],0,2,[[0,"1 - t1"],[1,"t1"]]]]' in path.read_text()
+        with monkeypatch.context() as mp:
+            mp.setattr(diskcache.os, "replace", refuse)
+            mp.setattr(diskcache.os, "unlink", lambda path: None)
+            diskcache.store_classes("stale", classes)
+        assert len(list(tmp_path.glob("projected_*.tmp"))) == 1
+        diskcache.store_rows("probe", [["1"]])
+        assert diskcache.stats()["files"] == 2
+        assert diskcache.clear() == 3
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("m,n,equivariant", [(2, 4, True), (2, 5, False)], ids=["t", "z"])
     def test_warm_tables_share_equal_entries(self, tmp_path, monkeypatch, m, n, equivariant):
         """A warm load parses each distinct string of a file once, so equal

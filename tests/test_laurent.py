@@ -14,6 +14,7 @@ from qkcomin.laurent import (
     kronecker_pack,
     kronecker_unpack,
     subtract_product_into,
+    sum_elements,
 )
 from reference import permute_letters, variable
 
@@ -151,6 +152,17 @@ class TestProperties:
     def test_division_roundtrip(self, h, mexp):
         g = LaurentElement.one(2) - LaurentElement.monomial(2, mexp)
         assert (h * g).divide_exact_one_minus(mexp) == h
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(elements, max_size=5))
+    def test_sum_elements_is_the_sum(self, xs):
+        total = sum_elements(2, xs)
+        assert total == sum(xs, LaurentElement.zero(2))
+        assert str(total) == str(sum(xs, LaurentElement.zero(2)))
+
+    def test_sum_elements_rejects_mixed_widths(self):
+        with pytest.raises(ValueError):
+            sum_elements(2, [L("t1"), L("t1", 1)])
 
     @settings(max_examples=60, deadline=None)
     @given(elements, elements)
@@ -302,6 +314,24 @@ class TestKronecker:
             if size(f) < 1 << (bits - 1):
                 assert got == f
                 assert (largest, l1) == (size(f), sum(map(abs, f.terms.values())))
+
+    EDGES = [s * ((1 << k) + j) for s in (1, -1) for k in (63, 64, 127, 128, 191) for j in (-1, 0, 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(-(1 << 600), 1 << 600), st.sampled_from(EDGES)),
+        st.integers(-5, 5),
+    )
+    def test_balanced_digits_of_any_integer(self, packed, lo):
+        """Every width reads the one balanced expansion of any integer, the
+        one-shot read at 64 bits as the digit loop at other widths."""
+        for bits in (8, 64, 72):
+            f, largest, l1 = kronecker_unpack(lo, packed, bits)
+            sizes = [abs(c) for c in f.terms.values()]
+            assert all(-(1 << (bits - 1)) <= c < 1 << (bits - 1) for c in f.terms.values())
+            assert sum(c << (bits * (e - lo)) for e, c in f.terms.items()) == packed
+            assert (largest, l1) == (max(sizes, default=0), sum(sizes))
+            assert f._bound == max(map(abs, f.terms), default=0)
 
 
 # -- a tuple-keyed reference: {exponent tuple: nonzero coefficient} ----------
