@@ -85,26 +85,17 @@ def _load_doc(path: Path, fmt: str, key: str, field: str) -> list | None:
 
 
 def _store_doc(prefix: str, fmt: str, key: str, field: str, payload: list) -> None:
-    """Write the document atomically; an OSError leaves no file behind.
-
-    The payload is encoded once, for its checksum and for the file, which
-    holds the bytes ``json.dumps`` gives the whole document with compact
-    separators (all ASCII, as ``json.dumps`` escapes the rest).
-    """
+    """Write the document atomically; an OSError leaves no file behind."""
     path = _path(prefix, key)
-    blob = _encode(payload).encode()
-    digest = hashlib.sha256(blob).hexdigest()
-    head = f'{{"format":{_encode(fmt)},"key":{_encode(key)},"sha256":"{digest}","{field}":'
+    doc = {"format": fmt, "key": key, "sha256": _payload_hash(payload), field: payload}
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix, suffix=".tmp")
     except OSError:
         return  # caching is best-effort
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(head.encode())
-            fh.write(blob)
-            fh.write(b"}")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(_encode(doc))
         os.replace(tmp, path)
     except BaseException as exc:
         # never leave the partial temp file behind; only OSError is absorbed

@@ -533,26 +533,8 @@ def kronecker_pack(f: LaurentElement, bits: int) -> tuple:
     if not terms:
         return 0, 0, 0
     lo = min(terms)
-    if len(terms) == 1:
-        c = terms[lo]
-        return lo, c, abs(c)
-    packed = 0
-    for e, c in terms.items():
-        packed += c << (bits * (e - lo))
+    packed = sum(c << (bits * (e - lo)) for e, c in terms.items())
     return lo, packed, sum(map(abs, terms.values()))
-
-
-_HALF_WORD = 1 << 63
-
-
-@lru_cache(maxsize=None)
-def _word_reader(ndigits: int) -> tuple:
-    """(offset, words) for ``ndigits`` balanced 64-bit digits: adding
-    offset, 2**63 at every digit, takes each digit d to d + 2**63 in
-    [0, 2**64) with no carry, and ``words`` reads those from the
-    little-endian bytes."""
-    offset = sum(_HALF_WORD << (64 * k) for k in range(ndigits))
-    return offset, struct.Struct(f"<{ndigits}Q").unpack
 
 
 def kronecker_unpack(lo: int, packed: int, bits: int) -> tuple:
@@ -562,33 +544,19 @@ def kronecker_unpack(lo: int, packed: int, bits: int) -> tuple:
     Every integer has exactly one such expansion, so this is the F of the
     packing whenever that F had all its coefficients below 2**(bits - 1)
     in size; the caller proves that bound.
-
-    At 64 bits, the width every packing starts at, the digits are read at
-    once (:func:`_word_reader`); other widths peel them off one by one.
     """
-    if bits == 64:
-        # a nonzero balanced expansion with k digits exceeds 2**(64(k-1) - 2)
-        # in size, so it has at most bit_length // 64 + 2 digits
-        ndigits = packed.bit_length() // 64 + 2
-        offset, words = _word_reader(ndigits)
-        raw = words((packed + offset).to_bytes(8 * ndigits, "little"))
-        terms = {e: u - _HALF_WORD for e, u in enumerate(raw, lo) if u != _HALF_WORD}
-    else:
-        mask = (1 << bits) - 1
-        half = 1 << (bits - 1)
-        terms = {}
-        e = lo
-        while packed:
-            d = packed & mask
-            if d >= half:
-                d -= mask + 1
-            if d:
-                terms[e] = d
-            packed = (packed - d) >> bits
-            e += 1
-    if not terms:
-        return _element(1, terms, 0), 0, 0
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    terms: dict = {}
+    e = lo
+    while packed:
+        d = packed & mask
+        if d >= half:
+            d -= mask + 1
+        if d:
+            terms[e] = d
+        packed = (packed - d) >> bits
+        e += 1
     sizes = list(map(abs, terms.values()))
-    # the exponents ascend, so the largest |exponent| is at an end
-    bound = max(abs(next(iter(terms))), abs(next(reversed(terms))))
-    return _element(1, terms, bound), max(sizes), sum(sizes)
+    bound = max(map(abs, terms), default=0)
+    return _element(1, terms, bound), max(sizes, default=0), sum(sizes)

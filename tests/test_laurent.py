@@ -323,8 +323,7 @@ class TestKronecker:
         st.integers(-5, 5),
     )
     def test_balanced_digits_of_any_integer(self, packed, lo):
-        """Every width reads the one balanced expansion of any integer, the
-        one-shot read at 64 bits as the digit loop at other widths."""
+        """Every width reads the one balanced expansion of any integer."""
         for bits in (8, 64, 72):
             f, largest, l1 = kronecker_unpack(lo, packed, bits)
             sizes = [abs(c) for c in f.terms.values()]
