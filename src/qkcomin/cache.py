@@ -13,10 +13,14 @@ A file carries a versioned header, its key and a checksum of the canonical
 payload; JSON that does not parse or nests too deep, a wrong format or key,
 or a checksum mismatch is treated as a miss, so corrupted files are
 silently recomputed, and so are table rows that are not lists of strings.
-Whether table rows fit a model is checked by the caller (``gkm.KModel``);
-projected classes are checked here against the sizes the caller passes
-(:func:`load_classes`).  A misfit is a miss too.  Writes are atomic (temp
-file and rename) and best-effort.
+Both kinds are decoded here, each distinct string parsed once
+(:func:`_parse_each`), and checked against the sizes the caller passes
+(:func:`load_table`, :func:`load_classes`).  A misfit is a miss too.
+Writes are atomic (temp file and rename) and best-effort.
+
+Keys name the shape or space, the scalar mode and the format, but no
+engine version: a change that alters a cached number or byte must bump
+``FORMAT`` or ``PROJECTED_FORMAT``, or old files feed old numbers in.
 """
 
 from __future__ import annotations
@@ -119,6 +123,49 @@ def store_rows(key: str, rows: list) -> None:
     _store_doc("restrict_", FORMAT, key, "rows", rows)
 
 
+def load_table(key: str, npoints: int, nvars: int) -> list | None:
+    """The cached restriction table, a tuple of elements per row, or None
+    on a miss, corruption or a misfit: not ``npoints`` rows of ``npoints``
+    strings that parse.  Reads through :func:`load_rows`."""
+    raw = load_rows(key)
+    if raw is None or len(raw) != npoints or any(len(row) != npoints for row in raw):
+        return None
+    elements = _parse_each((s for row in raw for s in row), nvars)
+    if elements is None:
+        return None
+    return [tuple(map(elements.__getitem__, row)) for row in raw]
+
+
+def store_table(key: str, rows: list) -> None:
+    """Write a restriction table through :func:`store_rows`."""
+    text = _format_each(v for row in rows for v in row)
+    store_rows(key, [[text[id(v)] for v in row] for row in rows])
+
+
+def _parse_each(texts, nvars: int) -> dict | None:
+    """The element of each distinct string of ``texts``, parsed once, or None
+    if one is not a string or does not parse.  Equal strings thus load as
+    one shared element, which is safe because cached tables and classes
+    are never mutated (``KModel.expand_values`` copies what it updates)."""
+    try:
+        distinct = set(texts)
+    except TypeError:  # an unhashable entry, such as a list
+        return None
+    if not all(type(s) is str for s in distinct):
+        return None
+    try:
+        return {s: LaurentElement.parse(s, nvars) for s in distinct}
+    except (ValueError, ExponentRangeError):
+        return None
+
+
+def _format_each(values) -> dict:
+    """The grammar string of each coefficient object of ``values``, by id, so
+    a shared object is formatted once; the objects must outlive the dict."""
+    distinct = {id(v): v for v in values}
+    return {k: str(v) for k, v in distinct.items()}
+
+
 def load_classes(key: str, ys: dict, npoints: int, nvars: int) -> dict | None:
     """The cached projected classes, ``{(Y_d shape, a, b): {w: c}}``, or
     None on a miss, corruption or a misfit.
@@ -127,15 +174,12 @@ def load_classes(key: str, ys: dict, npoints: int, nvars: int) -> dict | None:
     of points, ``npoints`` is the number of points of X and ``nvars`` the
     number of variables of the scalars.  A misfit is an entry whose dims
     are not in ``ys``, with a > b, an index outside Y_d or X, a repeated
-    key or index, or an N that does not parse or is zero.  Equal strings
-    become one shared element, which is safe because projected classes
-    are never mutated.
+    key or index, or an N that does not parse or is zero.
     """
     raw = _load_doc(_path("projected_", key), PROJECTED_FORMAT, key, "classes")
     if raw is None:
         return None
-    elements: dict = {}
-    classes: dict = {}
+    texts: dict = {}  # (Y_d shape, a, b) -> {w: N as a string}
     for entry in raw:
         if type(entry) is not list or len(entry) != 4:
             return None
@@ -146,42 +190,29 @@ def load_classes(key: str, ys: dict, npoints: int, nvars: int) -> dict | None:
         if hit is None or type(a) is not int or type(b) is not int or type(terms) is not list:
             return None
         y, ny = hit
-        if not 0 <= a <= b < ny or (y, a, b) in classes:
+        if not 0 <= a <= b < ny or (y, a, b) in texts:
             return None
-        exp = classes[y, a, b] = {}
-        for term in terms:
-            if type(term) is not list or len(term) != 2:
-                return None
-            w, text = term
-            if type(w) is not int or not 0 <= w < npoints or w in exp or type(text) is not str:
-                return None
-            c = elements.get(text)
-            if c is None:
-                try:
-                    c = elements[text] = LaurentElement.parse(text, nvars)
-                except (ValueError, ExponentRangeError):
-                    return None
-            if c.is_zero():
-                return None
-            exp[w] = c
-    return classes
+        if not all(type(t) is list and len(t) == 2 and type(t[0]) is int for t in terms):
+            return None
+        exp = texts[y, a, b] = dict(terms)
+        if len(exp) != len(terms) or not all(0 <= w < npoints for w in exp):
+            return None
+    elements = _parse_each((s for exp in texts.values() for s in exp.values()), nvars)
+    if elements is None or any(c.is_zero() for c in elements.values()):
+        return None
+    return {k: {w: elements[s] for w, s in exp.items()} for k, exp in texts.items()}
 
 
 def store_classes(key: str, classes: dict) -> None:
     """Write the projected classes of :func:`load_classes`.  Entries are
     sorted by (dims, a, b) and terms by index, so equal memos give equal
-    bytes.  Each coefficient object is formatted once, and the classes
-    loaded from a file share one object per distinct string."""
-    text: dict = {}  # id of a coefficient -> its grammar string
-    entries = []
-    for (y, a, b), exp in sorted(classes.items(), key=_entry_order):
-        terms = []
-        for w, c in sorted(exp.items()):
-            s = text.get(id(c))
-            if s is None:
-                s = text[id(c)] = str(c)
-            terms.append((w, s))
-        entries.append((y.dims, a, b, terms))
+    bytes."""
+    items = sorted(classes.items(), key=_entry_order)
+    text = _format_each(c for _key, exp in items for c in exp.values())
+    entries = [
+        (y.dims, a, b, [(w, text[id(c)]) for w, c in sorted(exp.items())])
+        for (y, a, b), exp in items
+    ]
     _store_doc("projected_", PROJECTED_FORMAT, key, "classes", entries)
 
 

@@ -30,6 +30,7 @@ from qkcomin.quantum import (
     projected_tasks,
     store_projected,
     structure_table,
+    sum_check,
     verify_space,
 )
 from qkcomin.weyl import format_partition, parse_partition
@@ -97,7 +98,6 @@ def _pair_line(space: Space, u: tuple, v: tuple, v_basis: str) -> str:
     ``qk table`` prints each line: the terms of its structure table and
     their sum, ``sum_check``, which the identity makes 1."""
     terms = structure_table(space, u, v, v_basis)
-    total = sum((c for _w, _d, c in terms), space.public_scalar(space.model.zero()))
     doc = {
         "space": str(space),
         "equivariant": space.equivariant,
@@ -105,7 +105,7 @@ def _pair_line(space: Space, u: tuple, v: tuple, v_basis: str) -> str:
         "v": format_partition(v),
         "v_basis": v_basis,
         "terms": [{"w": format_partition(w), "d": d, "N": str(c)} for w, d, c in terms],
-        "sum_check": str(total),
+        "sum_check": str(sum_check(space, terms)),
     }
     return json.dumps(doc, separators=(",", ":"))
 

@@ -54,7 +54,6 @@ from functools import lru_cache
 
 from qkcomin import cache as diskcache
 from qkcomin.laurent import (
-    ExponentRangeError,
     LaurentElement,
     NotDivisibleError,
     kronecker_pack,
@@ -164,48 +163,12 @@ class KModel:
         return f"shape={dims};{self.shape.n}|chars={self.chars.key}|orient={orientation}"
 
     def _load_or_build(self, orientation: str) -> list:
-        if self.use_cache:
-            raw = diskcache.load_rows(self._cache_key(orientation))
-            rows = None if raw is None else self._parse_rows(raw)
-            if rows is not None:
-                return rows
-        rows = self._build(orientation)
-        if self.use_cache:
-            # tables share equal entries; format each shared element once
-            distinct = {id(v): v for row in rows for v in row}
-            text = {k: str(v) for k, v in distinct.items()}
-            diskcache.store_rows(
-                self._cache_key(orientation),
-                [[text[id(v)] for v in row] for row in rows],
-            )
-        return rows
-
-    def _parse_rows(self, raw: list) -> list | None:
-        """The table held by cached rows of strings, or None if they do not
-        make a table of this model.
-
-        Equal strings become one shared element.  That is safe because table
-        entries are never mutated: :meth:`expand_values` copies what it
-        updates in place.
-        """
-        n, nv = self.npoints, self.chars.nvars
-        if len(raw) != n:
-            return None
-        parsed: dict = {}
-        rows = []
-        for row in raw:
-            if len(row) != n:
-                return None
-            out = []
-            for s in row:
-                v = parsed.get(s)
-                if v is None:
-                    try:
-                        v = parsed[s] = LaurentElement.parse(s, nv)
-                    except (ValueError, ExponentRangeError):
-                        return None
-                out.append(v)
-            rows.append(tuple(out))
+        key = self._cache_key(orientation)
+        rows = diskcache.load_table(key, self.npoints, self.chars.nvars) if self.use_cache else None
+        if rows is None:
+            rows = self._build(orientation)
+            if self.use_cache:
+                diskcache.store_table(key, rows)
         return rows
 
     def _build(self, orientation: str) -> list:

@@ -537,6 +537,12 @@ def structure_table(space: Space, u: tuple, v: tuple, v_basis: str = PLAIN) -> t
     return tuple(terms)
 
 
+def sum_check(space: Space, terms: tuple) -> LaurentElement:
+    """The sum of the scalars of ``terms`` from the public zero: the ``sum_check``
+    that ``qk product`` and ``qk table`` print and the ``sum`` check tests is 1."""
+    return sum((c for _w, _d, c in terms), space.public_scalar(space.model.zero()))
+
+
 # -- verification ---------------------------------------------------------------------
 
 
@@ -544,10 +550,9 @@ def verify_coefficient_sum(space: Space, u: tuple, products: dict) -> list:
     """The terms of every structure table of row u, v opposite, sum to
     exactly 1: the number ``qk table`` prints as ``sum_check``."""
     violations = []
-    zero = space.public_scalar(space.model.zero())
     one = space.public_scalar(space.model.one())
     for v in space.partitions:
-        total = sum((c for _w, _d, c in structure_table(space, u, v, OPPOSITE)), zero)
+        total = sum_check(space, structure_table(space, u, v, OPPOSITE))
         if total != one:
             violations.append(f"sum u={format_partition(u)} v={format_partition(v)} got={total}")
     return violations

@@ -159,3 +159,33 @@ def test_every_import_is_read(module):
 def test_unused_import_is_flagged():
     tree = ast.parse("import os\nimport a.b\nfrom x import y as z, w\nos.sep\nw()\n")
     assert unused_imports(tree) == ["a (line 2)", "z (line 3)"]
+
+
+# the only modules that read ``LaurentElement.parse``: the grammar of a scalar
+# is decided where it is defined and where cache files are decoded
+PARSE_READERS = {"laurent.py", "cache.py"}
+
+
+def parse_readers(trees: dict) -> set:
+    """The modules of ``trees`` that read an attribute named ``parse``,
+    whether they call it or alias it."""
+    return {
+        module
+        for module, tree in trees.items()
+        if any(isinstance(node, ast.Attribute) and node.attr == "parse" for node in ast.walk(tree))
+    }
+
+
+def test_only_laurent_and_cache_parse_scalars():
+    readers = parse_readers(package_trees())
+    assert readers <= PARSE_READERS, f"LaurentElement.parse read outside {PARSE_READERS}: {readers}"
+
+
+def test_parse_reader_is_flagged():
+    sources = {
+        "call.py": "LaurentElement.parse('1', 1)\n",
+        "alias.py": "read = LaurentElement.parse\n",
+        "other.py": "parser.parse_args()\nparse('1')\n",
+    }
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    assert parse_readers(trees) == {"call.py", "alias.py"}

@@ -18,7 +18,7 @@ import pytest
 import qkcomin
 from qkcomin.cli import build_parser, main
 from qkcomin.gkm import KModel, NotInSpanError
-from qkcomin.laurent import NotDivisibleError
+from qkcomin.laurent import EXPONENT_LIMIT, NotDivisibleError
 from qkcomin.quantum import CHECKS
 
 
@@ -806,11 +806,14 @@ class TestCache:
         assert run_cli(capsys, *argv) == (0, "PASS pairs=9\n", "")
         assert [p.read_bytes() for p in files] == written
 
-    @pytest.mark.parametrize("damage", ["bad-entry", "short-rows"])
+    @pytest.mark.parametrize("damage", ["bad-entry", "short-rows", "non-string", "big-exponent"])
     def test_misfit_rows_are_recomputed(self, capsys, tmp_path, monkeypatch, damage):
         """A cache document with a valid checksum whose rows do not make a
-        table of the model is a miss: an entry that does not parse, or rows
-        one entry short.  The product is recomputed and the files rewritten."""
+        table of the model is a miss: an entry that does not parse, rows one
+        entry short, an entry that is not a string, or, on the full torus,
+        an exponent past EXPONENT_LIMIT (an ExponentRangeError, which is an
+        OverflowError, not a ValueError).  The product is recomputed and
+        the files rewritten."""
         from qkcomin import cache as diskcache
         from qkcomin import cli
         from qkcomin.quantum import get_space
@@ -818,6 +821,8 @@ class TestCache:
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
         argv = ("product", "--space", "gr:2,4", "--u", "1", "--v", "1")
+        if damage == "big-exponent":
+            argv += ("--equivariant",)
         rc, fresh, _ = run_cli(capsys, *argv)
         assert rc == 0
         files = sorted(tmp_path.glob("restrict_*.json"))
@@ -826,6 +831,10 @@ class TestCache:
             doc = json.loads(p.read_text())
             if damage == "bad-entry":
                 doc["rows"][0][0] = "t1^1"
+            elif damage == "non-string":
+                doc["rows"][0][0] = 7
+            elif damage == "big-exponent":
+                doc["rows"][0][0] = f"t1^{EXPONENT_LIMIT + 1}"
             else:
                 doc["rows"] = [row[:-1] for row in doc["rows"]]
             doc["sha256"] = diskcache._payload_hash(doc["rows"])
@@ -834,8 +843,9 @@ class TestCache:
         assert [p.read_bytes() for p in files] == written
 
 
-# misfits of the first entry of the projected file of z-mode Gr(2,4),
-# [[1, 3], 0, 1, [[0, "1"]]]: Y_1 = Fl(1,3;4) and X have 12 and 6 points
+# misfits of the first entry of the projected file of Gr(2,4), z mode
+# unless named in FULL_TORUS_MISFITS, [[1, 3], 0, 1, [[0, "1"]]]:
+# Y_1 = Fl(1,3;4) and X have 12 and 6 points
 PROJECTED_MISFITS = {
     "unknown-dims": (0, [2, 3]),  # no Y_d of Gr(2,4)
     "a-above-b": (slice(1, 3), [1, 0]),
@@ -845,7 +855,11 @@ PROJECTED_MISFITS = {
     "bad-n": (3, [[0, "t1^1"]]),
     "zero-n": (3, [[0, "0"]]),
     "repeated-w": (3, [[0, "1"], [0, "1"]]),
+    "non-string-n": (3, [[0, 7]]),
+    "big-exponent": (3, [[0, f"t1^{EXPONENT_LIMIT + 1}"]]),  # an ExponentRangeError
 }
+# z-mode scalars have one variable, whose exponents have no limit
+FULL_TORUS_MISFITS = {"big-exponent"}
 
 
 @pytest.mark.parametrize("damage", ["bad-checksum", "truncated", *PROJECTED_MISFITS])
@@ -860,6 +874,8 @@ def test_damaged_projected_file_is_recomputed(capsys, tmp_path, monkeypatch, dam
     monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
     monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
     argv = ("verify", "--space", "gr:2,4")
+    if damage in FULL_TORUS_MISFITS:
+        argv += ("--equivariant",)
     assert run_cli(capsys, *argv) == (0, "PASS pairs=36\n", "")
     (path,) = tmp_path.glob("projected_*.json")
     written = path.read_bytes()

@@ -667,6 +667,53 @@ class TestDiskCache:
             for orientation in (PLAIN, OPPOSITE):
                 assert model.table(orientation) == fresh.table(orientation)
 
+    @pytest.mark.parametrize("chars", [equivariant_chars(5), zspec_chars(5)], ids=["t", "z"])
+    def test_tables_go_through_load_rows_and_store_rows(self, tmp_path, monkeypatch, chars):
+        """load_table and store_table reach the disk through cache.load_rows
+        and cache.store_rows, looked up as module globals, so wrappers put
+        there (bench/tracer.py counts hits and misses with them) see every
+        table: a cold build stores each table once and a warm load reads
+        each table once."""
+        from collections import Counter
+
+        from qkcomin import cache as diskcache
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        calls: Counter = Counter()
+        for name in ("load_rows", "store_rows"):
+
+            def counted(*args, _fn=getattr(diskcache, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(diskcache, name, counted)
+        shapes = [FlagShape((2,), 5), FlagShape((1, 3), 5)]
+        models = [KModel(shape, chars) for shape in shapes]
+        cold = [m.table(o) for m in models for o in (PLAIN, OPPOSITE)]
+        assert calls == {"load_rows": 4, "store_rows": 4}
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(KModel, "_build", None)  # every table must come from disk
+            models = [KModel(shape, chars) for shape in shapes]
+            warm = [m.table(o) for m in models for o in (PLAIN, OPPOSITE)]
+        assert calls == {"load_rows": 4}
+        assert warm == cold
+
+    def test_load_table_rejects_rows_that_do_not_fit(self, tmp_path, monkeypatch):
+        """load_table is a miss unless the file holds npoints rows of
+        npoints strings that parse in nvars variables."""
+        from qkcomin import cache as diskcache
+
+        monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+        diskcache.store_rows("probe", [["1", "0"], ["1 - t1*t2^-1", "1"]])
+        table = diskcache.load_table("probe", 2, 2)
+        assert [[str(v) for v in row] for row in table] == [["1", "0"], ["1 - t1*t2^-1", "1"]]
+        assert table[0][0] is table[1][1]  # equal strings share one element
+        assert diskcache.load_table("probe", 3, 2) is None  # too few rows
+        assert diskcache.load_table("probe", 2, 1) is None  # t2 is not a letter
+        diskcache.store_rows("probe", [["1", "0"], ["1"]])
+        assert diskcache.load_table("probe", 2, 2) is None  # a short row
+
     def test_model_roundtrips_through_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
         shape = FlagShape((1,), 3)
