@@ -49,7 +49,7 @@ z^d * D(z) is one integer divmod by D(B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from qkcomin import cache as diskcache
@@ -80,16 +80,14 @@ class NotInSpanError(ValueError):
     """The class is not in the span of Schubert classes over the scalars."""
 
 
-@dataclass(frozen=True)
-class CharacterMap:
-    """Assignment of a character monomial to each of the n torus letters."""
+class CharacterMap(namedtuple("CharacterMap", "n nvars images w0_images key")):
+    """Assignment of a character monomial to each of the n torus letters.
 
-    n: int
-    nvars: int
-    images: tuple
-    # images of the letters under the longest element w0 (see KModel._w0_translate)
-    w0_images: tuple
-    key: str
+    ``w0_images`` are the images of the letters under the longest element
+    w0 (see KModel._w0_translate).  An immutable value, equal and hashed as
+    the tuple of its fields."""
+
+    __slots__ = ()
 
     def root_exp(self, a: int, b: int) -> tuple:
         """Exponent vector of the character of the root e_a - e_b."""

@@ -29,6 +29,9 @@ against the limit and raise :class:`ExponentRangeError` instead of letting
 two monomials alias; swapping letters moves digits and keeps them in
 range.
 
+:func:`pack_monomials`, :func:`unpack_key` and :func:`packed_element`
+expose the packed form to the disk cache, which stores exponent vectors.
+
 >>> a = LaurentElement.parse("1 - t1*t2^-1", 2)
 >>> b = LaurentElement.parse("1 + t1*t2^-1", 2)
 >>> str(a * b)
@@ -78,16 +81,24 @@ def _check_range(nvars: int, bound: int) -> None:
         )
 
 
-def _pack(exp, nvars: int) -> int:
-    """The key of an exponent vector, after checking its width and range."""
-    exp = tuple(exp)
-    if len(exp) != nvars:
+def pack_monomials(exps: list, nvars: int) -> tuple:
+    """(keys, bounds): the key and the largest |exponent| of each exponent
+    vector of ``exps``, after checking their width and range."""
+    if set(map(len, exps)) - {nvars}:
         raise ValueError("exponent width does not match variable count")
-    _check_range(nvars, max(map(abs, exp), default=0))
-    return sum(x * w for x, w in zip(exp, _layout(nvars)[0]))
+    bounds = [max(map(abs, e), default=0) for e in exps]
+    _check_range(nvars, max(bounds, default=0))
+    weights = _layout(nvars)[0]
+    return [sum(map(mul, e, weights)) for e in exps], bounds
 
 
-def _unpack(key: int, nvars: int) -> tuple:
+def _pack(exp, nvars: int) -> int:
+    """The key of one exponent vector, after checking its width and range."""
+    (key,), _ = pack_monomials([tuple(exp)], nvars)
+    return key
+
+
+def unpack_key(key: int, nvars: int) -> tuple:
     """The exponent vector of a key."""
     if nvars == 1:
         return (key,)
@@ -114,8 +125,9 @@ def _divisor(nvars: int, mexps: tuple) -> tuple:
     return lead, d.terms[lead], tuple((k, -c) for k, c in d.terms.items() if k != lead), low
 
 
-def _element(nvars: int, terms: dict, bound: int) -> "LaurentElement":
-    """An element from packed terms with no zero coefficient."""
+def packed_element(nvars: int, terms: dict, bound: int) -> "LaurentElement":
+    """An element from packed terms with no zero coefficient, and ``bound``
+    at least its largest |exponent|; neither is checked here."""
     r = object.__new__(LaurentElement)
     r.nvars = nvars
     r.terms = terms
@@ -139,20 +151,20 @@ class LaurentElement:
 
     @classmethod
     def zero(cls, nvars: int) -> "LaurentElement":
-        return _element(nvars, {}, 0)
+        return packed_element(nvars, {}, 0)
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentElement":
-        return _element(nvars, {0: 1}, 0)
+        return packed_element(nvars, {0: 1}, 0)
 
     @classmethod
     def integer(cls, nvars: int, c: int) -> "LaurentElement":
-        return _element(nvars, {0: c} if c else {}, 0)
+        return packed_element(nvars, {0: c} if c else {}, 0)
 
     @classmethod
     def monomial(cls, nvars: int, exp: tuple, coeff: int = 1) -> "LaurentElement":
         key = _pack(exp, nvars)
-        return _element(nvars, {key: coeff} if coeff else {}, max(map(abs, exp), default=0))
+        return packed_element(nvars, {key: coeff} if coeff else {}, max(map(abs, exp), default=0))
 
     # -- predicates ---------------------------------------------------------
 
@@ -191,7 +203,7 @@ class LaurentElement:
                 out[e] = s
             else:
                 del out[e]
-        return _element(self.nvars, out, max(self._bound, other._bound))
+        return packed_element(self.nvars, out, max(self._bound, other._bound))
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -199,7 +211,7 @@ class LaurentElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return _element(self.nvars, {e: -c for e, c in self.terms.items()}, self._bound)
+        return packed_element(self.nvars, {e: -c for e, c in self.terms.items()}, self._bound)
 
     def __sub__(self, other):
         return self._merge(other, -1)
@@ -213,7 +225,7 @@ class LaurentElement:
             return NotImplemented
         a, b = self.terms, other.terms
         if not a or not b:
-            return _element(self.nvars, {}, 0)
+            return packed_element(self.nvars, {}, 0)
         bound = self._bound + other._bound
         if bound > EXPONENT_LIMIT:
             _check_range(self.nvars, bound)
@@ -221,7 +233,7 @@ class LaurentElement:
             a, b = b, a
         if len(a) == 1:
             ((ea, ca),) = a.items()
-            return _element(self.nvars, {e + ea: ca * c for e, c in b.items()}, bound)
+            return packed_element(self.nvars, {e + ea: ca * c for e, c in b.items()}, bound)
         # the monomial of a term pair is the sum of the two keys
         acc: dict = {}
         bb = list(b.items())
@@ -229,13 +241,13 @@ class LaurentElement:
             for eb, cb in bb:
                 e = ea + eb
                 acc[e] = acc.get(e, 0) + ca * cb
-        return _element(self.nvars, {e: c for e, c in acc.items() if c}, bound)
+        return packed_element(self.nvars, {e: c for e, c in acc.items() if c}, bound)
 
     __rmul__ = __mul__
 
     def copy(self) -> "LaurentElement":
         """A copy with its own term dict, for :func:`subtract_product_into`."""
-        return _element(self.nvars, dict(self.terms), self._bound)
+        return packed_element(self.nvars, dict(self.terms), self._bound)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -282,7 +294,7 @@ class LaurentElement:
                 exps = digits(((e + offset) ^ offset).to_bytes(nbytes, "big"))
                 t = sum(map(mul, exps, image_keys))
                 acc[t] = acc.get(t, 0) + c
-        return _element(new_nvars, {t: c for t, c in acc.items() if c}, bound)
+        return packed_element(new_nvars, {t: c for t, c in acc.items() if c}, bound)
 
     def swap_letters(self, i: int) -> "LaurentElement":
         """Exchange variables t_i and t_{i+1} (1-based)."""
@@ -296,7 +308,7 @@ class LaurentElement:
         for e, c in self.terms.items():
             u = e + offset
             out[e + (((u >> lo) & _MASK) - ((u >> hi) & _MASK)) * step] = c
-        return _element(n, out, self._bound)
+        return packed_element(n, out, self._bound)
 
     # -- division by products of 1 - monomial ---------------------------------
 
@@ -328,7 +340,7 @@ class LaurentElement:
             raise ValueError("binomial divisor must be 1 minus a nontrivial monomial")
         terms = self.terms
         if not terms or not mexps:
-            return _element(n, dict(terms), self._bound)
+            return packed_element(n, dict(terms), self._bound)
         lead, sign, rest, low = _divisor(n, mexps)
         floor = min(terms) - low
         bound = self._bound
@@ -338,7 +350,7 @@ class LaurentElement:
         while rem:
             e = max(rem)
             q = e - lead
-            if q < floor or max(map(abs, _unpack(q, n))) > bound:
+            if q < floor or max(map(abs, unpack_key(q, n))) > bound:
                 raise NotDivisibleError("not divisible")
             c = out[q] = rem.pop(e) * sign
             for k, dc in rest:  # the terms of D below the lead, negated
@@ -348,7 +360,7 @@ class LaurentElement:
                     rem[k] = s
                 else:
                     del rem[k]
-        return _element(n, out, bound)
+        return packed_element(n, out, bound)
 
     # -- grammar -------------------------------------------------------------
 
@@ -396,7 +408,7 @@ class LaurentElement:
         """
         s = text.strip()
         if s == "0":
-            return _element(nvars, {}, 0)
+            return packed_element(nvars, {}, 0)
         s = s.replace(" - ", " + -").replace(" + ", "|")
         acc: dict = {}
         bound = 0
@@ -405,7 +417,7 @@ class LaurentElement:
             acc[key] = acc.get(key, 0) + coeff
             bound = max(bound, b)
         _check_range(nvars, bound)
-        return _element(nvars, {e: c for e, c in acc.items() if c}, bound)
+        return packed_element(nvars, {e: c for e, c in acc.items() if c}, bound)
 
 
 _TERM = re.compile(
@@ -465,7 +477,7 @@ _MONOMIAL_TEXT: dict = {}
 def _monomial_text(key: int, nvars: int) -> str:
     return "*".join(
         f"t{k}" if x == 1 else f"t{k}^{x}"
-        for k, x in enumerate(_unpack(key, nvars), start=1)
+        for k, x in enumerate(unpack_key(key, nvars), start=1)
         if x
     )
 
@@ -482,7 +494,7 @@ def sum_elements(nvars: int, elements) -> LaurentElement:
             acc[e] = get(e, 0) + c
         if f._bound > bound:
             bound = f._bound
-    return _element(nvars, {e: c for e, c in acc.items() if c}, bound)
+    return packed_element(nvars, {e: c for e, c in acc.items() if c}, bound)
 
 
 def subtract_product_into(acc: LaurentElement, a: LaurentElement, b: LaurentElement) -> None:
@@ -559,4 +571,4 @@ def kronecker_unpack(lo: int, packed: int, bits: int) -> tuple:
         e += 1
     sizes = list(map(abs, terms.values()))
     bound = max(map(abs, terms), default=0)
-    return _element(1, terms, bound), max(sizes, default=0), sum(sizes)
+    return packed_element(1, terms, bound), max(sizes, default=0), sum(sizes)

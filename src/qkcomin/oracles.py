@@ -12,18 +12,16 @@ which is exact for type-A Grassmannians; revisit if other types are added.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from qkcomin.weyl import partition_to_subset, partitions_in_box
 
 
-@dataclass(frozen=True)
-class MomentGraph:
+class MomentGraph(namedtuple("MomentGraph", "m n")):
     """Fixed points and degree-1 torus curves of a Grassmannian Gr(m,n)."""
 
-    m: int
-    n: int
+    __slots__ = ()
 
     @property
     def vertices(self) -> tuple:

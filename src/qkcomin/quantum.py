@@ -44,7 +44,6 @@ find, row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from qkcomin import cache as diskcache
@@ -74,36 +73,34 @@ from qkcomin.weyl import (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class Space:
     """A Grassmannian Gr(m,n) together with the scalar mode of computation.
 
     A space owns every piece of engine state: the localization models of X
     and of the auxiliary flag varieties, the index diagram of each degree
     and the memo tables of its products.  They live as long as the space
-    does (see :func:`get_space`).
+    does (see :func:`get_space`).  Spaces compare by identity.
     """
 
-    m: int
-    n: int
-    equivariant: bool = False
-    use_cache: bool = True
-    # FlagShape -> KModel of X or of an auxiliary flag variety
-    models: dict = field(default_factory=dict, init=False, repr=False)
-    # degree d -> Diagram of Y_d <- T_d -> X
-    diagrams: dict = field(default_factory=dict, init=False, repr=False)
-    # (Y_d shape, a, b) with a <= b, the two opposite indices on Y_d ->
-    # opposite-basis coefficients on X of the projected class, shared across
-    # every (u, v, d) that lands there
-    projected: dict = field(default_factory=dict, init=False, repr=False)
-    # (a, b, bits) with a <= b, two opposite indices on X -> the product of
-    # the two classes by degree: LaurentElement coefficients at bits 0, the
-    # coefficients packed at bits-bit digits otherwise (z mode)
-    products: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        if not 0 < self.m < self.n:
+    def __init__(self, m: int, n: int, equivariant: bool = False, use_cache: bool = True):
+        if not 0 < m < n:
             raise ValueError("need 0 < m < n")
+        self.m = m
+        self.n = n
+        self.equivariant = equivariant
+        self.use_cache = use_cache
+        # FlagShape -> KModel of X or of an auxiliary flag variety
+        self.models: dict = {}
+        # degree d -> Diagram of Y_d <- T_d -> X
+        self.diagrams: dict = {}
+        # (Y_d shape, a, b) with a <= b, the two opposite indices on Y_d ->
+        # opposite-basis coefficients on X of the projected class, shared
+        # across every (u, v, d) that lands there
+        self.projected: dict = {}
+        # (a, b, bits) with a <= b, two opposite indices on X -> the product
+        # of the two classes by degree: LaurentElement coefficients at bits
+        # 0, the coefficients packed at bits-bit digits otherwise (z mode)
+        self.products: dict = {}
 
     @cached_property
     def shape(self) -> FlagShape:
@@ -157,6 +154,12 @@ class Space:
             return c
         return LaurentElement.integer(0, c.specialize_ones())
 
+    def __repr__(self):
+        return (
+            f"Space(m={self.m!r}, n={self.n!r}, equivariant={self.equivariant!r}, "
+            f"use_cache={self.use_cache!r})"
+        )
+
     def __str__(self):
         return f"gr:{self.m},{self.n}"
 
@@ -186,7 +189,6 @@ def kernel_span_shapes(space: Space, d: int) -> tuple:
 # -- the diagram Y_d <- T_d -> X as index maps -----------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class Diagram:
     """The diagram Y_d <- T_d -> X of one degree, on opposite Schubert indices.
 
@@ -201,10 +203,13 @@ class Diagram:
     opposite classes.
     """
 
-    y: KModel
-    to_y: tuple
-    from_y: tuple
-    neighborhood: tuple
+    __slots__ = ("y", "to_y", "from_y", "neighborhood")
+
+    def __init__(self, y: KModel, to_y: tuple, from_y: tuple, neighborhood: tuple):
+        self.y = y
+        self.to_y = to_y
+        self.from_y = from_y
+        self.neighborhood = neighborhood
 
 
 def _build_diagram(space: Space, d: int) -> Diagram:

@@ -16,7 +16,7 @@ within each block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 
@@ -63,20 +63,19 @@ def w0_conjugate_value(w: tuple) -> tuple:
 # -- parabolic subgroups and flag shapes --------------------------------------
 
 
-@dataclass(frozen=True)
-class FlagShape:
-    """A partial flag variety Fl(a_1 < ... < a_k; n); k = 0 is a point."""
+class FlagShape(namedtuple("FlagShape", "dims n")):
+    """A partial flag variety Fl(a_1 < ... < a_k; n); k = 0 is a point.
 
-    dims: tuple
-    n: int
+    An immutable value, equal and hashed as the tuple ``(dims, n)``."""
 
-    def __post_init__(self):
-        if list(self.dims) != sorted(set(self.dims)):
+    def __new__(cls, dims: tuple, n: int):
+        if list(dims) != sorted(set(dims)):
             raise ValueError("dims must be strictly increasing")
-        if self.dims and not (0 < self.dims[0] and self.dims[-1] <= self.n):
+        if dims and not (0 < dims[0] and dims[-1] <= n):
             raise ValueError("dims out of range")
-        if self.dims and self.dims[-1] == self.n:
+        if dims and dims[-1] == n:
             raise ValueError("trailing dim n is degenerate; drop it")
+        return super().__new__(cls, dims, n)
 
     @staticmethod
     def make(dims, n) -> "FlagShape":

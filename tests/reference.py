@@ -13,7 +13,7 @@ from bisect import insort
 from functools import lru_cache
 
 from qkcomin.gkm import OPPOSITE, PLAIN, KModel, NotInSpanError
-from qkcomin.laurent import LaurentElement, NotDivisibleError, _unpack
+from qkcomin.laurent import LaurentElement, NotDivisibleError, unpack_key
 from qkcomin.quantum import Space, _gw_coeffs
 from qkcomin.weyl import FlagShape, image_index, length, min_coset_rep
 
@@ -38,7 +38,7 @@ def permute_letters(f: LaurentElement, sigma: tuple) -> LaurentElement:
 
 def exponent_sums(f: LaurentElement) -> set:
     """Set of total degrees of the monomials (for lattice-invariance asserts)."""
-    return {sum(_unpack(e, f.nvars)) for e in f.terms}
+    return {sum(unpack_key(e, f.nvars)) for e in f.terms}
 
 
 def identity(n: int) -> tuple:

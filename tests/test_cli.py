@@ -1,6 +1,5 @@
 import argparse
 import ast
-import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -608,9 +607,9 @@ class TestTable:
             assert doc["sum_check"] == str(sum(ns, LaurentElement.zero(nvars)))
 
 
-# sha256 of the stdout of `qk table ... --jobs 1` (and `--jobs 2`), and of each restriction-cache
-# file that equivariant Gr(2,4) writes, as produced when the scalars were still
-# stored with exponent-tuple keys.  Any change of representation must keep them.
+# sha256 of the stdout of `qk table ... --jobs 1` (and `--jobs 2`), as produced
+# when the scalars were still stored with exponent-tuple keys.  Any change of
+# representation must keep them.
 GOLDEN_TABLES = {
     ("gr:2,4", True, "plain"):
         "c63d4a08ce3f44be1401cc455a41f8b153e61c6a98d92b2462788da9bec69a1d",
@@ -633,14 +632,15 @@ GOLDEN_TABLES = {
     ("gr:2,6", False, "opposite"):
         "92d3f3948e0b5089ccf9c33ecc8020df60ec074fbefea8de40703b0900a62f4c",
 }
-# both tables of X and the opposite table of Y_1
+# the cache files below were recorded at the integer layout, qk-restrict/2 and
+# qk-projected/2: both tables of X and the opposite table of Y_1
 GOLDEN_GR24_EQUIVARIANT_CACHE = {
     "restrict_008f28f749b65e68b195e364.json":
-        "f91047d292eee37a68d9dd8226128440da7ba5f8aa2c972a2cfbe21c5b659bc2",
+        "f60002e275d1811cb6145fab0eac99d4d140f3ec676cf554ec6f0dc4c0714f4c",
     "restrict_9ed44eb15456dbcd21b7ffae.json":
-        "aa5dba97e3385aa24a9a72a7cbfd1c854e10caf9178a7c18d2d5582139b39387",
+        "aaa29eb99f0fa5274cb7dd6a777737448cbd5145645978c23798ec9074bca716",
     "restrict_da3e1a3618ab3f854c46fcd5.json":
-        "237659089b4bf0544ba9876dfc9af673974635b9995c8f89e26bfaf10a37b1ff",
+        "2d18f834eeaf04c23a8f0ff3b30b9340f592352da897d7683a21c0936f4c07e7",
 }
 
 # every full-torus table file of a cold `qk table --space gr:2,5 --equivariant
@@ -648,26 +648,26 @@ GOLDEN_GR24_EQUIVARIANT_CACHE = {
 # of Y_1 and Y_2; its Y_1 = Fl(1,3;5) is a two-step flag
 GOLDEN_GR25_EQUIVARIANT_CACHE = {
     "restrict_49da8ad342101b2a0f3bd14a.json":
-        "f3376307f5d476f5e80ae9b60c08c31e480c3739a7a5cc47755ec997eee2543b",
+        "49257c2aa148e561d47fcaea119c15ccbf3473c25d9b345b8710ff5fefbb004f",
     "restrict_6bdab32c13f53f137dd75a40.json":
-        "5feb1e41f8df31e6e80282897dc03ce6dd3eaa763cfb9d174a4e2220b2d9e465",
+        "5d6e483f78a040a925eaa6a94eb445b8973909059be17bc836f2498f6c30ed55",
     "restrict_e5bd49c540a789285704f58c.json":
-        "f169d9c82c2bcb5c8a7468cb6116fc3f196190c5dea6e42d2d93bd9dbf6673df",
+        "d86f75d786ca1899a57a640b7f1c8daa1f0b07801baeed103d8dbb284f01c40f",
     "restrict_ed039c10b3e3a1f61e3110a1.json":
-        "50dd54cc507eacb958418a6fc68ae0fde77685ce7955508efa5798518b5e3c03",
+        "42b409169cd7a97ed8fe85ba61e24bf4fb02d6efdbf05f4ac521db7af4234947",
 }
 
 # every z-mode table file of a cold `qk verify --space gr:2,5`: both tables of
 # X and the opposite tables of Y_1 and Y_2
 GOLDEN_GR25_Z_CACHE = {
     "restrict_048f261130bb1f586a4bf500.json":
-        "e298b10202f3502992c4640a8d8ff2bcdcb74ce99bc8fbb94cba86b5d845914c",
+        "dab9d0a5589e133e4ffabe999fe283c631725689b393ebeee719f1b74be4a196",
     "restrict_0ae42bf1731cc2a79947ec17.json":
-        "deadbe1917d0b3205f350f42aa7e1cac59dd4b7678476fa241234f5ef5db89ad",
+        "4302dad2e8e73b9800ac32d659979806f9b39371c5c516e1f666ff8252ad1b2a",
     "restrict_c1b2a054d8473c748e17eb44.json":
-        "872fedcb0d18ad80f150f9e9f571c2e12ec56342fad7e91043b6642693691bb4",
+        "f296559160913334645f7306adfa3253dd24ab243a90b81f9588f88c6250acd9",
     "restrict_f7ef6748211dd75114ba9ff3.json":
-        "9853848a407bbfc50410f1e979ccbf56bac360eeb1367108516d2aa8fafe1d62",
+        "bd3ec96f5d0ff980b7f1687f196b375805594f300dd9a31cd1718caac1a7427f",
 }
 
 
@@ -676,11 +676,11 @@ GOLDEN_GR25_Z_CACHE = {
 # `qk verify --space gr:2,5`
 GOLDEN_GR24_EQUIVARIANT_PROJECTED = {
     "projected_202159f63ec5267438eebadd.json":
-        "4a8b477cd596f5345f3b7b7c1c90dc5faf0f8fc5a90f56a407e6b31a420a9982",
+        "e3dbedd3022f534d596cb141122a4f3350b8ce14f0ae5559acacf761b06358cd",
 }
 GOLDEN_GR25_Z_PROJECTED = {
     "projected_3f5dfc4284b5181ed4dabee0.json":
-        "59781612c8144cc2c2b1e3ec7736f436ada9011185147aa76c87dd5ea949bb54",
+        "866521c7f08f4dbb740e4323eab7d08ae3c0a3f3a6642ffd1e533eecd3acdb71",
 }
 
 
@@ -746,6 +746,28 @@ def parse(text):
     return tuple(int(x) for x in text.split(",")) if text else ()
 
 
+def first_scalar(doc) -> list:
+    """The first scalar of a cache document that is not zero."""
+    return next(s for s in doc["scalars"] if s)
+
+
+# damages of the payload of every table file of a product on Gr(2,4), z mode
+# unless named in FULL_TORUS_MISFITS
+TABLE_MISFITS = {
+    "bad-entry": lambda doc: doc["rows"][0].__setitem__(0, len(doc["scalars"])),
+    "short-rows": lambda doc: doc.update(rows=[row[:-1] for row in doc["rows"]]),
+    "non-integer": lambda doc: first_scalar(doc).__setitem__(1, "1"),
+    "odd-length": lambda doc: first_scalar(doc).append(0),
+    "monomial-outside": lambda doc: first_scalar(doc).__setitem__(0, len(doc["monomials"])),
+    "repeated-monomial": lambda doc: first_scalar(doc).extend(first_scalar(doc)[:2]),
+    "wrong-width": lambda doc: doc["monomials"][0].append(0),
+    "big-exponent": lambda doc: doc["monomials"][0].__setitem__(0, EXPONENT_LIMIT + 1),
+    "zero-coefficient": lambda doc: first_scalar(doc).__setitem__(1, 0),
+}
+# z-mode scalars have one variable, whose exponents have no limit
+FULL_TORUS_MISFITS = {"big-exponent"}
+
+
 class TestCache:
     def test_path_stats_clear(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
@@ -806,68 +828,93 @@ class TestCache:
         assert run_cli(capsys, *argv) == (0, "PASS pairs=9\n", "")
         assert [p.read_bytes() for p in files] == written
 
-    @pytest.mark.parametrize("damage", ["bad-entry", "short-rows", "non-string", "big-exponent"])
+    @pytest.mark.parametrize("damage", TABLE_MISFITS)
     def test_misfit_rows_are_recomputed(self, capsys, tmp_path, monkeypatch, damage):
-        """A cache document with a valid checksum whose rows do not make a
-        table of the model is a miss: an entry that does not parse, rows one
-        entry short, an entry that is not a string, or, on the full torus,
-        an exponent past EXPONENT_LIMIT (an ExponentRangeError, which is an
-        OverflowError, not a ValueError).  The product is recomputed and
-        the files rewritten."""
-        from qkcomin import cache as diskcache
+        """A table document with a valid checksum whose payload does not
+        make a table of the model is a miss (see TABLE_MISFITS); on the
+        full torus that includes an exponent past EXPONENT_LIMIT, an
+        ExponentRangeError.  Each damaged file reaches the decoder, and the
+        product is recomputed and the files rewritten byte for byte."""
         from qkcomin import cli
         from qkcomin.quantum import get_space
 
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
         argv = ("product", "--space", "gr:2,4", "--u", "1", "--v", "1")
-        if damage == "big-exponent":
+        if damage in FULL_TORUS_MISFITS:
             argv += ("--equivariant",)
         rc, fresh, _ = run_cli(capsys, *argv)
         assert rc == 0
         files = sorted(tmp_path.glob("restrict_*.json"))
         written = [p.read_bytes() for p in files]
-        for p in files:
-            doc = json.loads(p.read_text())
-            if damage == "bad-entry":
-                doc["rows"][0][0] = "t1^1"
-            elif damage == "non-string":
-                doc["rows"][0][0] = 7
-            elif damage == "big-exponent":
-                doc["rows"][0][0] = f"t1^{EXPONENT_LIMIT + 1}"
-            else:
-                doc["rows"] = [row[:-1] for row in doc["rows"]]
-            doc["sha256"] = diskcache._payload_hash(doc["rows"])
-            p.write_text(json.dumps(doc))
+        damaged = [rewrite_document(p, TABLE_MISFITS[damage]) for p in files]
+        decoded = spy_on_decode(monkeypatch)
         assert run_cli(capsys, *argv) == (0, fresh, "")
+        assert all(doc["monomials"] in decoded["monomials"] for doc in damaged)
+        assert all(doc["scalars"] in decoded["scalars"] for doc in damaged)
         assert [p.read_bytes() for p in files] == written
 
 
-# misfits of the first entry of the projected file of Gr(2,4), z mode
-# unless named in FULL_TORUS_MISFITS, [[1, 3], 0, 1, [[0, "1"]]]:
+def rewrite_document(path, damage) -> dict:
+    """Apply ``damage`` to the payload of the cache document at ``path``
+    and write it back under a valid checksum; returns the damaged payload."""
+    header, doc = map(json.loads, path.read_bytes().split(b"\n", 1))
+    damage(doc)
+    body = json.dumps(doc).encode()
+    header["sha256"] = hashlib.sha256(body).hexdigest()
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    return doc
+
+
+def spy_on_decode(monkeypatch) -> dict:
+    """Record the monomials and the scalars that reach ``cache._decode``."""
+    from qkcomin import cache as diskcache
+
+    seen: dict = {"monomials": [], "scalars": []}
+    decode = diskcache._decode
+
+    def spy(monomials, scalars, nvars):
+        seen["monomials"].append(monomials)
+        seen["scalars"].append(scalars)
+        return decode(monomials, scalars, nvars)
+
+    monkeypatch.setattr(diskcache, "_decode", spy)
+    return seen
+
+
+# misfits of the projected file of Gr(2,4), z mode unless named in
+# FULL_TORUS_MISFITS, each a path into the payload and the value put there.
+# Its first entry is [[1, 3], 0, 1, [0, 0]], and its scalar 0 is 1:
 # Y_1 = Fl(1,3;4) and X have 12 and 6 points
 PROJECTED_MISFITS = {
-    "unknown-dims": (0, [2, 3]),  # no Y_d of Gr(2,4)
-    "a-above-b": (slice(1, 3), [1, 0]),
-    "a-outside-y": (1, -1),
-    "b-outside-y": (2, 12),
-    "w-outside-x": (3, [[6, "1"]]),
-    "bad-n": (3, [[0, "t1^1"]]),
-    "zero-n": (3, [[0, "0"]]),
-    "repeated-w": (3, [[0, "1"], [0, "1"]]),
-    "non-string-n": (3, [[0, 7]]),
-    "big-exponent": (3, [[0, f"t1^{EXPONENT_LIMIT + 1}"]]),  # an ExponentRangeError
+    "unknown-dims": (("classes", 0, 0), [2, 3]),  # no Y_d of Gr(2,4)
+    "a-above-b": (("classes", 0, slice(1, 3)), [1, 0]),
+    "a-outside-y": (("classes", 0, 1), -1),
+    "b-outside-y": (("classes", 0, 2), 12),
+    "w-outside-x": (("classes", 0, 3), [6, 0]),
+    "bad-n": (("classes", 0, 3), [0, 10**6]),  # an index of no scalar
+    "zero-n": (("scalars", 0), []),
+    "repeated-w": (("classes", 0, 3), [0, 0, 0, 0]),
+    "non-integer-n": (("classes", 0, 3), [0, "0"]),
+    "odd-length-n": (("classes", 0, 3), [0, 0, 1]),
+    "big-exponent": (("monomials", 0, 0), EXPONENT_LIMIT + 1),  # an ExponentRangeError
 }
-# z-mode scalars have one variable, whose exponents have no limit
-FULL_TORUS_MISFITS = {"big-exponent"}
+
+
+def put(doc, path: tuple, value) -> None:
+    """Set the item at ``path``, a tuple of keys and indices, of ``doc``."""
+    *keys, last = path
+    for k in keys:
+        doc = doc[k]
+    doc[last] = value
 
 
 @pytest.mark.parametrize("damage", ["bad-checksum", "truncated", *PROJECTED_MISFITS])
 def test_damaged_projected_file_is_recomputed(capsys, tmp_path, monkeypatch, damage):
     """A projected-class file with a bad checksum, truncated JSON, or
     entries that do not fit the space under a valid checksum is a miss:
-    verify expands every class again and rewrites the file byte for byte."""
-    from qkcomin import cache as diskcache
+    verify expands every class again and rewrites the file byte for byte.
+    Each misfit reaches the decoder."""
     from qkcomin import cli
     from qkcomin.quantum import get_space
 
@@ -879,18 +926,19 @@ def test_damaged_projected_file_is_recomputed(capsys, tmp_path, monkeypatch, dam
     assert run_cli(capsys, *argv) == (0, "PASS pairs=36\n", "")
     (path,) = tmp_path.glob("projected_*.json")
     written = path.read_bytes()
-    doc = json.loads(written)
-    assert doc["classes"][0] == [[1, 3], 0, 1, [[0, "1"]]]
+    header, body = written.split(b"\n", 1)
+    doc = json.loads(body)
+    assert doc["classes"][0] == [[1, 3], 0, 1, [0, 0]]
+    assert doc["monomials"][doc["scalars"][0][0]] == [0] * len(doc["monomials"][0])
+    assert doc["scalars"][0][1] == 1
+    decoded = spy_on_decode(monkeypatch)
     if damage == "truncated":
         path.write_bytes(written[: len(written) // 2])
     elif damage == "bad-checksum":
-        doc["sha256"] = "0" * 64
-        path.write_text(json.dumps(doc))
+        bad = {**json.loads(header), "sha256": "0" * 64}
+        path.write_bytes(json.dumps(bad).encode() + b"\n" + body)
     else:
-        where, value = PROJECTED_MISFITS[damage]
-        doc["classes"][0][where] = value
-        doc["sha256"] = diskcache._payload_hash(doc["classes"])
-        path.write_text(json.dumps(doc))
+        damaged = rewrite_document(path, lambda doc: put(doc, *PROJECTED_MISFITS[damage]))
     expanded = []
     expand_product = KModel.expand_product
     monkeypatch.setattr(
@@ -898,7 +946,33 @@ def test_damaged_projected_file_is_recomputed(capsys, tmp_path, monkeypatch, dam
     )
     assert run_cli(capsys, *argv) == (0, "PASS pairs=36\n", "")
     assert expanded
+    if damage in PROJECTED_MISFITS:
+        assert damaged["scalars"] in decoded["scalars"]
     assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("space,flags", [("gr:2,4", ("--equivariant",)), ("gr:2,5", ())])
+def test_warm_runs_parse_no_grammar(capsys, tmp_path, monkeypatch, space, flags):
+    """The cache files hold integers, so a warm verify or table (either
+    v basis) never calls LaurentElement.parse and prints the cold bytes."""
+    from qkcomin import cli
+    from qkcomin.laurent import LaurentElement
+    from qkcomin.quantum import get_space
+
+    def refuse(*args):
+        raise AssertionError("LaurentElement.parse called")
+
+    monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+    commands = [
+        ("verify", "--space", space, *flags),
+        ("table", "--space", space, "--v-basis", "plain", *flags),
+        ("table", "--space", space, "--v-basis", "opposite", *flags),
+    ]
+    cold = [run_cli(capsys, *argv) for argv in commands]
+    assert [rc for rc, _out, _err in cold] == [0, 0, 0]
+    monkeypatch.setattr(LaurentElement, "parse", refuse)
+    assert [run_cli(capsys, *argv) for argv in commands] == cold
 
 
 def test_cache_stats_and_clear_count_projected_files(capsys, tmp_path, monkeypatch):
@@ -926,17 +1000,33 @@ def child_env(cache_dir):
     The child gets a private cache, no inherited ``QK_*`` overrides, and an
     absolute ``PYTHONPATH`` to the package under test, so it imports the same
     ``qkcomin`` whether or not the package is installed and whatever the
-    working directory.
+    working directory.  It writes no ``__pycache__`` into the source tree.
     """
     package_root = Path(qkcomin.__file__).resolve().parents[1]
     return {
         "QK_CACHE_DIR": str(cache_dir),
         "PATH": "/usr/bin:/bin",
         "PYTHONPATH": str(package_root),
+        "PYTHONDONTWRITEBYTECODE": "1",
     }
 
 
 class TestSubprocessEntryPoints:
+    def test_cli_import_loads_no_dataclasses_or_inspect(self, tmp_path):
+        """Start-up cost: importing the CLI loads none of these modules."""
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import qkcomin.cli\n"
+            "added = set(sys.modules) - before\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & added))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(tmp_path)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "qkcomin", "dist", "--space", "gr:1,2",
@@ -1023,19 +1113,20 @@ def test_docstring_cli_literals_name_real_flags():
 def test_readme_names_every_memo_of_space():
     # the README's list of the state a Space owns cannot go stale: its
     # backticked names, other than classes, functions and properties, are
-    # exactly the fields a Space fills itself
+    # exactly the attributes a fresh Space fills itself, beyond its arguments
     from qkcomin import quantum
     from qkcomin.quantum import Space
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     (paragraph,) = (p for p in readme.split("\n\n") if "Each `Space` owns all state" in p)
-    fields = dataclasses.fields(Space)
+    attributes = set(vars(Space(2, 4)))
     named = {
         name for name in re.findall(r"`(\w+)`", paragraph)
-        if not hasattr(quantum, name)
-        and (name in {f.name for f in fields} or not hasattr(Space, name))
+        if not hasattr(quantum, name) and (name in attributes or not hasattr(Space, name))
     }
-    assert named == {f.name for f in fields if not f.init}
+    memos = attributes - set(inspect.signature(Space).parameters)
+    assert memos == {"models", "diagrams", "projected", "products"}
+    assert named == memos
 
 
 def test_readme_names_every_export():

@@ -539,6 +539,11 @@ class TestProjections:
             assert pushforward(values, src, dst, PLAIN) == pushforward(values, src, dst, OPPOSITE)
 
 
+# a table document in two variables: monomials 1 and t1*t2^-1, scalars
+# 1, 0 and 1 - t1*t2^-1, and the rows [[1, 0], [1 - t1*t2^-1, 1]]
+PROBE = [[[0, 0], [1, -1]], [[0, 1], [], [0, 1, 1, -1]], [[0, 1], [2, 0]]]
+
+
 class TestDiskCache:
     def test_rows_roundtrip_and_corruption_detected(self, tmp_path, monkeypatch):
         import json
@@ -547,13 +552,13 @@ class TestDiskCache:
 
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
         key = "probe"
-        rows = [["1", "0"], ["1 - t1*t2^-1", "1"]]
-        diskcache.store_rows(key, rows)
-        assert diskcache.load_rows(key) == rows
+        diskcache.store_rows(key, PROBE)
+        assert diskcache.load_rows(key) == PROBE
         (path,) = tmp_path.glob("restrict_*.json")
-        doc = json.loads(path.read_text())
-        doc["rows"][0][0] = "7"
-        path.write_text(json.dumps(doc))
+        header, body = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(body)
+        doc["scalars"][0] = [0, 7]
+        path.write_bytes(header + b"\n" + json.dumps(doc).encode())
         assert diskcache.load_rows(key) is None
         assert diskcache.stats()["files"] == 1
         assert diskcache.clear() == 1
@@ -563,18 +568,25 @@ class TestDiskCache:
         from qkcomin import cache as diskcache
 
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
-        diskcache.store_rows("probe", [["1"]])
+        diskcache.store_rows("probe", PROBE)
         (path,) = tmp_path.glob("restrict_*.json")
         path.write_text(text)
         assert diskcache.load_rows("probe") is None
 
-    @pytest.mark.parametrize("rows", [[[7]], [["1", None]], ["1"], [[["1"]]]])
-    def test_rows_not_of_strings_are_a_miss(self, tmp_path, monkeypatch, rows):
+    @pytest.mark.parametrize(
+        "rows",
+        [[[7]], [[0, None], [0, 0]], [0], [[[0]]], [[True]], [["0"]], [[-1]], [[0.0]]],
+    )
+    def test_rows_not_of_indices_are_a_miss(self, tmp_path, monkeypatch, rows):
+        """Under a valid checksum, rows whose entries are not indices of the
+        document's scalars load (a hit of load_rows) but make no table."""
         from qkcomin import cache as diskcache
 
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
-        diskcache.store_rows("probe", rows)  # a valid checksum over the wrong shape
-        assert diskcache.load_rows("probe") is None
+        monomials, scalars, _rows = PROBE
+        diskcache.store_rows("probe", [monomials, scalars, rows])
+        assert diskcache.load_rows("probe") == [monomials, scalars, rows]
+        assert diskcache.load_table("probe", len(rows), 2) is None
 
     def test_failed_store_leaves_no_temp_file(self, tmp_path, monkeypatch):
         from qkcomin import cache as diskcache
@@ -584,7 +596,7 @@ class TestDiskCache:
 
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(diskcache.os, "replace", refuse)
-        diskcache.store_rows("probe", [["1"]])
+        diskcache.store_rows("probe", PROBE)
         assert list(tmp_path.iterdir()) == []
         assert diskcache.load_rows("probe") is None
 
@@ -599,10 +611,10 @@ class TestDiskCache:
             # a writer that dies between mkstemp and os.replace cleans nothing up
             mp.setattr(diskcache.os, "replace", refuse)
             mp.setattr(diskcache.os, "unlink", lambda path: None)
-            diskcache.store_rows("stale", [["1"]])
+            diskcache.store_rows("stale", PROBE)
         (stale,) = tmp_path.iterdir()
         assert stale.match("restrict_*.tmp")
-        diskcache.store_rows("probe", [["1"]])
+        diskcache.store_rows("probe", PROBE)
         assert diskcache.stats()["files"] == 1
         assert diskcache.clear() == 2
         assert list(tmp_path.iterdir()) == []
@@ -627,21 +639,25 @@ class TestDiskCache:
         assert diskcache.load_classes("probe", {}, 6, 1) is None  # no such Y_d
         assert diskcache.load_rows("probe") is None  # a table key is another file
         (path,) = tmp_path.glob("projected_*.json")
-        assert '"classes":[[[1,3],0,0,[]],[[1,3],0,2,[[0,"1 - t1"],[1,"t1"]]]]' in path.read_text()
+        # 1 - t1 and t1 on the monomials 1 and t1; entries by (dims, a, b)
+        assert path.read_text().split("\n")[1] == (
+            '{"monomials":[[0],[1]],"scalars":[[0,1,1,-1],[1,1]],'
+            '"classes":[[[1,3],0,0,[]],[[1,3],0,2,[0,0,1,1]]]}'
+        )
         with monkeypatch.context() as mp:
             mp.setattr(diskcache.os, "replace", refuse)
             mp.setattr(diskcache.os, "unlink", lambda path: None)
             diskcache.store_classes("stale", classes)
         assert len(list(tmp_path.glob("projected_*.tmp"))) == 1
-        diskcache.store_rows("probe", [["1"]])
+        diskcache.store_rows("probe", PROBE)
         assert diskcache.stats()["files"] == 2
         assert diskcache.clear() == 3
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("m,n,equivariant", [(2, 4, True), (2, 5, False)], ids=["t", "z"])
     def test_warm_tables_share_equal_entries(self, tmp_path, monkeypatch, m, n, equivariant):
-        """A warm load parses each distinct string of a file once, so equal
-        entries are one object.  Sharing is safe: after basis changes both
+        """A file lists each distinct scalar once, so equal entries of a
+        warm table are one object.  Sharing is safe: after basis changes both
         ways and a full verify, every entry still equals a fresh build."""
         from qkcomin.quantum import Space, verify_space
 
@@ -701,18 +717,40 @@ class TestDiskCache:
 
     def test_load_table_rejects_rows_that_do_not_fit(self, tmp_path, monkeypatch):
         """load_table is a miss unless the file holds npoints rows of
-        npoints strings that parse in nvars variables."""
+        npoints indices of scalars in nvars variables."""
         from qkcomin import cache as diskcache
 
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
-        diskcache.store_rows("probe", [["1", "0"], ["1 - t1*t2^-1", "1"]])
+        diskcache.store_rows("probe", PROBE)
         table = diskcache.load_table("probe", 2, 2)
         assert [[str(v) for v in row] for row in table] == [["1", "0"], ["1 - t1*t2^-1", "1"]]
-        assert table[0][0] is table[1][1]  # equal strings share one element
+        assert table[0][0] is table[1][1]  # one scalar, one shared element
         assert diskcache.load_table("probe", 3, 2) is None  # too few rows
-        assert diskcache.load_table("probe", 2, 1) is None  # t2 is not a letter
-        diskcache.store_rows("probe", [["1", "0"], ["1"]])
+        assert diskcache.load_table("probe", 2, 1) is None  # vectors of width 2
+        monomials, scalars, _rows = PROBE
+        diskcache.store_rows("probe", [monomials, scalars, [[0, 1], [0]]])
         assert diskcache.load_table("probe", 2, 2) is None  # a short row
+
+    @pytest.mark.parametrize("nvars", [1, 3])
+    def test_decode_reads_back_encode(self, nvars):
+        """_decode reads back what _encode writes, each element with the
+        exact bound of its exponents (a product's bound may be larger), and
+        equal values share one scalar."""
+        from qkcomin import cache as diskcache
+
+        a = LaurentElement.monomial(nvars, (3,) + (-2,) * (nvars - 1))
+        b = LaurentElement.monomial(nvars, (-1,) * nvars)
+        f = 1 - 5 * a
+        one = a * LaurentElement.monomial(nvars, (-3,) + (2,) * (nvars - 1))
+        values = [f, 2 * b, LaurentElement.zero(nvars), f * 1, one]
+        assert one == 1 and one._bound == 6
+        monomials, scalars, index = diskcache._encode(values)
+        assert len(scalars) == 4 and index[id(values[0])] == index[id(values[3])]
+        elements = diskcache._decode(monomials, scalars, nvars)
+        got = [elements[index[id(v)]] for v in values]
+        assert got == values
+        assert [g._bound for g in got] == [3, 1, 0, 3, 0]
+        assert diskcache._decode(monomials, scalars, nvars + 1) is None  # width
 
     def test_model_roundtrips_through_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))

@@ -270,7 +270,11 @@ class TestDivisionByProducts:
         package_root = Path(qkcomin.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+            env={
+                "PATH": "/usr/bin:/bin",
+                "PYTHONPATH": str(package_root),
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
         )
         assert proc.returncode == 0, proc.stderr
 
