@@ -117,7 +117,7 @@ def _store_doc(prefix: str, fmt: str, key: str, field: str, payload: list) -> No
         return  # caching is best-effort
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(header.encode() + b"\n" + body)
+            fh.writelines((header.encode(), b"\n", body))
         os.replace(tmp, path)
     except BaseException as exc:
         # never leave the partial temp file behind; only OSError is absorbed

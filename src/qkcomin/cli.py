@@ -27,6 +27,7 @@ from qkcomin.quantum import (
     dist,
     get_space,
     load_projected,
+    point_degree,
     projected_tasks,
     store_projected,
     structure_table,
@@ -122,7 +123,7 @@ def _worker_expand(tasks):
     """The projected classes of ``tasks`` (see :func:`projected_tasks`),
     expanded in a pool worker."""
     space = get_space(*_WORKER_ARGS)
-    return [_gw_coeffs(space, d, ui, vi) for _key, d, ui, vi in tasks]
+    return [_gw_coeffs(space, d, key) for key, d in tasks]
 
 
 def _internal_error(exc) -> int:
@@ -166,11 +167,11 @@ def cmd_table(args) -> int:
     # rows share most projected classes, so the pool expands each in one
     # worker; sorted by degree, every share gets its part of each Y_d
     tasks = sorted(projected_tasks(space), key=lambda task: task[1]) if args.jobs > 1 else []
-    k = min(args.jobs, len(parts), len(tasks))
+    k = min(args.jobs, len(tasks))
     if k > 1:
         # load the opposite table of X = Y_0 and of each Y_d that is not a
         # point in the parent, so the forked workers share them
-        for d in range(max(space.m, space.n - space.m)):
+        for d in range(point_degree(space)):
             space.diagram(d).y.table(OPPOSITE)
         from concurrent.futures import ProcessPoolExecutor
 
@@ -181,7 +182,7 @@ def cmd_table(args) -> int:
         ) as pool:
             shares = [tasks[i::k] for i in range(k)]
             for share, classes in zip(shares, pool.map(_worker_expand, shares)):
-                for (key, *_), exp in zip(share, classes):
+                for (key, _d), exp in zip(share, classes):
                     space.projected[key] = exp
     text = "".join(_pair_line(space, u, v, args.v_basis) + "\n" for u in parts for v in parts)
     store_projected(space, known)

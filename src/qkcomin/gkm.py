@@ -21,11 +21,15 @@ Classes are expanded in the opposite Schubert basis by triangular
 elimination (:meth:`KModel.expand_values`); the change of basis holds the
 expansions of the plain classes (:meth:`KModel.basis_change`).  With the
 full torus the residuals are Laurent polynomials.  With one parameter
-they are dense polynomials with small coefficients, held Kronecker-packed:
-z^lo * F(z), F a polynomial, is the pair (lo, F(B)) with B = 2**W,
-W = PACK_BITS at first.  An update acc -= c * row[p] is one shift, one
-integer product and one subtraction, and dividing by the diagonal entry
-z^d * D(z) is one integer divmod by D(B).
+they are dense polynomials with small coefficients, held Kronecker-packed
+at one exponent origin o per elimination: z^o * F(z), F a polynomial, is
+F(B) with B = 2**W, W = PACK_BITS at first; o is 0 for a product of two
+opposite classes and the lowest input exponent otherwise.  Every opposite
+entry is a polynomial, and every diagonal entry a product of factors
+1 - z^k, k > 0 (:meth:`KModel._subword_rows`), so the table packs at
+origin 0, an update acc -= c * row[p] is one integer product and one
+subtraction, and the quotient by a diagonal D, one integer divmod by
+D(B), is the coefficient at origin o.
 
 * F -> F(B) is a ring map Z[z] -> Z and Python integers never wrap.  For
   a class in the span, every packed value is thus, at any W, the value at
@@ -41,10 +45,10 @@ z^d * D(z) is one integer divmod by D(B).
 * Otherwise the elimination reruns at width 2W.  The opposite table is
   packed on its first expansion, once per model and width.
 * The product of two opposite classes (:meth:`KModel.expand_product`) is
-  taken packed, point by point: for z^lo_a * F_a and z^lo_b * F_b the lows
-  add, the values multiply, F_a(B) * F_b(B) = (F_a * F_b)(B), and the L1
-  bounds multiply, ||F_a * F_b||_1 <= ||F_a||_1 * ||F_b||_1.  So the
-  elimination starts from packed columns and the two points above hold.
+  taken packed, point by point, at origin 0: the values multiply,
+  F_a(B) * F_b(B) = (F_a * F_b)(B), and the L1 bounds multiply,
+  ||F_a * F_b||_1 <= ||F_a||_1 * ||F_b||_1.  So the elimination starts from
+  packed columns and the two points above hold.
 """
 
 from __future__ import annotations
@@ -316,9 +320,10 @@ class KModel:
         reaches half the digit base.
         """
         if self.chars.nvars == 1:
-            return self._expand_packed(
-                lambda bits, _entries: zip(*(kronecker_pack(v, bits) for v in values))
-            )
+            origin = min((e for v in values for e in v.terms), default=0)
+            return self._expand_packed(origin, lambda bits, _entries: zip(
+                *(kronecker_pack(v, bits, origin)[1:] for v in values)
+            ))
         residual = [v.copy() for v in values]  # updated in place
         table = self.table(OPPOSITE)
         coeffs: dict = {}
@@ -344,90 +349,80 @@ class KModel:
         indices a and b.
 
         In one variable the product is taken on the packed table: at each
-        point where both rows are nonzero the lows add, the values multiply
-        and the L1 bounds multiply (module docstring), and the elimination
-        starts from those columns.
+        point where both rows are nonzero the values multiply and the L1
+        bounds multiply (module docstring), and the elimination starts from
+        those columns at origin 0.
         """
         if self.chars.nvars != 1:
             opp = self.table(OPPOSITE)
             return self.expand_values(self.multiply_values(opp[a], opp[b]))
 
         def columns(_bits, entries):
-            lo, acc, bound = [0] * self.npoints, [0] * self.npoints, [0] * self.npoints
+            acc, bound = [0] * self.npoints, [0] * self.npoints
             ea, eb = entries[a], entries[b]
             if len(ea) > len(eb):
                 ea, eb = eb, ea
-            for p, (alo, aval, al1) in ea.items():
+            for p, (aval, al1) in ea.items():
                 hit = eb.get(p)
                 if hit is not None:
-                    lo[p], acc[p], bound[p] = alo + hit[0], aval * hit[1], al1 * hit[2]
-            return lo, acc, bound
+                    acc[p], bound[p] = aval * hit[0], al1 * hit[1]
+            return acc, bound
 
-        return self._expand_packed(columns)
+        return self._expand_packed(0, columns)
 
-    def _expand_packed(self, columns) -> dict:
-        """The packed elimination of the columns (lo, acc, bound) that
-        ``columns(bits, entries)`` gives at each width, doubled until the
-        bounds prove the coefficients exact."""
+    def _expand_packed(self, origin: int, columns) -> dict:
+        """The packed elimination, at exponent origin ``origin``, of the
+        columns (acc, bound) that ``columns(bits, entries)`` gives at each
+        width, doubled until the bounds prove the coefficients exact.
+
+        ``entries[w]`` maps each point p of a nonzero entry (w, p) of the
+        opposite table to its value and L1 norm (P, l1) at origin 0,
+        packed on the first expansion at each width and kept.
+        """
         bits = PACK_BITS if self._packed is None else self._packed[0]
         while True:
-            entries = self._packed_table(bits)
-            coeffs = self._eliminate_packed(columns(bits, entries), bits, entries)
+            if self._packed is None or self._packed[0] != bits:
+                self._packed = (bits, [
+                    {p: kronecker_pack(v, bits, 0)[1:] for p, v in enumerate(row) if v}
+                    for row in self.table(OPPOSITE)
+                ])
+            entries = self._packed[1]
+            coeffs = self._eliminate_packed(columns(bits, entries), origin, bits, entries)
             if coeffs is not None:
                 return coeffs
             bits *= 2
 
-    def _packed_table(self, bits: int) -> list:
-        """The opposite table packed at ``bits``-bit digits: ``entries[w]``
-        maps each point p of a nonzero entry (w, p) to its packed
-        (lo, P, l1).  Converted on the first expansion at this width and
-        kept.
-        """
-        if self._packed is None or self._packed[0] != bits:
-            self._packed = (bits, [
-                {p: kronecker_pack(v, bits) for p, v in enumerate(row) if v}
-                for row in self.table(OPPOSITE)
-            ])
-        return self._packed[1]
-
     @staticmethod
-    def _eliminate_packed(columns, bits, entries) -> dict | None:
+    def _eliminate_packed(columns, origin, bits, entries) -> dict | None:
         """The elimination of :meth:`expand_values` on packed residuals.
 
-        Residual p is z^lo[p] * F_p(z), held as lo[p] and acc[p] = F_p(B)
-        with B = 2**bits, and bound[p] >= ||F_p||_1; ``columns`` gives the
-        three lists, which are updated in place.  A nonzero remainder or
-        final residual raises at any width.  The coefficients read are
-        exact when every bound stayed below B/2 (module docstring);
-        otherwise this returns None, to be rerun wider.
+        Residual p is z^origin * F_p(z), held as acc[p] = F_p(B) with
+        B = 2**bits, and bound[p] >= ||F_p||_1; ``columns`` gives the two
+        lists, which are updated in place.  A nonzero remainder or final
+        residual raises at any width.  The coefficients read are exact
+        when every bound stayed below B/2 (module docstring); otherwise
+        this returns None, to be rerun wider.
         """
         half = 1 << (bits - 1)
-        lo, acc, bound = map(list, columns)
+        acc, bound = map(list, columns)
         coeffs: dict = {}
         peak = 0  # largest |coefficient| bound of a quotient times its divisor
         for widx in range(len(acc)):
             packed = acc[widx]
             if not packed:
                 continue
-            dlo, dpacked, dl1 = entries[widx][widx]
+            dpacked, dl1 = entries[widx][widx]
             q, r = divmod(packed, dpacked)
             if r:
                 raise NotInSpanError("not in the scalar span of Schubert classes")
-            clo = lo[widx] - dlo
-            c, cmax, cl1 = kronecker_unpack(clo, q, bits)
+            c, cmax, cl1 = kronecker_unpack(origin, q, bits)
             peak = max(peak, cmax * dl1)
             coeffs[widx] = c
             acc[widx] = 0  # F - c * diagonal
-            for p, (rlo, rpacked, rl1) in entries[widx].items():
-                if p == widx:
-                    continue
-                shift = clo + rlo - lo[p]
-                if shift >= 0:
-                    acc[p] -= (q * rpacked) << (bits * shift)
-                else:
-                    acc[p] = (acc[p] << (-bits * shift)) - q * rpacked
-                    lo[p] = clo + rlo
-                bound[p] += cl1 * rl1
+            for p, (rpacked, rl1) in entries[widx].items():
+                if p != widx:
+                    acc[p] -= q * rpacked
+                    bound[p] += cl1 * rl1
         if any(acc):
             raise NotInSpanError("not in the scalar span of Schubert classes")
         if max(peak, *bound) >= half:

@@ -531,20 +531,19 @@ def subtract_product_into(acc: LaurentElement, a: LaurentElement, b: LaurentElem
         acc._bound = bound
 
 
-def kronecker_pack(f: LaurentElement, bits: int) -> tuple:
+def kronecker_pack(f: LaurentElement, bits: int, lo: int | None = None) -> tuple:
     """(lo, P, l1) of a one-variable element f = z^lo * F(z).
 
-    F is a polynomial with F(0) != 0, P = F(2**bits) is its Kronecker
-    substitution and l1 the sum of |coefficients|.  The zero element is
-    (0, 0, 0).  Evaluating at 2**bits is a ring map, so sums and products
-    of packed values are exact at any width; :func:`kronecker_unpack`
-    reads the coefficients back when they are known to lie below
-    2**(bits - 1) in size.
+    F is a polynomial, P = F(2**bits) is its Kronecker substitution and l1
+    the sum of |coefficients|.  lo is the lowest exponent of f (0 for zero)
+    unless given, and a given lo must not exceed it.  Evaluating at 2**bits
+    is a ring map, so sums and products of packed values are exact at any
+    width; :func:`kronecker_unpack` reads the coefficients back when they
+    are known to lie below 2**(bits - 1) in size.
     """
     terms = f.terms
-    if not terms:
-        return 0, 0, 0
-    lo = min(terms)
+    if lo is None:
+        lo = min(terms, default=0)
     packed = sum(c << (bits * (e - lo)) for e, c in terms.items())
     return lo, packed, sum(map(abs, terms.values()))
 

@@ -29,8 +29,8 @@ one product a space keeps (``Space.products``).  A product with a plain
 opposite-basis expansion of the plain class on X
 (:meth:`KModel.basis_change`), the one place the plain basis appears.
 Such sums of scaled products are built in one accumulator (:func:`_combine`).
-In z mode it sums Kronecker-packed coefficients, as the elimination of
-:mod:`qkcomin.gkm` holds its residuals, each with a bound on its L1 norm:
+In z mode it sums Kronecker-packed coefficients, each with its own low
+exponent and a bound on its L1 norm (the packing of :mod:`qkcomin.gkm`):
 it starts at ``gkm.PACK_BITS`` bits per digit, reruns at twice the width
 while a bound reaches half the base, and unpacks each coefficient once.
 
@@ -175,6 +175,11 @@ def diameter(space: Space) -> int:
     return min(space.m, space.n - space.m)
 
 
+def point_degree(space: Space) -> int:
+    """Smallest d with Y_d a point: its kernel is 0 and its span is C^n."""
+    return max(space.m, space.n - space.m)
+
+
 def kernel_span_shapes(space: Space, d: int) -> tuple:
     """The auxiliary shapes (Y_d, T_d) parametrizing degree-d curves."""
     if d < 0:
@@ -253,21 +258,19 @@ def dist(space: Space, u: tuple, v: tuple) -> int:
 # -- projected classes and the degree series -------------------------------------
 
 
-def _gw_coeffs(space: Space, d: int, ui: int, vi: int) -> dict:
-    """Opposite-basis coefficients on X of the degree-d projected class.
+def _gw_coeffs(space: Space, d: int, key: tuple) -> dict:
+    """Opposite-basis coefficients on X of the degree-d projected class of
+    ``key``, (Y_d shape, a, b) as :func:`_series_degrees` gives it.
 
-    The opposite classes of X indices ui and vi, moved to Y_d, are
-    multiplied there and the product is expanded on Y_d in the opposite
-    basis; each basis class of the expansion is moved back to X.
+    The opposite classes of Y_d indices a and b are multiplied there and
+    the product is expanded on Y_d in the opposite basis; each basis class
+    of the expansion is moved back to X.
     """
-    dg = space.diagram(d)
-    my = dg.y
-    a, b = sorted((dg.to_y[ui], dg.to_y[vi]))
-    key = (my.shape, a, b)
     out = space.projected.get(key)
     if out is None:
-        out = _move(my.expand_product(a, b), dg.from_y)
-        space.projected[key] = out
+        dg = space.diagram(d)
+        _shape, a, b = key
+        out = space.projected[key] = _move(dg.y.expand_product(a, b), dg.from_y)
     return out
 
 
@@ -288,7 +291,7 @@ def _series_degrees(space: Space, ui: int, vi: int):
             return
         yield d, (dg.y.shape, a, b)
         d += 1
-        if d > max(space.m, space.n - space.m) + 1:
+        if d > point_degree(space) + 1:
             raise AssertionError("series did not stabilize")
 
 
@@ -301,7 +304,7 @@ def gw_series(space: Space, u: tuple, v: tuple) -> tuple:
     """
     ui, vi = space.index_of(u), space.index_of(v)
     unit = {0: space.model.one()}
-    heads = [_gw_coeffs(space, d, ui, vi) for d, _key in _series_degrees(space, ui, vi)]
+    heads = [_gw_coeffs(space, d, key) for d, key in _series_degrees(space, ui, vi)]
     while heads and heads[-1] == unit:
         heads.pop()
     return tuple(heads)
@@ -309,16 +312,16 @@ def gw_series(space: Space, u: tuple, v: tuple) -> tuple:
 
 def projected_tasks(space: Space) -> list:
     """Every projected class the products of the space read and
-    ``space.projected`` lacks, once per key, as (key, d, ui, vi): the class
-    of degree d of the X indices ui and vi, over all unordered pairs."""
+    ``space.projected`` lacks, once per key, as (key, d): the class of
+    degree d of :func:`_gw_coeffs`, over all unordered pairs of X indices."""
     tasks: dict = {}
     npoints = len(space.partitions)
     for ui in range(npoints):
         for vi in range(ui, npoints):
             for d, key in _series_degrees(space, ui, vi):
-                if key not in space.projected and key not in tasks:
-                    tasks[key] = (key, d, ui, vi)
-    return list(tasks.values())
+                if key not in space.projected:
+                    tasks.setdefault(key, d)
+    return list(tasks.items())
 
 
 # -- projected classes on disk ------------------------------------------------------
@@ -335,7 +338,7 @@ def load_projected(space: Space) -> int:
     if not space.use_cache:
         return 0
     ys = {}  # the dims of each Y_d -> (its shape, its number of points)
-    for d in range(max(space.m, space.n - space.m) + 2):
+    for d in range(point_degree(space) + 2):
         y = kernel_span_shapes(space, d)[0]
         ys[y.dims] = (y, space.submodel(y).npoints)
     classes = diskcache.load_classes(
@@ -415,10 +418,10 @@ def _add_scaled(total: dict, scale: LaurentElement, coeffs: dict, shift: int, bi
     coefficient and every bucket are packed (lo, value, l1) at ``bits``-bit
     digits, and so is ``scale``, here: a product adds the lows and
     multiplies the values and the bounds, and a sum shifts the value of the
-    higher low up to the lower one, as the packed elimination aligns its
-    residuals, and adds the bounds.  The buckets are exact only while every
-    bound stays below half the digit base; :func:`_combine` reruns the sum
-    wider until they are.
+    higher low up to the lower one and adds the bounds: unlike the
+    elimination's residuals, each bucket keeps its own low.  The buckets
+    are exact only while every bound stays below half the digit base;
+    :func:`_combine` reruns the sum wider until they are.
     """
     if bits:
         slo, sval, sl1 = kronecker_pack(scale, bits)

@@ -316,11 +316,12 @@ def projected_class(space: Space, u: tuple, v: tuple, d: int) -> tuple:
     opposite-basis expansion of O_v, of the classes the engine builds for
     two opposite classes.
     """
-    xm = space.model
+    xm, dg = space.model, space.diagram(d)
     ui = space.index_of(u)
     out = xm.zero_values()
     for x, beta in xm.basis_change()[space.index_of(v)].items():
-        values = xm.recombine(_gw_coeffs(space, d, ui, x), OPPOSITE)
+        key = (dg.y.shape, *sorted((dg.to_y[ui], dg.to_y[x])))
+        values = xm.recombine(_gw_coeffs(space, d, key), OPPOSITE)
         out = tuple(acc + beta * c for acc, c in zip(out, values))
     return out
 

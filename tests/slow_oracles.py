@@ -10,6 +10,7 @@ the engine's tables: it imports only :mod:`qkcomin.laurent` and
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from qkcomin.laurent import LaurentElement
@@ -117,12 +118,57 @@ def _star_shape_boxes(lam: tuple, mu: tuple) -> list:
 
 @lru_cache(maxsize=None)
 def _subsets_cache(m: int) -> tuple:
-    import itertools
-
     out = []
     for r in range(1, m + 1):
         out.extend(itertools.combinations(range(1, m + 1), r))
     return tuple(out)
+
+
+# -- quantum K Chevalley rule ----------------------------------------------------
+
+
+def chevalley_degree_one(lam: tuple, m: int, n: int) -> dict:
+    """O^(1) * O^lam in QK(Gr(m,n)), both classes opposite, as
+    ``{(nu, d): coefficient}``: the i = 1 case of the Pieri rule of
+    Buch-Mihalcea, *Quantum K-theory of Grassmannians*, Duke Math. J. 156
+    (2011), arXiv:0810.0981, as recalled here, not copied from the paper.
+
+    With k = n - m,
+    O^(1) * O^lam = sum_mu (-1)^(|mu/lam| - 1) O^mu
+                    + q * sum_nu (-1)^|nu/hat| O^nu.
+    mu runs over the partitions in the m x k box with mu != lam and mu/lam
+    a rook strip (no two boxes in one row or column).  The q-term is there
+    only if lam contains the full hook, lam_1 = k and l(lam) = m; then
+    hat = (lam_2 - 1, ..., lam_m - 1) is lam without its first row and
+    column, and nu runs over the partitions in the (m-1) x (k-1) box with
+    nu/hat a rook strip, nu = hat included.
+    """
+    k = n - m
+    lam = tuple(lam) + (0,) * (m - len(lam))
+    out = {}
+    for mu, size in _rook_strips(lam, k):
+        if size:
+            out[mu, 0] = (-1) ** (size - 1)
+    if lam[0] == k and lam[-1] > 0:
+        for nu, size in _rook_strips(tuple(x - 1 for x in lam[1:]), k - 1):
+            out[nu, 1] = (-1) ** size
+    return out
+
+
+def _rook_strips(lam: tuple, cols: int):
+    """Each partition mu in the len(lam) x cols box with mu/lam a rook
+    strip, with |mu/lam|, for lam padded with zeros to its box.  The boxes
+    of a rook strip are addable corners of lam, each in its own row and
+    column, so the strips are the sets of those corners."""
+    corners = [
+        i for i, part in enumerate(lam) if part < cols and (i == 0 or lam[i - 1] > part)
+    ]
+    for size in range(len(corners) + 1):
+        for rows in itertools.combinations(corners, size):
+            mu = list(lam)
+            for i in rows:
+                mu[i] += 1
+            yield tuple(part for part in mu if part), size
 
 
 # -- ground truth for the projective line ---------------------------------------

@@ -24,6 +24,7 @@ from qkcomin.quantum import (
     euler_char_q,
     euler_char_total,
     get_space,
+    point_degree,
     quantum_product,
     quantum_product_opposite_v,
     star_elements,
@@ -47,6 +48,22 @@ def configured_spaces():
         yield get_space(m, n, equivariant=True)
     for m, n in NONEQUIVARIANT_SPACES:
         yield get_space(m, n, equivariant=False)
+
+
+def test_zmode_opposite_entries_are_polynomials_with_unit_diagonal():
+    """The packed elimination of qkcomin.gkm packs the opposite table at
+    exponent origin 0 and reads each quotient at its residual's origin.
+    That rests on this: on X and every Y_d of the z-mode spaces, no
+    opposite entry has a negative exponent, and every diagonal entry has
+    constant term 1."""
+    for m, n in NONEQUIVARIANT_SPACES:
+        space = get_space(m, n)
+        for d in range(point_degree(space) + 1):
+            y = space.diagram(d).y
+            table = y.table(OPPOSITE)
+            for w, row in enumerate(table):
+                assert min((e for v in row for e in v.terms), default=0) >= 0, (y.shape, w)
+                assert table[w][w].terms.get(0) == 1, (y.shape, w)
 
 
 def row_by_row(space, check):

@@ -383,9 +383,9 @@ class TestTable:
         assert rc == 2 and out == ""
         assert err == "error: --jobs must be at least 1\n"
 
-    def test_pool_size_is_bounded_by_rows(self, capsys, monkeypatch, inline_pool, private_cache):
+    def test_pool_size_is_bounded_by_tasks(self, capsys, monkeypatch, inline_pool, private_cache):
         """--jobs 1000 on the 3 rows and 7 projected classes of a fresh
-        Gr(1,3) asks for 3 workers."""
+        Gr(1,3) asks for 7 workers: the pool expands classes, not rows."""
         from qkcomin import cli
         from qkcomin.quantum import Space
 
@@ -394,7 +394,7 @@ class TestTable:
         sizes = []
         inline_pool.append(sizes.append)
         rc, pooled, _ = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", "1000")
-        assert rc == 0 and sizes == [3]
+        assert rc == 0 and sizes == [7]
         rc, serial, _ = run_cli(capsys, "table", "--space", "gr:1,3", "--jobs", "1")
         assert rc == 0 and pooled == serial
 
@@ -515,7 +515,7 @@ class TestTable:
         expand = cli._worker_expand
 
         def counted(tasks):
-            shares.append(Counter(d for _key, d, _ui, _vi in tasks))
+            shares.append(Counter(d for _key, d in tasks))
             return expand(tasks)
 
         monkeypatch.setattr(cli, "_worker_expand", counted)
@@ -949,6 +949,37 @@ def test_damaged_projected_file_is_recomputed(capsys, tmp_path, monkeypatch, dam
     if damage in PROJECTED_MISFITS:
         assert damaged["scalars"] in decoded["scalars"]
     assert path.read_bytes() == written
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_opposite_entry_below_origin_exits_4(capsys, tmp_path, monkeypatch, command):
+    """The z-mode elimination packs every opposite entry at exponent origin
+    0.  A table file whose entry (0, 1) gains a term z^-1 under a valid
+    checksum loads, packs to a negative shift, and qk exits 4 printing
+    nothing computed from it."""
+    from qkcomin import cache as diskcache
+    from qkcomin import cli
+    from qkcomin.quantum import get_space
+
+    monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+    argv = (command, "--space", "gr:2,5")
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0 and out
+    for path in tmp_path.glob("projected_*.json"):
+        path.unlink()  # so the run expands again
+    path = diskcache._path_for("shape=2;5|chars=z5|orient=opposite")  # the opposite table of X
+
+    def below_origin(doc):
+        doc["monomials"].append([-1])
+        row = doc["rows"][0]
+        doc["scalars"].append(doc["scalars"][row[1]] + [len(doc["monomials"]) - 1, 1])
+        row[1] = len(doc["scalars"]) - 1
+
+    rewrite_document(path, below_origin)
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (4, "")
+    assert err.startswith("internal error: ValueError: ")
 
 
 @pytest.mark.parametrize("space,flags", [("gr:2,4", ("--equivariant",)), ("gr:2,5", ())])

@@ -273,8 +273,8 @@ class TestExpandProduct:
         space = Space(2, 5, True, use_cache=False)
         space.model.basis_change()
         tasks = projected_tasks(space)
-        for _key, d, ui, vi in tasks:
-            _gw_coeffs(space, d, ui, vi)
+        for key, d in tasks:
+            _gw_coeffs(space, d, key)
         assert len(pivots) == space.model.npoints + len(tasks)
         assert len(calls) == sum(pivots)
 

@@ -319,6 +319,13 @@ class TestKronecker:
                 assert got == f
                 assert (largest, l1) == (size(f), sum(map(abs, f.terms.values())))
 
+    @settings(max_examples=100, deadline=None)
+    @given(z_elements, st.integers(0, 3), st.sampled_from([4, 64]))
+    def test_pack_at_a_lower_origin(self, f, below, bits):
+        """An origin k below the lowest exponent scales the value by 2**(bits * k)."""
+        lo, packed, l1 = kronecker_pack(f, bits)
+        assert kronecker_pack(f, bits, lo - below) == (lo - below, packed << (bits * below), l1)
+
     EDGES = [s * ((1 << k) + j) for s in (1, -1) for k in (63, 64, 127, 128, 191) for j in (-1, 0, 1)]
 
     @settings(max_examples=300, deadline=None)

@@ -13,11 +13,25 @@ from qkcomin.weyl import FlagShape, partitions_in_box
 from qkcomin.quantum import Space, quantum_product
 from reference import sweep_tables
 from slow_oracles import (
+    chevalley_degree_one,
     givental_p1_product,
     lr_constants_setvalued,
     stable_lr_constants,
     subword_restriction,
 )
+
+
+class TestChevalleyRule:
+    def test_point_class_of_gr24(self):
+        assert chevalley_degree_one((2, 2), 2, 4) == {((1,), 1): 1}
+
+    @pytest.mark.parametrize("m,n", [(1, 3), (2, 4), (2, 5), (3, 6)])
+    def test_classical_part_is_the_set_valued_rule(self, m, n):
+        """Two rules from the literature agree on q^0."""
+        for lam in partitions_in_box(m, n - m):
+            rule = chevalley_degree_one(lam, m, n)
+            classical = {nu: c for (nu, d), c in rule.items() if d == 0}
+            assert classical == lr_constants_setvalued((1,), lam, m, n), lam
 
 
 class TestSetValuedRule:

@@ -48,7 +48,7 @@ from reference import (
     pushforward,
     variable,
 )
-from slow_oracles import givental_p1_product
+from slow_oracles import chevalley_degree_one, givental_p1_product
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +316,7 @@ class TestSeries:
         """Each key once, exactly the keys a serial table fills, and none
         left once the memo holds them."""
         space = Space(m, n, equivariant)
-        keys = [key for key, _d, _ui, _vi in projected_tasks(space)]
+        keys = [key for key, _d in projected_tasks(space)]
         assert len(set(keys)) == len(keys)
         for u in space.partitions:
             for v in space.partitions:
@@ -633,6 +633,12 @@ def _drop_top_degree(monkeypatch):
     monkeypatch.setattr(quantum, "_opposite_product", truncated)
 
 
+def _identity_shift(monkeypatch):
+    """The shift endomorphism fixes every index, so (1 - q * shift) no
+    longer moves the classes it subtracts."""
+    monkeypatch.setattr(quantum, "shift_expansion", lambda space, exp: exp)
+
+
 def _fix_line_neighborhoods(monkeypatch):
     """Every degree-one curve neighborhood index is the index itself."""
     index = quantum.curve_neighborhood_index
@@ -721,6 +727,40 @@ class TestVerifiers:
     def test_every_check_catches_a_mutation(self):
         caught = {name for _mutate, expected in MUTATIONS.values() for name in expected}
         assert caught == set(CHECKS)
+
+
+def chevalley_rows(space) -> dict:
+    """Row u = (1) of the opposite structure tables of the space, by lam,
+    in the form of :func:`chevalley_degree_one`."""
+    rows = {lam: structure_table(space, (1,), lam, OPPOSITE) for lam in space.partitions}
+    return {lam: {(w, d): c.specialize_ones() for w, d, c in row} for lam, row in rows.items()}
+
+
+class TestChevalleyOracle:
+    """The engine's products with the divisor class against the quantum K
+    Chevalley rule, which owes nothing to the push-pull construction."""
+
+    @pytest.mark.parametrize("m,n", [(m, n) for n in range(2, 8) for m in range(1, n)])
+    def test_every_row_matches_the_rule(self, m, n):
+        for lam, row in chevalley_rows(get_space(m, n)).items():
+            assert row == chevalley_degree_one(lam, m, n), lam
+
+    # rows that differ from the rule, of all rows, per space
+    MUTATED = {
+        "identity-shift": (_identity_shift, {(1, 2): 1, (1, 3): 2, (2, 4): 6, (2, 5): 10}),
+        "drop-top-degree": (_drop_top_degree, {(1, 2): 2, (1, 3): 3, (2, 4): 6, (2, 5): 10}),
+    }
+
+    @pytest.mark.parametrize("mutation", list(MUTATED))
+    def test_mutations_make_rows_differ(self, monkeypatch, mutation):
+        mutate, expected = self.MUTATED[mutation]
+        mutate(monkeypatch)
+        differ = {}
+        for m, n in expected:
+            # a fresh Space, so no memo holds an unmutated product
+            rows = chevalley_rows(Space(m, n))
+            differ[m, n] = sum(row != chevalley_degree_one(lam, m, n) for lam, row in rows.items())
+        assert differ == expected
 
 
 class TestPositivityReport:
