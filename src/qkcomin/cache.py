@@ -240,8 +240,9 @@ def load_classes(key: str, ys: dict, npoints: int, nvars: int) -> dict | None:
     of points, ``npoints`` is the number of points of X and ``nvars`` the
     number of variables of the scalars.  A misfit is an entry whose dims
     are not in ``ys``, with a > b, an index outside Y_d or X, a repeated
-    key or index, a term list of odd length, or a scalar that does not
-    decode or is zero.
+    key or index, a term list that is empty (a zero class: every
+    projected class has Euler characteristic 1) or of odd length, or a
+    scalar that does not decode or is zero.
     """
     payload = _load_doc(_path("projected_", key), PROJECTED_FORMAT, key, "classes")
     if payload is None:
@@ -260,7 +261,7 @@ def load_classes(key: str, ys: dict, npoints: int, nvars: int) -> dict | None:
         hit = ys.get(tuple(dims))
         if hit is None or type(a) is not int or type(b) is not int:
             return None
-        if not _int_lists([terms]) or len(terms) % 2:
+        if not _int_lists([terms]) or not terms or len(terms) % 2:
             return None
         y, ny = hit
         if not 0 <= a <= b < ny or (y, a, b) in classes:

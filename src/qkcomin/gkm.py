@@ -42,8 +42,9 @@ D(B), is the coefficient at origin o.
   bounds stay below B/2, a zero value is the zero polynomial, and a
   quotient H read in balanced digits with max|H| * ||D||_1 < B/2 is exact,
   since H * D and F then both have coefficients below B/2 and agree at B.
-* Otherwise the elimination reruns at width 2W.  The opposite table is
-  packed on its first expansion, once per model and width.
+* Otherwise the elimination reruns at width 2W, in the same loop
+  (:meth:`KModel._expand_packed`).  The opposite table is packed on its
+  first expansion, once per model and width.
 * The product of two opposite classes (:meth:`KModel.expand_product`) is
   taken packed, point by point, at origin 0: the values multiply,
   F_a(B) * F_b(B) = (F_a * F_b)(B), and the L1 bounds multiply,
@@ -315,15 +316,15 @@ class KModel:
         by its whole diagonal, the product of the binomials of
         :meth:`diag_factor_exps`, in one pass; the pivot's residual is then
         zero.  One-variable residuals are Kronecker-packed
-        integers (see the module docstring and :meth:`_eliminate_packed`);
+        integers (see the module docstring and :meth:`_expand_packed`);
         the elimination restarts at twice the digit width whenever a bound
         reaches half the digit base.
         """
         if self.chars.nvars == 1:
             origin = min((e for v in values for e in v.terms), default=0)
-            return self._expand_packed(origin, lambda bits, _entries: zip(
+            return self._expand_packed(origin, lambda bits, _entries: map(list, zip(
                 *(kronecker_pack(v, bits, origin)[1:] for v in values)
-            ))
+            )))
         residual = [v.copy() for v in values]  # updated in place
         table = self.table(OPPOSITE)
         coeffs: dict = {}
@@ -371,13 +372,19 @@ class KModel:
         return self._expand_packed(0, columns)
 
     def _expand_packed(self, origin: int, columns) -> dict:
-        """The packed elimination, at exponent origin ``origin``, of the
-        columns (acc, bound) that ``columns(bits, entries)`` gives at each
-        width, doubled until the bounds prove the coefficients exact.
+        """The elimination of :meth:`expand_values` on packed residuals, at
+        exponent origin ``origin``, doubling the width until the bounds
+        prove the coefficients exact.
 
-        ``entries[w]`` maps each point p of a nonzero entry (w, p) of the
-        opposite table to its value and L1 norm (P, l1) at origin 0,
-        packed on the first expansion at each width and kept.
+        At each width ``columns(bits, entries)`` gives two lists, updated in
+        place: residual p is z^origin * F_p(z), held as acc[p] = F_p(B) with
+        B = 2**bits, and bound[p] >= ||F_p||_1.  ``entries[w]`` maps each
+        point p of a nonzero entry (w, p) of the opposite table to its value
+        and L1 norm (P, l1) at origin 0, packed on the first expansion at
+        each width and kept.  A nonzero remainder or final residual raises
+        at any width.  The coefficients read are exact when every bound
+        stayed below B/2 (module docstring); otherwise the elimination
+        reruns at twice the width.
         """
         bits = PACK_BITS if self._packed is None else self._packed[0]
         while True:
@@ -387,47 +394,30 @@ class KModel:
                     for row in self.table(OPPOSITE)
                 ])
             entries = self._packed[1]
-            coeffs = self._eliminate_packed(columns(bits, entries), origin, bits, entries)
-            if coeffs is not None:
+            acc, bound = columns(bits, entries)
+            coeffs: dict = {}
+            peak = 0  # largest |coefficient| bound of a quotient times its divisor
+            for widx in range(len(acc)):
+                packed = acc[widx]
+                if not packed:
+                    continue
+                dpacked, dl1 = entries[widx][widx]
+                q, r = divmod(packed, dpacked)
+                if r:
+                    raise NotInSpanError("not in the scalar span of Schubert classes")
+                c, cmax, cl1 = kronecker_unpack(origin, q, bits)
+                peak = max(peak, cmax * dl1)
+                coeffs[widx] = c
+                acc[widx] = 0  # F - c * diagonal
+                for p, (rpacked, rl1) in entries[widx].items():
+                    if p != widx:
+                        acc[p] -= q * rpacked
+                        bound[p] += cl1 * rl1
+            if any(acc):
+                raise NotInSpanError("not in the scalar span of Schubert classes")
+            if max(peak, *bound) < 1 << (bits - 1):
                 return coeffs
             bits *= 2
-
-    @staticmethod
-    def _eliminate_packed(columns, origin, bits, entries) -> dict | None:
-        """The elimination of :meth:`expand_values` on packed residuals.
-
-        Residual p is z^origin * F_p(z), held as acc[p] = F_p(B) with
-        B = 2**bits, and bound[p] >= ||F_p||_1; ``columns`` gives the two
-        lists, which are updated in place.  A nonzero remainder or final
-        residual raises at any width.  The coefficients read are exact
-        when every bound stayed below B/2 (module docstring); otherwise
-        this returns None, to be rerun wider.
-        """
-        half = 1 << (bits - 1)
-        acc, bound = map(list, columns)
-        coeffs: dict = {}
-        peak = 0  # largest |coefficient| bound of a quotient times its divisor
-        for widx in range(len(acc)):
-            packed = acc[widx]
-            if not packed:
-                continue
-            dpacked, dl1 = entries[widx][widx]
-            q, r = divmod(packed, dpacked)
-            if r:
-                raise NotInSpanError("not in the scalar span of Schubert classes")
-            c, cmax, cl1 = kronecker_unpack(origin, q, bits)
-            peak = max(peak, cmax * dl1)
-            coeffs[widx] = c
-            acc[widx] = 0  # F - c * diagonal
-            for p, (rpacked, rl1) in entries[widx].items():
-                if p != widx:
-                    acc[p] -= q * rpacked
-                    bound[p] += cl1 * rl1
-        if any(acc):
-            raise NotInSpanError("not in the scalar span of Schubert classes")
-        if max(peak, *bound) >= half:
-            return None
-        return coeffs
 
     def recombine(self, coeffs: dict, orientation: str) -> tuple:
         out = list(self.zero_values())

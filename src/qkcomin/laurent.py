@@ -401,11 +401,7 @@ class LaurentElement:
 
     @classmethod
     def parse(cls, text: str, nvars: int) -> "LaurentElement":
-        """Parse the canonical grammar (inverse of :meth:`__str__`).
-
-        Each term goes through :func:`_parse_term`, which is memoized, so a
-        term that recurs across a table is read once.
-        """
+        """Parse the canonical grammar (inverse of :meth:`__str__`)."""
         s = text.strip()
         if s == "0":
             return packed_element(nvars, {}, 0)
@@ -425,13 +421,12 @@ _TERM = re.compile(
 )
 
 
-@lru_cache(maxsize=None)
 def _parse_term(raw: str, nvars: int) -> tuple:
     """(packed key, signed coefficient, largest |exponent|) of one term.
 
     ``raw`` is the term as split from a sum, sign included.  The range of
     the exponents is left to the caller, which checks the whole element.
-    A malformed term raises ``ValueError``, and failures are not memoized.
+    A malformed term raises ``ValueError``.
     """
     raw = raw.strip()
     sign = 1

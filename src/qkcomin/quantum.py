@@ -28,11 +28,11 @@ one product a space keeps (``Space.products``).  A product with a plain
 (B-stable) class is, by bilinearity, that product applied to the
 opposite-basis expansion of the plain class on X
 (:meth:`KModel.basis_change`), the one place the plain basis appears.
-Such sums of scaled products are built in one accumulator (:func:`_combine`).
-In z mode it sums Kronecker-packed coefficients, each with its own low
-exponent and a bound on its L1 norm (the packing of :mod:`qkcomin.gkm`):
-it starts at ``gkm.PACK_BITS`` bits per digit, reruns at twice the width
-while a bound reaches half the base, and unpacks each coefficient once.
+Such sums of scaled products are built by :func:`_combine`: on the full
+torus as LaurentElements, and in z mode by :func:`_combine_packed` on
+Kronecker-packed coefficients, each with its own low exponent and L1
+bound, widened until the bounds prove the sums exact (the packing of
+:mod:`qkcomin.gkm`).
 
 A product is handed out as its structure constants, ``{d: {w: c}}``: w an
 opposite index on X and c a scalar, with no zero scalar and no empty
@@ -99,7 +99,7 @@ class Space:
         self.projected: dict = {}
         # (a, b, bits) with a <= b, two opposite indices on X -> the product
         # of the two classes by degree: LaurentElement coefficients at bits
-        # 0, the coefficients packed at bits-bit digits otherwise (z mode)
+        # 0, each packed (lo, value, l1) at bits-bit digits otherwise (z mode)
         self.products: dict = {}
 
     @cached_property
@@ -411,77 +411,72 @@ def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> dict:
     return _opposite_product(space, space.index_of(u), space.index_of(v))
 
 
-def _add_scaled(total: dict, scale: LaurentElement, coeffs: dict, shift: int, bits: int) -> None:
-    """total += scale * q^shift * coeffs, on degree buckets of opposite coefficients.
-
-    With ``bits`` 0 the scalars are LaurentElements.  Otherwise every
-    coefficient and every bucket are packed (lo, value, l1) at ``bits``-bit
-    digits, and so is ``scale``, here: a product adds the lows and
-    multiplies the values and the bounds, and a sum shifts the value of the
-    higher low up to the lower one and adds the bounds: unlike the
-    elimination's residuals, each bucket keeps its own low.  The buckets
-    are exact only while every bound stays below half the digit base;
-    :func:`_combine` reruns the sum wider until they are.
-    """
-    if bits:
-        slo, sval, sl1 = kronecker_pack(scale, bits)
-    for d, exp in coeffs.items():
-        bucket = total.setdefault(d + shift, {})
-        if not bits:
-            for w, c in exp.items():
-                acc = bucket.get(w)
-                prod = scale * c
-                bucket[w] = prod if acc is None else acc + prod
-            continue
-        for w, (clo, cval, cl1) in exp.items():
-            lo, val, l1 = slo + clo, sval * cval, sl1 * cl1
-            acc = bucket.get(w)
-            if acc is not None:
-                alo, aval, al1 = acc
-                if lo >= alo:
-                    val = aval + (val << (bits * (lo - alo)))
-                    lo = alo
-                else:
-                    val = (aval << (bits * (alo - lo))) + val
-                l1 += al1
-            bucket[w] = (lo, val, l1)
-
-
 def _combine(space: Space, terms: list) -> dict:
     """The sum of scale * q^shift * (O^a star O^b) over the terms
-    (scale, a, b, shift), with a and b opposite indices on X.
+    (scale, a, b, shift), with a and b opposite indices on X, with no zero
+    coefficient and no empty degree.
 
-    One loop serves both scalar modes (:func:`_add_scaled`).  On the full
-    torus it runs once, at ``bits`` 0, on LaurentElements.  In z mode the
-    buckets are packed: the sum runs at W = ``gkm.PACK_BITS`` bits per
-    digit and reruns at 2W while a bucket's L1 bound reaches 2^(W-1).
-    Every bound is then below half the base, so a zero value is the zero
-    polynomial and the balanced digits of a nonzero one are its
-    coefficients (the :mod:`qkcomin.gkm` docstring); each nonzero bucket is
-    unpacked once.  Zero coefficients and empty degrees are dropped in
-    both modes.
+    The scalar mode is read once: the degree buckets of opposite
+    coefficients sum LaurentElements on the full torus, and are summed
+    packed in z mode (:func:`_combine_packed`).
     """
-    bits = 0 if space.equivariant else gkm.PACK_BITS
-    while True:
+    if space.equivariant:
         total: dict = {}
         for scale, a, b, shift in terms:
-            _add_scaled(total, scale, _opposite_product(space, a, b, bits), shift, bits)
-        if not bits or all(
-            l1 < 1 << (bits - 1) for bucket in total.values() for _, _, l1 in bucket.values()
-        ):
-            break
-        bits *= 2
+            for d, exp in _opposite_product(space, a, b).items():
+                bucket = total.setdefault(d + shift, {})
+                for w, c in exp.items():
+                    acc = bucket.get(w)
+                    prod = scale * c
+                    bucket[w] = prod if acc is None else acc + prod
+    else:
+        total = _combine_packed(space, terms)
     coeffs: dict = {}
     for d, bucket in total.items():
-        if bits:
-            exp = {
-                w: kronecker_unpack(lo, val, bits)[0] for w, (lo, val, _) in bucket.items() if val
-            }
-        else:
-            exp = {w: c for w, c in bucket.items() if not c.is_zero()}
+        exp = {w: c for w, c in bucket.items() if not c.is_zero()}
         if exp:
             coeffs[d] = exp
     return coeffs
+
+
+def _combine_packed(space: Space, terms: list) -> dict:
+    """The degree buckets of :func:`_combine` in z mode, summed on
+    Kronecker-packed coefficients, each nonzero one unpacked once.
+
+    Every scale, coefficient and bucket is packed (lo, value, l1) at W
+    bits per digit: a product adds the lows and multiplies the values and
+    the bounds, and a sum shifts the value of the higher low up to the
+    lower one and adds the bounds, so each bucket keeps its own low.  The
+    sum runs at W = ``gkm.PACK_BITS`` and reruns at 2W while a bucket's L1
+    bound reaches 2^(W-1).  Every bound is then below half the base, so a
+    zero value is the zero polynomial and the balanced digits of a nonzero
+    one are its coefficients (the :mod:`qkcomin.gkm` docstring).
+    """
+    bits = gkm.PACK_BITS
+    while True:
+        total: dict = {}
+        for scale, a, b, shift in terms:
+            slo, sval, sl1 = kronecker_pack(scale, bits)
+            for d, exp in _opposite_product(space, a, b, bits).items():
+                bucket = total.setdefault(d + shift, {})
+                for w, (clo, cval, cl1) in exp.items():
+                    lo, val, l1 = slo + clo, sval * cval, sl1 * cl1
+                    acc = bucket.get(w)
+                    if acc is not None:
+                        alo, aval, al1 = acc
+                        if lo >= alo:
+                            val = aval + (val << (bits * (lo - alo)))
+                            lo = alo
+                        else:
+                            val = (aval << (bits * (alo - lo))) + val
+                        l1 += al1
+                    bucket[w] = (lo, val, l1)
+        if all(l1 < 1 << (bits - 1) for bucket in total.values() for _, _, l1 in bucket.values()):
+            return {
+                d: {w: kronecker_unpack(lo, v, bits)[0] for w, (lo, v, _) in bucket.items() if v}
+                for d, bucket in total.items()
+            }
+        bits *= 2
 
 
 def quantum_product(space: Space, u: tuple, v: tuple) -> dict:

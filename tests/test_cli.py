@@ -897,6 +897,7 @@ PROJECTED_MISFITS = {
     "repeated-w": (("classes", 0, 3), [0, 0, 0, 0]),
     "non-integer-n": (("classes", 0, 3), [0, "0"]),
     "odd-length-n": (("classes", 0, 3), [0, 0, 1]),
+    "empty-class": (("classes", 0, 3), []),
     "big-exponent": (("monomials", 0, 0), EXPONENT_LIMIT + 1),  # an ExponentRangeError
 }
 

@@ -631,7 +631,7 @@ class TestDiskCache:
         y = FlagShape((1, 3), 4)
         ys = {y.dims: (y, 12)}
         z = LaurentElement.parse("t1", 1)
-        classes = {(y, 0, 2): {1: z, 0: 1 - z}, (y, 0, 0): {}}
+        classes = {(y, 0, 2): {1: z, 0: 1 - z}, (y, 0, 0): {2: z}}
         diskcache.store_classes("probe", classes)
         assert diskcache.load_classes("probe", ys, 6, 1) == classes
         assert diskcache.load_classes("other", ys, 6, 1) is None
@@ -639,10 +639,10 @@ class TestDiskCache:
         assert diskcache.load_classes("probe", {}, 6, 1) is None  # no such Y_d
         assert diskcache.load_rows("probe") is None  # a table key is another file
         (path,) = tmp_path.glob("projected_*.json")
-        # 1 - t1 and t1 on the monomials 1 and t1; entries by (dims, a, b)
+        # t1 and 1 - t1 on the monomials 1 and t1; entries by (dims, a, b)
         assert path.read_text().split("\n")[1] == (
-            '{"monomials":[[0],[1]],"scalars":[[0,1,1,-1],[1,1]],'
-            '"classes":[[[1,3],0,0,[]],[[1,3],0,2,[0,0,1,1]]]}'
+            '{"monomials":[[0],[1]],"scalars":[[1,1],[0,1,1,-1]],'
+            '"classes":[[[1,3],0,0,[2,0]],[[1,3],0,2,[0,1,1,0]]]}'
         )
         with monkeypatch.context() as mp:
             mp.setattr(diskcache.os, "replace", refuse)
