@@ -241,15 +241,16 @@ def load_classes(key: str, ys: dict, npoints: int, nvars: int) -> dict | None:
     number of variables of the scalars.  A misfit is an entry whose dims
     are not in ``ys``, with a > b, an index outside Y_d or X, a repeated
     key or index, a term list that is empty (a zero class: every
-    projected class has Euler characteristic 1) or of odd length, or a
-    scalar that does not decode or is zero.
+    projected class has Euler characteristic 1) or of odd length, a
+    scalar that does not decode or is zero, or a negative exponent in z
+    mode (``nvars`` 1: ``KModel.expand_product`` unpacks at origin 0).
     """
     payload = _load_doc(_path("projected_", key), PROJECTED_FORMAT, key, "classes")
     if payload is None:
         return None
     monomials, scalars, entries = payload
     elements = _decode(monomials, scalars, nvars)
-    if elements is None or [] in scalars:
+    if elements is None or [] in scalars or (nvars == 1 and min(monomials, default=[0]) < [0]):
         return None
     classes: dict = {}
     for entry in entries:

@@ -44,6 +44,7 @@ find, row by row.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from qkcomin import cache as diskcache
@@ -194,7 +195,7 @@ def kernel_span_shapes(space: Space, d: int) -> tuple:
 # -- the diagram Y_d <- T_d -> X as index maps -----------------------------------
 
 
-class Diagram:
+class Diagram(namedtuple("Diagram", "y to_y from_y neighborhood")):
     """The diagram Y_d <- T_d -> X of one degree, on opposite Schubert indices.
 
     ``to_y[i]`` indexes on Y_d the opposite class of X index i moved along
@@ -207,14 +208,6 @@ class Diagram:
     by bilinearity a product with one is a combination of products of
     opposite classes.
     """
-
-    __slots__ = ("y", "to_y", "from_y", "neighborhood")
-
-    def __init__(self, y: KModel, to_y: tuple, from_y: tuple, neighborhood: tuple):
-        self.y = y
-        self.to_y = to_y
-        self.from_y = from_y
-        self.neighborhood = neighborhood
 
 
 def _build_diagram(space: Space, d: int) -> Diagram:
@@ -591,6 +584,22 @@ def verify_min_degree(space: Space, u: tuple, products: dict) -> list:
     return violations
 
 
+def verify_signs(space: Space, u: tuple, products: dict) -> list:
+    """The structure constants of row u, v opposite, alternate in sign at
+    t = 1: (-1)^(|u|+|v|+|w|+d*n) N_{u,v}^{w,d} >= 0 (Buch-Mihalcea,
+    arXiv:0810.0981).  A product with v plain is no structure constant."""
+    violations = []
+    for v in space.partitions:
+        for w, d, c in structure_table(space, u, v, OPPOSITE):
+            value = c.specialize_ones()
+            if value and (value < 0) != bool((sum(u) + sum(v) + sum(w) + d * space.n) % 2):
+                violations.append(
+                    f"sign u={format_partition(u)} v={format_partition(v)} "
+                    f"w={format_partition(w)} d={d} N={value}"
+                )
+    return violations
+
+
 def verify_neighborhoods_against_graph(space: Space, u: tuple, products: dict) -> list:
     """Cross-check the distances of row u against the moment graph, and in
     the first row (u empty) every curve neighborhood index too, so that all
@@ -615,10 +624,11 @@ CHECKS = {
     "sum": verify_coefficient_sum,
     "hom": verify_euler_homomorphism,
     "mindeg": verify_min_degree,
+    "sign": verify_signs,
     "graph": verify_neighborhoods_against_graph,
 }
 
-# the checks run when none are named; graph is left out for its cost
+# the checks run when none are named; sign and graph are left out for their cost
 DEFAULT_CHECKS = ("sum", "hom", "mindeg")
 
 
@@ -645,29 +655,3 @@ def verify_space(space: Space, checks=DEFAULT_CHECKS) -> list:
             out.extend(CHECKS[name](space, u, products))
     return [f"{name}: {line}" for name, out in lines.items() for line in out]
 
-
-def positivity_sign_report(space: Space, u: tuple, v: tuple, terms: tuple) -> dict:
-    """Diagnostic sign-alternation report for the terms of one
-    non-equivariant table of two opposite classes u and v, as
-    :func:`structure_table` returns them with ``v_basis`` opposite.
-
-    Convention (stated here and in the header field): the entry at (w, d)
-    is expected to carry sign (-1)^(l(u)+l(v)-l(w)-d*n), with lengths taken
-    in the codimension grading of the opposite basis and the degree scaled
-    by the anticanonical degree n of a line.  Purely diagnostic.
-    """
-    convention = "(-1)^(l(u)+l(v)-l(w)-d*n)"
-    lu, lv = sum(u), sum(v)
-    flagged = []
-    for w, d, c in terms:
-        val = c.specialize_ones()
-        if val == 0:
-            continue
-        expected = -1 if (lu + lv - sum(w) - d * space.n) % 2 else 1
-        if (val > 0) != (expected > 0):
-            flagged.append({"w": format_partition(w), "d": d, "N": str(val)})
-    return {
-        "convention": convention,
-        "checked": len(terms),
-        "flagged": flagged,
-    }

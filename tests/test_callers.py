@@ -20,7 +20,6 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 ALLOWED = {
     "recombine": "bench/tracer.py patches KModel.recombine by name (GKM_METHODS)",
     "star_elements": "the planned whitney check multiplies with it",
-    "positivity_sign_report": "the planned sign check reports with it",
     "swap_letters": "bench/tracer.py looks LaurentElement.swap_letters up by name "
     "(inspect.getattr_static raises on a missing one); the reference sweep calls it",
     "parse": "bench/tracer.py LAURENT_OPS patches LaurentElement.parse by name, and the "

@@ -18,7 +18,7 @@ import qkcomin
 from qkcomin.cli import build_parser, main
 from qkcomin.gkm import KModel, NotInSpanError
 from qkcomin.laurent import EXPONENT_LIMIT, NotDivisibleError
-from qkcomin.quantum import CHECKS
+from qkcomin.quantum import CHECKS, DEFAULT_CHECKS
 
 
 def run_cli(capsys, *argv):
@@ -898,6 +898,7 @@ PROJECTED_MISFITS = {
     "non-integer-n": (("classes", 0, 3), [0, "0"]),
     "odd-length-n": (("classes", 0, 3), [0, 0, 1]),
     "empty-class": (("classes", 0, 3), []),
+    "negative-z": (("monomials", 1, 0), -1),
     "big-exponent": (("monomials", 0, 0), EXPONENT_LIMIT + 1),  # an ExponentRangeError
 }
 
@@ -1159,6 +1160,26 @@ def test_readme_names_every_memo_of_space():
     memos = attributes - set(inspect.signature(Space).parameters)
     assert memos == {"models", "diagrams", "projected", "products"}
     assert named == memos
+
+
+def test_readme_names_every_check():
+    # the README's count and list of the checks, its --checks sentence and
+    # its defaults cannot go stale: each names exactly the registered checks
+    readme = README.read_text(encoding="utf-8")
+    text = " ".join(readme.split())
+    words = "zero one two three four five six seven eight nine ten".split()
+    assert f"and {words[len(CHECKS)]} exact checks, registered" in text
+    (paragraph,) = (p for p in readme.split("\n\n") if "The checks:" in p)
+    listed = re.findall(r"^\s*- \*\*(\w+)\*\*", paragraph.split("The checks:")[1], re.M)
+    assert sorted(listed) == sorted(CHECKS)
+    ((names, defaults),) = re.findall(
+        r"`--checks` takes a comma list of the registered checks (.*?); without it `([\w,]+)` run\.",
+        text,
+    )
+    assert sorted(re.findall(r"`(\w+)`", names)) == sorted(CHECKS)
+    assert tuple(defaults.split(",")) == DEFAULT_CHECKS
+    (named,) = re.findall(r"`DEFAULT_CHECKS` names the \w+ that run when none are named: (.*?)\.", text)
+    assert tuple(re.findall(r"`(\w+)`", named)) == DEFAULT_CHECKS
 
 
 def test_readme_names_every_export():

@@ -27,7 +27,6 @@ from qkcomin.quantum import (
     get_space,
     gw_series,
     kernel_span_shapes,
-    positivity_sign_report,
     projected_tasks,
     quantum_product,
     quantum_product_opposite_v,
@@ -652,6 +651,7 @@ def _fix_line_neighborhoods(monkeypatch):
 # violation lines per check of qk verify on Gr(2,4) (z mode) under each mutation
 MUTATIONS = {
     "drop-top-degree": (_drop_top_degree, {"sum": 34, "hom": 36, "mindeg": 36}),
+    "identity-shift": (_identity_shift, {"sign": 56}),
     "fixed-line-neighborhood": (_fix_line_neighborhoods, {"mindeg": 15, "graph": 20}),
 }
 
@@ -773,18 +773,17 @@ class TestChevalleyOracle:
         assert differ == expected
 
 
-class TestPositivityReport:
-    def test_unit_tables_trivially_consistent(self, gr24):
-        for v in gr24.partitions:
-            rep = positivity_sign_report(gr24, (), v, structure_table(gr24, (), v, OPPOSITE))
-            assert rep["flagged"] == []
+class TestSignCheck:
+    """The sign check passes on correct output in both scalar modes; the
+    mutation it catches alone is the identity shift of ``MUTATIONS``."""
 
-    def test_all_gr24_tables_unflagged(self, gr24):
-        for u, v in all_pairs(gr24):
-            rep = positivity_sign_report(gr24, u, v, structure_table(gr24, u, v, OPPOSITE))
-            assert rep["flagged"] == []
-            assert "(-1)^" in rep["convention"]
-
-    def test_empty_region_vacuous(self, gr24):
-        rep = positivity_sign_report(gr24, (1,), (1,), ())
-        assert rep["checked"] == 0 and rep["flagged"] == []
+    # every z-mode Gr(m,n) with n <= 6, and every equivariant one with n <= 5
+    @pytest.mark.parametrize("m,n,equivariant", [
+        *(pytest.param(m, n, False, id=f"{m}-{n}") for n in range(2, 7) for m in range(1, n)),
+        *(pytest.param(m, n, True, id=f"{m}-{n}-equivariant")
+          for n in range(2, 6) for m in range(1, n)),
+    ])
+    def test_correct_output_passes(self, capsys, m, n, equivariant):
+        argv = ["verify", "--space", f"gr:{m},{n}", "--checks", "sign"]
+        assert cli.main(argv + ["--equivariant"] * equivariant) == 0
+        assert capsys.readouterr().out == f"PASS pairs={len(Space(m, n).partitions) ** 2}\n"
