@@ -44,12 +44,15 @@ D(B), is the coefficient at origin o.
   since H * D and F then both have coefficients below B/2 and agree at B.
 * Otherwise the elimination reruns at width 2W, in the same loop
   (:meth:`KModel._expand_packed`).  The opposite table is packed on its
-  first expansion, once per model and width.
+  first expansion, once per model and width, and so are the scalars of
+  the change of basis, on first read (:meth:`KModel.packed_basis_change`,
+  which the sums of scaled products of :mod:`qkcomin.quantum` read).
 * The product of two opposite classes (:meth:`KModel.expand_product`) is
   taken packed, point by point, at origin 0: the values multiply,
   F_a(B) * F_b(B) = (F_a * F_b)(B), and the L1 bounds multiply,
   ||F_a * F_b||_1 <= ||F_a||_1 * ||F_b||_1.  So the elimination starts from
-  packed columns and the two points above hold.
+  packed columns and the two points above hold.  A product with the unit
+  class O^id, in either mode, is the other class, with no elimination.
 """
 
 from __future__ import annotations
@@ -141,6 +144,7 @@ class KModel:
         self.npoints = len(self.points)
         self._tables: dict = {}
         self._basis_change: list | None = None
+        self._packed_basis_change: dict = {}
         self._packed: tuple | None = None
         self._diag_exps: list | None = None
 
@@ -349,11 +353,15 @@ class KModel:
         """Opposite-basis expansion of the product of the opposite classes of
         indices a and b.
 
-        In one variable the product is taken on the packed table: at each
-        point where both rows are nonzero the values multiply and the L1
-        bounds multiply (module docstring), and the elimination starts from
-        those columns at origin 0.
+        Index 0, the identity, is O^id, the unit class: a product with it is
+        the other class, and no elimination runs.  Otherwise, in one
+        variable, the product is taken on the packed table: at each point
+        where both rows are nonzero the values multiply and the L1 bounds
+        multiply (module docstring), and the elimination starts from those
+        columns at origin 0.
         """
+        if not a or not b:
+            return {a or b: self.one()}
         if self.chars.nvars != 1:
             opp = self.table(OPPOSITE)
             return self.expand_values(self.multiply_values(opp[a], opp[b]))
@@ -436,3 +444,14 @@ class KModel:
         if self._basis_change is None:
             self._basis_change = [self.expand_values(row) for row in self.table(PLAIN)]
         return self._basis_change
+
+    def packed_basis_change(self, bits: int) -> list:
+        """The scalars of :meth:`basis_change` packed (lo, value, l1) at
+        ``bits``-bit digits, one list per plain class in the order of its
+        items; kept per width."""
+        rows = self._packed_basis_change.get(bits)
+        if rows is None:
+            rows = self._packed_basis_change[bits] = [
+                [kronecker_pack(c, bits) for c in row.values()] for row in self.basis_change()
+            ]
+        return rows

@@ -549,20 +549,26 @@ def kronecker_unpack(lo: int, packed: int, bits: int) -> tuple:
     F is read in balanced digits, each in [-2**(bits - 1), 2**(bits - 1)).
     Every integer has exactly one such expansion, so this is the F of the
     packing whenever that F had all its coefficients below 2**(bits - 1)
-    in size; the caller proves that bound.
+    in size; the caller proves that bound.  The keys come in increasing
+    order and the last digit read is nonzero, so the largest |exponent|
+    is that of the first key or of the last.
     """
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
     terms: dict = {}
     e = lo
+    cmax = l1 = 0
     while packed:
         d = packed & mask
         if d >= half:
             d -= mask + 1
         if d:
             terms[e] = d
+            size = d if d > 0 else -d
+            l1 += size
+            if size > cmax:
+                cmax = size
         packed = (packed - d) >> bits
         e += 1
-    sizes = list(map(abs, terms.values()))
-    bound = max(map(abs, terms), default=0)
-    return packed_element(1, terms, bound), max(sizes, default=0), sum(sizes)
+    bound = max(-next(iter(terms)), e - 1) if terms else 0
+    return packed_element(1, terms, bound), cmax, l1

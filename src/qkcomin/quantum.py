@@ -32,7 +32,7 @@ Such sums of scaled products are built by :func:`_combine`: on the full
 torus as LaurentElements, and in z mode by :func:`_combine_packed` on
 Kronecker-packed coefficients, each with its own low exponent and L1
 bound, widened until the bounds prove the sums exact (the packing of
-:mod:`qkcomin.gkm`).
+:mod:`qkcomin.gkm`); the change of basis is packed once per width.
 
 A product is handed out as its structure constants, ``{d: {w: c}}``: w an
 opposite index on X and c a scalar, with no zero scalar and no empty
@@ -404,14 +404,15 @@ def quantum_product_opposite_v(space: Space, u: tuple, v: tuple) -> dict:
     return _opposite_product(space, space.index_of(u), space.index_of(v))
 
 
-def _combine(space: Space, terms: list) -> dict:
+def _combine(space: Space, terms: list, packed_scales) -> dict:
     """The sum of scale * q^shift * (O^a star O^b) over the terms
     (scale, a, b, shift), with a and b opposite indices on X, with no zero
     coefficient and no empty degree.
 
     The scalar mode is read once: the degree buckets of opposite
     coefficients sum LaurentElements on the full torus, and are summed
-    packed in z mode (:func:`_combine_packed`).
+    packed in z mode (:func:`_combine_packed`), the scales at W-bit
+    digits as ``packed_scales(W)`` gives them, in the order of the terms.
     """
     if space.equivariant:
         total: dict = {}
@@ -423,7 +424,7 @@ def _combine(space: Space, terms: list) -> dict:
                     prod = scale * c
                     bucket[w] = prod if acc is None else acc + prod
     else:
-        total = _combine_packed(space, terms)
+        total = _combine_packed(space, terms, packed_scales)
     coeffs: dict = {}
     for d, bucket in total.items():
         exp = {w: c for w, c in bucket.items() if not c.is_zero()}
@@ -432,7 +433,7 @@ def _combine(space: Space, terms: list) -> dict:
     return coeffs
 
 
-def _combine_packed(space: Space, terms: list) -> dict:
+def _combine_packed(space: Space, terms: list, packed_scales) -> dict:
     """The degree buckets of :func:`_combine` in z mode, summed on
     Kronecker-packed coefficients, each nonzero one unpacked once.
 
@@ -443,13 +444,14 @@ def _combine_packed(space: Space, terms: list) -> dict:
     sum runs at W = ``gkm.PACK_BITS`` and reruns at 2W while a bucket's L1
     bound reaches 2^(W-1).  Every bound is then below half the base, so a
     zero value is the zero polynomial and the balanced digits of a nonzero
-    one are its coefficients (the :mod:`qkcomin.gkm` docstring).
+    one are its coefficients (the :mod:`qkcomin.gkm` docstring).  The
+    change of basis is packed once per width and kept
+    (:meth:`KModel.packed_basis_change`).
     """
     bits = gkm.PACK_BITS
     while True:
         total: dict = {}
-        for scale, a, b, shift in terms:
-            slo, sval, sl1 = kronecker_pack(scale, bits)
+        for (slo, sval, sl1), (_scale, a, b, shift) in zip(packed_scales(bits), terms):
             for d, exp in _opposite_product(space, a, b, bits).items():
                 bucket = total.setdefault(d + shift, {})
                 for w, (clo, cval, cl1) in exp.items():
@@ -475,20 +477,22 @@ def _combine_packed(space: Space, terms: list) -> dict:
 def quantum_product(space: Space, u: tuple, v: tuple) -> dict:
     """The product of the opposite class of u and the B-stable class of v:
     the products of O^u with the opposite classes of the expansion of O_v."""
-    ui = space.index_of(u)
-    expansion = space.model.basis_change()[space.index_of(v)]
-    return _combine(space, [(beta, ui, x, 0) for x, beta in expansion.items()])
+    ui, vi = space.index_of(u), space.index_of(v)
+    xm = space.model
+    terms = [(beta, ui, x, 0) for x, beta in xm.basis_change()[vi].items()]
+    return _combine(space, terms, lambda bits: xm.packed_basis_change(bits)[vi])
 
 
 def star_elements(space: Space, a: dict, b: dict) -> dict:
     """Bilinear extension of the product to finite q-polynomials."""
-    return _combine(space, [
+    terms = [
         (c1 * c2, x1, x2, d1 + d2)
         for d1, e1 in a.items()
         for x1, c1 in e1.items()
         for d2, e2 in b.items()
         for x2, c2 in e2.items()
-    ])
+    ]
+    return _combine(space, terms, lambda bits: [kronecker_pack(c, bits) for c, *_ in terms])
 
 
 # -- Euler characteristic maps -----------------------------------------------------
@@ -534,9 +538,10 @@ def structure_table(space: Space, u: tuple, v: tuple, v_basis: str = PLAIN) -> t
 
 
 def sum_check(space: Space, terms: tuple) -> LaurentElement:
-    """The sum of the scalars of ``terms`` from the public zero: the ``sum_check``
-    that ``qk product`` and ``qk table`` print and the ``sum`` check tests is 1."""
-    return sum((c for _w, _d, c in terms), space.public_scalar(space.model.zero()))
+    """The sum of the public scalars of ``terms``: the ``sum_check`` that
+    ``qk product`` and ``qk table`` print and the ``sum`` check tests is 1."""
+    nvars = space.chars.nvars if space.equivariant else 0  # as space.public_scalar
+    return sum_elements(nvars, (c for _w, _d, c in terms))
 
 
 # -- verification ---------------------------------------------------------------------

@@ -797,7 +797,9 @@ class TestCache:
 
         monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
-        argv = ("product", "--space", "gr:2,4", "--u", "1", "--v", "1")
+        # O^(2) moves to no unit class of Y_1, so its degree-1 classes are
+        # eliminated there; a product with a unit factor reads no table
+        argv = ("product", "--space", "gr:2,4", "--u", "2", "--v", "1")
         rc, fresh, _ = run_cli(capsys, *argv)
         assert rc == 0
         files = sorted(tmp_path.glob("restrict_*.json"))

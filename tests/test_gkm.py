@@ -20,7 +20,13 @@ from qkcomin.gkm import (
     equivariant_chars,
     zspec_chars,
 )
-from qkcomin.quantum import Space, _gw_coeffs, kernel_span_shapes, projected_tasks
+from qkcomin.quantum import (
+    Space,
+    _gw_coeffs,
+    kernel_span_shapes,
+    point_degree,
+    projected_tasks,
+)
 from reference import (
     bruhat_leq,
     diag_factor_exps,
@@ -252,10 +258,40 @@ class TestExpandProduct:
                         expect = my.expand_values(my.multiply_values(opp[a], opp[b]))
                         assert my.expand_product(a, b) == expect, (my.shape, a, b)
 
+    @pytest.mark.parametrize(
+        "m,n,equivariant",
+        [(1, 2, True), (1, 3, True), (2, 4, True), (2, 5, False), (2, 6, False), (3, 6, False)],
+    )
+    def test_unit_factor_is_not_eliminated(self, monkeypatch, m, n, equivariant):
+        """O^id, index 0, is the unit class: on X and every Y_d of the
+        acceptance spaces a product with it is the other class, read off
+        with no elimination."""
+        space = Space(m, n, equivariant)
+        models = {space.diagram(d).y.shape: space.diagram(d).y
+                  for d in range(point_degree(space) + 1)}
+        models[space.shape] = space.model
+        expected = {}
+        for my in models.values():
+            opp = my.table(OPPOSITE)
+            expected[my.shape] = [
+                my.expand_values(my.multiply_values(opp[0], opp[b])) for b in range(my.npoints)
+            ]
+
+        def eliminate(*_args):
+            raise AssertionError("a product with the unit class was eliminated")
+
+        monkeypatch.setattr(KModel, "expand_values", eliminate)
+        monkeypatch.setattr(KModel, "_expand_packed", eliminate)
+        for my in models.values():
+            for b, expect in enumerate(expected[my.shape]):
+                assert my.expand_product(0, b) == expect, (my.shape, b)
+                assert my.expand_product(b, 0) == expect, (my.shape, b)
+
     def test_one_division_per_pivot(self, monkeypatch):
         """On the full torus each pivot is divided by its whole diagonal in
         one call: on a fresh equivariant Gr(2,5) the calls number the
-        coefficients of all expansions."""
+        coefficients of all expansions.  A projected class with a unit
+        factor (a = 0, as a <= b) is expanded without an elimination."""
         divide, expand = LaurentElement.divide_exact_one_minus, KModel.expand_values
         calls, pivots = [], []
 
@@ -275,7 +311,7 @@ class TestExpandProduct:
         tasks = projected_tasks(space)
         for key, d in tasks:
             _gw_coeffs(space, d, key)
-        assert len(pivots) == space.model.npoints + len(tasks)
+        assert len(pivots) == space.model.npoints + sum(1 for (_y, a, _b), _d in tasks if a)
         assert len(calls) == sum(pivots)
 
 

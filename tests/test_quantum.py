@@ -690,6 +690,26 @@ class TestVerifiers:
         assert verify_space(space, checks=("hom", "mindeg")) == []
         assert set(calls) == {space.shape}
 
+    def test_change_of_basis_is_packed_once_per_width(self, monkeypatch):
+        # every row u of hom reads the expansion of each O_v on X; its 50
+        # scalars on Gr(2,5) are packed once at the one digit width the
+        # sums need, not once per row, which made 500 packs
+        packed = []
+        pack = gkm.kronecker_pack
+
+        def recording(f, *args):
+            packed.append(f)
+            return pack(f, *args)
+
+        monkeypatch.setattr(gkm, "kronecker_pack", recording)
+        monkeypatch.setattr(quantum, "kronecker_pack", recording)
+        space = Space(2, 5)
+        assert verify_space(space, checks=("hom",)) == []
+        # packed holds every packed element, so no two live ones share an id
+        scales = {id(c) for row in space.model.basis_change() for c in row.values()}
+        assert len(scales) == 50
+        assert sum(id(f) in scales for f in packed) == 50
+
     def test_each_plain_product_is_built_once(self, monkeypatch):
         # hom and mindeg share the plain products of a row, and no plain
         # product outlives its row: the memo holds products of two
