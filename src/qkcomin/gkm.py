@@ -23,7 +23,7 @@ expansions of the plain classes (:meth:`KModel.basis_change`).  With the
 full torus the residuals are Laurent polynomials.  With one parameter
 they are dense polynomials with small coefficients, held Kronecker-packed
 at one exponent origin o per elimination: z^o * F(z), F a polynomial, is
-F(B) with B = 2**W, W = PACK_BITS at first; o is 0 for a product of two
+F(B) with B = 2**W, W = PACK_BITS = 32 at first; o is 0 for a product of two
 opposite classes and the lowest input exponent otherwise.  Every opposite
 entry is a polynomial, and every diagonal entry a product of factors
 1 - z^k, k > 0 (:meth:`KModel._subword_rows`), so the table packs at
@@ -81,7 +81,7 @@ PLAIN = "plain"
 OPPOSITE = "opposite"
 
 # digit width of the first packing of a one-variable table; widened on demand
-PACK_BITS = 64
+PACK_BITS = 32
 
 
 class NotInSpanError(ValueError):
@@ -217,14 +217,14 @@ class KModel:
         On the full torus every state is a Laurent polynomial.  Every
         prefix root e_a - e_b has a < b, so in z mode e = z^(b - a) with
         b - a > 0, and every state is a polynomial held Kronecker-packed: a
-        step is one shift and one subtraction.  The states' L1 norms sum to at most 3^l(v) <
-        2^(2 l(v)), so at W >= 2 max l + 2 bits per digit every coefficient
-        lies below 2^(W - 2) and unpacks exactly.  In both modes each
-        distinct final value is decoded once and shared.
+        step is one shift and one subtraction.  The states' L1 norms sum to
+        at most 3^l(v) <= 2^(2 l(v)) <= 2^(W - 2) < 2^(W - 1) at W = 2 max l + 2
+        bits per digit, whatever PACK_BITS is, so every coefficient unpacks
+        exactly.  In both modes each distinct final value is decoded once and shared.
         """
         n, npoints, nv = self.shape.n, self.npoints, self.chars.nvars
         packed = nv == 1
-        bits = max(PACK_BITS, 2 * max(self.lengths) + 2)
+        bits = 2 * max(self.lengths) + 2
         zero = LaurentElement.zero(nv)
         start = 1 if packed else LaurentElement.one(nv)
         # Demazure products by id; the model points come first, so ids below

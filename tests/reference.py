@@ -13,8 +13,8 @@ from bisect import insort
 from functools import lru_cache
 
 from qkcomin.gkm import OPPOSITE, PLAIN, KModel, NotInSpanError
-from qkcomin.laurent import LaurentElement, NotDivisibleError, unpack_key
-from qkcomin.quantum import Space, _gw_coeffs
+from qkcomin.laurent import LaurentElement, NotDivisibleError, sum_elements, unpack_key
+from qkcomin.quantum import Space, _gw_coeffs, euler_char_q
 from qkcomin.weyl import FlagShape, image_index, length, min_coset_rep
 
 
@@ -329,6 +329,11 @@ def projected_class(space: Space, u: tuple, v: tuple, d: int) -> tuple:
 def basis_element(space: Space, lam: tuple, degree: int = 0) -> dict:
     """q^degree times the opposite class of lam, in the form of a product."""
     return {degree: {space.index_of(lam): space.model.one()}}
+
+
+def euler_char_total(space: Space, product: dict) -> LaurentElement:
+    """Euler characteristic with q set to 1."""
+    return sum_elements(space.chars.nvars, euler_char_q(space, product).values())
 
 
 def all_pairs(space: Space) -> list:

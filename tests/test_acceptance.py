@@ -22,7 +22,6 @@ from qkcomin.quantum import (
     diameter,
     dist,
     euler_char_q,
-    euler_char_total,
     get_space,
     point_degree,
     quantum_product,
@@ -35,7 +34,8 @@ from qkcomin.quantum import (
     verify_neighborhoods_against_graph,
 )
 from reference import (
-    all_pairs, basis_element, bruhat_leq, diag_factor_exps, euler_char, gkm_check,
+    all_pairs, basis_element, bruhat_leq, diag_factor_exps, euler_char, euler_char_total,
+    gkm_check,
 )
 from slow_oracles import givental_p1_product, lr_constants_setvalued
 

@@ -198,6 +198,26 @@ class TestCalibration:
             narrow = KModel(shape, zspec_chars(shape.n), use_cache=False)
             assert narrow.table(OPPOSITE) == table
 
+    def test_subword_digit_width_is_the_length_rule(self, monkeypatch):
+        """The subword formula packs at the width its bound proves,
+        2 max l + 2, not at a wider PACK_BITS."""
+        from qkcomin import gkm
+
+        widths = []
+        unpack = gkm.kronecker_unpack
+
+        def recording(origin, value, bits):
+            widths.append(bits)
+            return unpack(origin, value, bits)
+
+        monkeypatch.setattr(gkm, "PACK_BITS", 128)
+        monkeypatch.setattr(gkm, "kronecker_unpack", recording)
+        for shape in [*all_shapes(4), FlagShape((2, 4), 6)]:
+            m = KModel(shape, zspec_chars(shape.n), use_cache=False)
+            widths.clear()
+            m.table(OPPOSITE)
+            assert widths and set(widths) == {2 * max(m.lengths) + 2}
+
 
 class TestP1:
     def test_point_class_euler(self):
@@ -487,6 +507,18 @@ class TestBasisChange:
         }
         assert specialized == {(2, 1): 1}
         assert sum((2, 1)) == 4 - sum((1,))
+
+    @pytest.mark.parametrize("dims,n", [
+        ((1,), 2), ((2,), 4), ((2,), 5), ((3,), 5), ((3,), 6), ((2,), 6), ((4,), 6), ((2,), 7),
+        ((3,), 7),
+    ])
+    def test_zmode_change_at_one_is_the_dual_permutation(self, dims, n):
+        # non-equivariantly O_v = O^(dual v), the w0 translate, so at z = 1
+        # every row of the change of basis is one opposite class
+        m = model(dims, n, zspec_chars(n))
+        for v, row in enumerate(m.basis_change()):
+            at_one = {x: c.specialize_ones() for x, c in row.items() if c.specialize_ones()}
+            assert at_one == {m.dual[v]: 1}
 
     @classmethod
     def check_w0_duality(cls, m):

@@ -14,7 +14,9 @@ from qkcomin.quantum import (
     quantum_product,
     shift_expansion,
 )
-from reference import all_pairs, euler_char, gkm_check, is_unit, projected_class, variable
+from reference import (
+    all_pairs, euler_char, euler_char_total, gkm_check, is_unit, projected_class, variable,
+)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +89,7 @@ class TestEulerMapOnRandomElements:
         import random
 
         from qkcomin.laurent import LaurentElement
-        from qkcomin.quantum import euler_char_total, star_elements
+        from qkcomin.quantum import star_elements
 
         space = get_space(2, 4, equivariant=equivariant)
         rng = random.Random(11)

@@ -23,7 +23,6 @@ from qkcomin.quantum import (
     diameter,
     dist,
     euler_char_q,
-    euler_char_total,
     get_space,
     gw_series,
     kernel_span_shapes,
@@ -39,6 +38,7 @@ from reference import (
     all_pairs,
     basis_element,
     euler_char,
+    euler_char_total,
     gkm_check,
     is_unit,
     preimage_index_plain,
@@ -711,20 +711,28 @@ class TestVerifiers:
         assert sum(id(f) in scales for f in packed) == 50
 
     def test_each_plain_product_is_built_once(self, monkeypatch):
-        # hom and mindeg share the plain products of a row, and no plain
-        # product outlives its row: the memo holds products of two
-        # opposite classes only
+        # hom and mindeg share the plain products of a row and their chi_q,
+        # and no plain product outlives its row: the memo holds products of
+        # two opposite classes only
         calls = []
+        sums = []
         product = quantum.quantum_product
+        chi_q = quantum.euler_char_q
 
         def counting(space, u, v):
             calls.append((u, v))
             return product(space, u, v)
 
+        def counting_chi(space, p):
+            sums.append(p)
+            return chi_q(space, p)
+
         monkeypatch.setattr(quantum, "quantum_product", counting)
+        monkeypatch.setattr(quantum, "euler_char_q", counting_chi)
         space = Space(2, 4)
         assert verify_space(space, checks=("hom", "mindeg")) == []
         assert sorted(calls) == sorted(all_pairs(space))  # 36, one per pair
+        assert len(sums) == 36  # one chi_q per product, not one per check
         assert space.products and all(
             len(key) == 3 and all(type(x) is int for x in key) and key[0] <= key[1]
             for key in space.products
