@@ -14,10 +14,11 @@ sha256 of the second line, then the payload.  Besides its rows or classes
 the payload holds the scalars in integers, in two lists: each distinct
 monomial once, as an exponent vector, and each distinct scalar once, as a
 flat list ``[m, c, ...]`` of monomial indices m and nonzero coefficients
-c.  One helper writes that layout (:func:`_encode`) and one reads it
-(:func:`_decode`): a warm load packs each monomial once and builds each
-scalar from its lists, with no grammar to parse, and equal scalars of a
-file load as one shared element.
+c.  One helper lays that out (:func:`_encode`), one writes it an item
+at a time, holding no copy of the file (:func:`_store_doc`), and one
+reads it (:func:`_decode`): a warm load packs each monomial once and
+builds each scalar from its lists, with no grammar to parse, and equal
+scalars of a file load as one shared element.
 
 JSON that does not parse or nests too deep, a wrong format or key, or a
 checksum mismatch is a miss, so corrupted files are silently recomputed.
@@ -74,8 +75,7 @@ def _path_for(key: str) -> Path:
     return _path("restrict_", key)
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _load_doc(path: Path, fmt: str, key: str, field: str) -> list | None:
@@ -105,11 +105,11 @@ def _load_doc(path: Path, fmt: str, key: str, field: str) -> list | None:
 
 def _store_doc(prefix: str, fmt: str, key: str, field: str, payload: list) -> None:
     """Write ``[monomials, scalars, body]`` atomically, the body as
-    ``field``; an OSError leaves no file behind."""
+    ``field``, in the bytes of ``json.dumps`` with compact separators but
+    an item at a time: nothing holds the file, whose header's checksum is
+    filled in last.  An OSError leaves no file behind."""
     path = _path(prefix, key)
-    monomials, scalars, items = payload
-    body = _dumps({"monomials": monomials, "scalars": scalars, field: items}).encode()
-    header = _dumps({"format": fmt, "key": key, "sha256": hashlib.sha256(body).hexdigest()})
+    header = _dumps({"format": fmt, "key": key, "sha256": "0" * 64}).encode()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=prefix, suffix=".tmp")
@@ -117,7 +117,17 @@ def _store_doc(prefix: str, fmt: str, key: str, field: str, payload: list) -> No
         return  # caching is best-effort
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.writelines((header.encode(), b"\n", body))
+            fh.write(header + b"\n")
+            digest = hashlib.sha256()
+            openers = ('{"monomials":[', '],"scalars":[', f'],"{field}":[', "]}")
+            for opener, items in zip(openers, (*payload, ())):
+                texts = map(_dumps, items)
+                for text in chain((opener + next(texts, ""),), map(",".__add__, texts)):
+                    data = text.encode()
+                    digest.update(data)
+                    fh.write(data)
+            fh.seek(header.rindex(b"0" * 64))
+            fh.write(digest.hexdigest().encode())
         os.replace(tmp, path)
     except BaseException as exc:
         # never leave the partial temp file behind; only OSError is absorbed
@@ -160,7 +170,7 @@ def load_table(key: str, npoints: int, nvars: int) -> list | None:
 def store_table(key: str, rows: list) -> None:
     """Write a restriction table through :func:`store_rows`."""
     monomials, scalars, index = _encode(v for row in rows for v in row)
-    store_rows(key, [monomials, scalars, [[index[id(v)] for v in row] for row in rows]])
+    store_rows(key, [monomials, scalars, ([index[id(v)] for v in row] for row in rows)])
 
 
 # the monomial indices and the coefficients of a flat term list
@@ -210,26 +220,21 @@ def _decode(monomials: list, scalars: list, nvars: int) -> dict | None:
 
 def _encode(values) -> tuple:
     """``(monomials, scalars, index)`` for the coefficient objects of
-    ``values``: the lists :func:`_decode` reads, and the index of the scalar
-    of each object by id, so the objects must outlive it.
-
-    Each object is read once and equal values share one scalar.  Scalars
-    are listed in order of first appearance, monomials and the terms of a
-    scalar in key order, so equal values give equal bytes."""
+    ``values``: lazy iterators over the items of the lists :func:`_decode`
+    reads, and the index of the scalar of each object by id, so the objects
+    must outlive it.  Equal values share one scalar, found by the element
+    itself.  Scalars are listed in order of first appearance, monomials and
+    the terms of a scalar in key order, so equal values give equal bytes."""
     index: dict = {}  # id of an object -> index of its scalar
-    found: dict = {}  # sorted terms of a scalar -> its index
-    nvars = 0
+    found: dict = {}  # a distinct element -> the index of its scalar
     for v in values:
         if id(v) not in index:
-            index[id(v)] = found.setdefault(v.key(), len(found))
-            nvars = v.nvars
-    # each scalar flat, its packed keys then replaced by monomial indices
-    scalars = [list(chain.from_iterable(terms)) for terms in found]
-    keys = sorted(set(chain.from_iterable(map(_EVEN, scalars))))
-    at = dict(zip(keys, range(len(keys)))).__getitem__
-    for scalar in scalars:
-        scalar[::2] = map(at, scalar[::2])
-    return [list(unpack_key(k, nvars)) for k in keys], scalars, index
+            index[id(v)] = found.setdefault(v, len(found))
+    nvars = next(iter(found)).nvars if found else 0
+    keys = sorted({k for v in found for k in v.terms})
+    at = dict(zip(keys, range(len(keys))))
+    scalars = ([x for k, c in sorted(v.terms.items()) for x in (at[k], c)] for v in found)
+    return map(unpack_key, keys, repeat(nvars)), scalars, index
 
 
 def load_classes(key: str, ys: dict, npoints: int, nvars: int) -> dict | None:
@@ -281,18 +286,13 @@ def store_classes(key: str, classes: dict) -> None:
     """Write the projected classes of :func:`load_classes`.  Entries are
     sorted by (dims, a, b) and terms by index, so equal memos give equal
     bytes."""
-    items = [(k, sorted(exp.items())) for k, exp in sorted(classes.items(), key=_entry_order)]
-    monomials, scalars, index = _encode(c for _key, terms in items for _w, c in terms)
-    entries = [
-        [y.dims, a, b, [x for w, c in terms for x in (w, index[id(c)])]]
-        for (y, a, b), terms in items
-    ]
+    order = sorted(classes, key=lambda k: (k[0].dims, *k[1:]))
+    monomials, scalars, index = _encode(c for k in order for _w, c in sorted(classes[k].items()))
+    entries = (
+        [y.dims, a, b, [x for w, c in sorted(classes[y, a, b].items()) for x in (w, index[id(c)])]]
+        for y, a, b in order
+    )
     _store_doc("projected_", PROJECTED_FORMAT, key, "classes", [monomials, scalars, entries])
-
-
-def _entry_order(item) -> tuple:
-    (y, a, b), _exp = item
-    return y.dims, a, b
 
 
 def _files(suffix: str) -> list:

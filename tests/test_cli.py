@@ -683,6 +683,47 @@ GOLDEN_GR25_Z_PROJECTED = {
         "866521c7f08f4dbb740e4323eab7d08ae3c0a3f3a6642ffd1e533eecd3acdb71",
 }
 
+# every cache file of a cold command, recorded at qk-restrict/2 and
+# qk-projected/2 before the writer streamed its chunks: their entries share
+# many scalars, so these pin the order in which the scalars are listed
+GOLDEN_SHARED_SCALARS = {
+    "verify --space gr:3,6": {
+        "projected_dbf67de82823a46672e09ad3.json":
+            "fdc3eaa796997614677ab2c1f91095bc21dc7061d8e08dd335d9d8ec65e4ab88",
+        "restrict_00fa83f427c45eb261e69901.json":
+            "a6c6fb776c37a47c21b29cc11defd523e5258add8dfab402f2e9877edd8754cf",
+        "restrict_132c4b505f7d948cb8bbbbc6.json":
+            "7cf9fe33e654e11842587f53adda6b5b299959273d515f8d5b0d6b7bd7f43370",
+        "restrict_a4f62e7e8183fd77f82e995b.json":
+            "dfe4bbc6bdb6ad21ad5ef740fd88d9db8b909752d19bfbaadd8fa8e645937a2e",
+        "restrict_ec32d9febca8b48f288a163e.json":
+            "22b6b05f2238968a02f41cc55495810a9189d25ab7a5ba2734788f948d3f79a4",
+    },
+    "verify --space gr:2,7": {
+        "projected_7b408bff70b89d3dcb54ea00.json":
+            "5338011a3331839364618518701d169b2a73a6f649b5fba46b7012be4648ab7a",
+        "restrict_24d91a5f8320666e7f78c101.json":
+            "d1fde29b952435cf34843e302c00c5bc6ee9c6eead67ecee505d7e3c724a77d3",
+        "restrict_378eab3034bc81f5d3076d23.json":
+            "3d9e9ab396ca59f75695d89f0a9aa5318019ecf7c069fe9f041a1870de6855fb",
+        "restrict_5c9fea351563ab32ca9c4a29.json":
+            "226fce0ef0f11dd489b82b54f9d88090e03613f44c28ad915f46b779f1261bb3",
+        "restrict_6fd8b3c2aa4ddf16d734b077.json":
+            "f52811eca15ad86653a5885612a894380d8fdef870a63f14e830fd5d51b84566",
+        "restrict_a458f731f2e8759eb09595d2.json":
+            "19849aa66bf863614b74cdfdfe2781633bd045a9de794df3c4fd2792277ba9a3",
+        "restrict_a5cbccb7b7149c6c9ffe280d.json":
+            "cadd78445e890582b538bf476a7d6a8f4b9f7e2bbc3d2f1e4ee3551d6ca9cbad",
+    },
+    # the projected file is written by the parent from the classes the pool
+    # expanded; the tables are those of GOLDEN_GR25_EQUIVARIANT_CACHE
+    "table --space gr:2,5 --equivariant --jobs 2": {
+        "projected_0db55f578fe273aa146f2ad7.json":
+            "15ba3e2b1b2070fcb8c8bc785d4fbe88cc5b7a8cba3944834ead44f89cf87f6e",
+        **GOLDEN_GR25_EQUIVARIANT_CACHE,
+    },
+}
+
 
 def cache_digests(path, prefix="restrict_") -> dict:
     """sha256 of every cache file of one kind in the directory, by name."""
@@ -740,6 +781,13 @@ class TestOutputIdentity:
         assert rc == 0
         assert cache_digests(fresh) == GOLDEN_GR25_Z_CACHE
         assert cache_digests(fresh, "projected_") == GOLDEN_GR25_Z_PROJECTED
+
+    @pytest.mark.parametrize("command", GOLDEN_SHARED_SCALARS)
+    def test_cache_files_of_shared_scalars(self, capsys, fresh, command):
+        rc, _, _ = run_cli(capsys, *command.split())
+        assert rc == 0
+        files = {**cache_digests(fresh), **cache_digests(fresh, "projected_")}
+        assert files == GOLDEN_SHARED_SCALARS[command]
 
 
 def parse(text):
@@ -1027,6 +1075,65 @@ def test_cache_stats_and_clear_count_projected_files(capsys, tmp_path, monkeypat
     rc, out, _ = run_cli(capsys, "cache", "clear")
     assert rc == 0 and json.loads(out) == {"removed": 5}
     assert list(tmp_path.iterdir()) == []
+
+
+def test_projected_write_holds_no_copy_of_the_file(tmp_path, monkeypatch):
+    """The projected-class file is written as it is rendered: after a cold
+    z-mode verify of Gr(3,7), the memory traced while store_projected runs
+    peaks at no more than 6 times the size of the file it writes.  A writer
+    that renders the whole body before writing it peaks at about 20 times."""
+    import tracemalloc
+
+    from qkcomin.quantum import Space, store_projected, verify_space
+
+    monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+    space = Space(3, 7)
+    assert verify_space(space, ("sum",)) == []
+    tracemalloc.start()
+    try:
+        store_projected(space, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (path,) = tmp_path.glob("projected_*.json")
+    assert peak <= 6 * path.stat().st_size
+
+
+@pytest.mark.parametrize("exc", [OSError("disk full"), KeyboardInterrupt()], ids=repr)
+def test_torn_projected_write_leaves_no_file(capsys, tmp_path, monkeypatch, exc):
+    """A projected-class write that fails after its first body chunk leaves
+    neither the file nor its temp file.  An OSError is absorbed (caching is
+    best-effort) and any other exception propagates.  The next verify
+    writes the bytes of a clean run."""
+    from qkcomin import cache as diskcache
+    from qkcomin import cli
+    from qkcomin.quantum import Space, get_space, store_projected, verify_space
+
+    monkeypatch.setenv("QK_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(cli, "get_space", get_space.__wrapped__)
+    space = Space(2, 5)
+    assert verify_space(space) == []
+    body_items = itertools.count()
+    dumps = diskcache._dumps
+
+    def torn(obj):
+        # the header is the one dict; the first item of the body is written
+        if type(obj) is not dict and next(body_items):
+            assert list(tmp_path.glob("projected_*.tmp"))  # the write is under way
+            raise exc
+        return dumps(obj)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(diskcache, "_dumps", torn)
+        if isinstance(exc, OSError):
+            store_projected(space, 0)
+        else:
+            with pytest.raises(type(exc)):
+                store_projected(space, 0)
+    assert next(body_items) == 2
+    assert list(tmp_path.glob("projected_*")) == []
+    assert run_cli(capsys, "verify", "--space", "gr:2,5") == (0, "PASS pairs=100\n", "")
+    assert cache_digests(tmp_path, "projected_") == GOLDEN_GR25_Z_PROJECTED
 
 
 def child_env(cache_dir):

@@ -801,23 +801,27 @@ class TestDiskCache:
 
     @pytest.mark.parametrize("nvars", [1, 3])
     def test_decode_reads_back_encode(self, nvars):
-        """_decode reads back what _encode writes, each element with the
-        exact bound of its exponents (a product's bound may be larger), and
-        equal values share one scalar."""
+        """_decode reads back what _encode writes, through JSON, each element
+        with the exact bound of its exponents (a product's bound may be
+        larger), and equal values share one scalar, whether or not they are
+        one object."""
+        import json
+
         from qkcomin import cache as diskcache
 
         a = LaurentElement.monomial(nvars, (3,) + (-2,) * (nvars - 1))
         b = LaurentElement.monomial(nvars, (-1,) * nvars)
         f = 1 - 5 * a
         one = a * LaurentElement.monomial(nvars, (-3,) + (2,) * (nvars - 1))
-        values = [f, 2 * b, LaurentElement.zero(nvars), f * 1, one]
+        values = [f, 2 * b, LaurentElement.zero(nvars), f * 1, one, f]
         assert one == 1 and one._bound == 6
         monomials, scalars, index = diskcache._encode(values)
+        monomials, scalars = json.loads(diskcache._dumps([list(monomials), list(scalars)]))
         assert len(scalars) == 4 and index[id(values[0])] == index[id(values[3])]
         elements = diskcache._decode(monomials, scalars, nvars)
         got = [elements[index[id(v)]] for v in values]
         assert got == values
-        assert [g._bound for g in got] == [3, 1, 0, 3, 0]
+        assert [g._bound for g in got] == [3, 1, 0, 3, 0, 3]
         assert diskcache._decode(monomials, scalars, nvars + 1) is None  # width
 
     def test_model_roundtrips_through_cache(self, tmp_path, monkeypatch):
